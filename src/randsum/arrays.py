@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -282,6 +283,8 @@ class SeriesForm:
         self._logbsq: List[float] = []
         self._bsq_linear: List[float] = [0.0]
         self._linear_alive = True
+        # run_study shares one array, and so one series, across its threads
+        self._extend_lock = threading.Lock()
 
     def base(self, j: int) -> ScalarDistribution:
         if j < 1:
@@ -318,23 +321,28 @@ class SeriesForm:
         return scale(shift(self.base(j), -self.center(j)), 1.0 / sd)
 
     def _extend(self, n: int) -> None:
-        while len(self._logvar) < n:
-            j = len(self._logvar) + 1
-            lv = float(self.log_variance(j))
-            if math.isnan(lv) or lv == -math.inf:
-                raise ArrayError(f"series member {j} has nonpositive variance")
-            if lv == math.inf:
-                raise ArrayError(f"series member {j} has an infinite log variance")
-            self._logvar.append(lv)
-            if self._linear_alive:
-                var_j = math.exp(lv) if lv <= _LOG_MAX else math.inf
-                nxt = self._bsq_linear[-1] + var_j
-                if math.isfinite(nxt):
-                    self._bsq_linear.append(nxt)
-                    self._logbsq.append(math.log(nxt))
-                    continue
-                self._linear_alive = False
-            self._logbsq.append(float(np.logaddexp(self._logbsq[-1], lv)))
+        # _logbsq is appended last, so once it holds n terms the other lists
+        # do too and readers need no lock
+        if len(self._logbsq) >= n:
+            return
+        with self._extend_lock:
+            while len(self._logvar) < n:
+                j = len(self._logvar) + 1
+                lv = float(self.log_variance(j))
+                if math.isnan(lv) or lv == -math.inf:
+                    raise ArrayError(f"series member {j} has nonpositive variance")
+                if lv == math.inf:
+                    raise ArrayError(f"series member {j} has an infinite log variance")
+                self._logvar.append(lv)
+                if self._linear_alive:
+                    var_j = math.exp(lv) if lv <= _LOG_MAX else math.inf
+                    nxt = self._bsq_linear[-1] + var_j
+                    if math.isfinite(nxt):
+                        self._bsq_linear.append(nxt)
+                        self._logbsq.append(math.log(nxt))
+                        continue
+                    self._linear_alive = False
+                self._logbsq.append(float(np.logaddexp(self._logbsq[-1], lv)))
 
     def log_b_squared(self, n: int) -> float:
         if n < 1 or int(n) != n:
@@ -394,9 +402,9 @@ class _NormalTwinArray(TriangularArray):
         super().__init__(source.row_lengths, min_row=source.row_lengths._minimum)
         self.source = source
         self.label = f"normal-twin-{source.label}"
+        self._row_twin = lru_cache(maxsize=None)(self._make_row_twin)
 
-    @lru_cache(maxsize=None)
-    def _row_twin(self, n: int) -> Optional[ScalarDistribution]:
+    def _make_row_twin(self, n: int) -> Optional[ScalarDistribution]:
         base = self.source.iid_entry(n)
         if base is None:
             return None

@@ -366,12 +366,27 @@ class Uniform(ScalarDistribution):
         return rng.uniform(self.low, self.high, size=size)
 
 
+def _atom_steps(at: Optional[Tuple[np.ndarray, np.ndarray]]):
+    """Sorted atom values and the masses below each (plus the total), or None."""
+    if at is None:
+        return None
+    vals, probs = at
+    order = np.argsort(vals, kind="stable")
+    return vals[order], np.concatenate(([0.0], np.cumsum(probs[order])))
+
+
+def _step_cdf(steps, x: ArrayLike, side: str) -> ArrayLike:
+    vals, cum = steps
+    out = cum[np.searchsorted(vals, np.asarray(x, dtype=float), side=side)]
+    return float(out) if out.ndim == 0 else out
+
+
 class _AtomicMixin:
     """Shared machinery for purely atomic laws with sorted atom arrays."""
 
     _values: np.ndarray
     _probs: np.ndarray
-    _cum: np.ndarray
+    _steps: Tuple[np.ndarray, np.ndarray]
 
     def _init_atoms(self, values: Sequence[float], probs: Sequence[float]) -> None:
         vals = np.asarray(values, dtype=float)
@@ -398,24 +413,16 @@ class _AtomicMixin:
         self._values = np.asarray(keep_vals)
         self._probs = np.asarray(keep_probs)
         self._probs = self._probs / self._probs.sum()
-        self._cum = np.cumsum(self._probs)
+        self._steps = (self._values, np.concatenate(([0.0], np.cumsum(self._probs))))
         self.mean = float(np.dot(self._values, self._probs))
         centered = self._values - self.mean
         self.variance = float(np.dot(centered * centered, self._probs))
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self._values, x, side="left")
-        cum = np.concatenate(([0.0], self._cum))
-        out = cum[idx]
-        return float(out) if out.ndim == 0 else out
+        return _step_cdf(self._steps, x, "left")
 
     def prob_le(self, x: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self._values, x, side="right")
-        cum = np.concatenate(([0.0], self._cum))
-        out = cum[idx]
-        return float(out) if out.ndim == 0 else out
+        return _step_cdf(self._steps, x, "right")
 
     def char_fn(self, t: ArrayLike) -> Union[complex, np.ndarray]:
         t = np.asarray(t, dtype=float)
@@ -541,7 +548,11 @@ class CenteredExponential(ScalarDistribution):
 
 
 class Scaled(ScalarDistribution):
-    """Law of factor * X for a base law X.  ``factor`` must be nonzero."""
+    """Law of factor * X for a base law X.  ``factor`` must be nonzero.
+
+    For an atomic base the CDF steps at the rounded atoms ``atoms()``
+    reports; ``x / factor`` need not land back on the base atom.
+    """
 
     family = "scaled"
 
@@ -552,6 +563,7 @@ class Scaled(ScalarDistribution):
         self.factor = float(factor)
         self.mean = self.factor * base.mean
         self.variance = self.factor * self.factor * base.variance
+        self._steps = _atom_steps(self.atoms())
 
     def descriptor(self) -> tuple:
         return ("scaled", self.base.descriptor(), self.factor)
@@ -560,6 +572,8 @@ class Scaled(ScalarDistribution):
         return f"Scaled({self.base!r}, {self.factor!r})"
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
+        if self._steps is not None:
+            return _step_cdf(self._steps, x, "left")
         x = np.asarray(x, dtype=float)
         if self.factor > 0:
             return self.base.cdf(x / self.factor)
@@ -567,6 +581,8 @@ class Scaled(ScalarDistribution):
         return 1.0 - self.base.prob_le(x / self.factor)
 
     def prob_le(self, x: ArrayLike) -> ArrayLike:
+        if self._steps is not None:
+            return _step_cdf(self._steps, x, "right")
         x = np.asarray(x, dtype=float)
         if self.factor > 0:
             return self.base.prob_le(x / self.factor)
@@ -611,7 +627,11 @@ class Scaled(ScalarDistribution):
 
 
 class Shifted(ScalarDistribution):
-    """Law of X + offset for a base law X."""
+    """Law of X + offset for a base law X.
+
+    For an atomic base the CDF steps at the rounded atoms ``atoms()``
+    reports; ``x - offset`` need not land back on the base atom.
+    """
 
     family = "shifted"
 
@@ -620,6 +640,7 @@ class Shifted(ScalarDistribution):
         self.offset = float(offset)
         self.mean = base.mean + self.offset
         self.variance = base.variance
+        self._steps = _atom_steps(self.atoms())
 
     def descriptor(self) -> tuple:
         return ("shifted", self.base.descriptor(), self.offset)
@@ -628,9 +649,13 @@ class Shifted(ScalarDistribution):
         return f"Shifted({self.base!r}, {self.offset!r})"
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
+        if self._steps is not None:
+            return _step_cdf(self._steps, x, "left")
         return self.base.cdf(np.asarray(x, dtype=float) - self.offset)
 
     def prob_le(self, x: ArrayLike) -> ArrayLike:
+        if self._steps is not None:
+            return _step_cdf(self._steps, x, "right")
         return self.base.prob_le(np.asarray(x, dtype=float) - self.offset)
 
     def pdf(self, x: ArrayLike) -> ArrayLike:

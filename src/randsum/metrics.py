@@ -49,7 +49,8 @@ __all__ = [
 
 # atom count cap for exact convolution (pre-merge, per pairwise step)
 ATOM_BUDGET = 1 << 20
-# initial Kolmogorov search grid size; two x8 refinement passes follow
+# initial Kolmogorov search grid size for laws with no atoms list; two x8
+# refinement passes follow
 _KOLMOGOROV_GRID = 4097
 _REFINE_TOP = 16
 # base cell count of the zeta integration grid; two doublings follow
@@ -79,9 +80,17 @@ class ConvolutionError(TypeError):
 class DistanceEstimate:
     """A distance value together with a bound on its evaluation error.
 
-    ``method`` tags how the value was obtained: ``exact-atomic``,
-    ``exact-grid``, ``empirical-KS``, ``mixture``, ``iterated-integral``
-    or ``testfn-lower-bound``.
+    ``method`` tags how the value was obtained:
+
+    * ``exact-atomic``: Kolmogorov distance with at least one purely
+      atomic law, evaluated at that law's atoms; exact, bound 0;
+    * ``exact-grid``: Kolmogorov distance between two laws with no atoms
+      list, searched on a refined grid whose bound covers the cells and
+      tails it cannot see;
+    * ``empirical-KS``: sample statistic with a DKW bound;
+    * ``mixture``: index-weighted random-length distance;
+    * ``iterated-integral`` and ``testfn-lower-bound``: zeta_s and its
+      test-function lower bound.
     """
 
     value: float
@@ -308,16 +317,13 @@ class MixtureLaw(ScalarDistribution):
         )
         order = np.argsort(vals, kind="stable")
         vals, probs = vals[order], probs[order]
-        # exact-duplicate merge only; components may legitimately share atoms
-        keep_vals: List[float] = []
-        keep_probs: List[float] = []
-        for v, p in zip(vals, probs):
-            if keep_vals and v == keep_vals[-1]:
-                keep_probs[-1] += p
-            else:
-                keep_vals.append(float(v))
-                keep_probs.append(float(p))
-        return np.asarray(keep_vals), np.asarray(keep_probs)
+        # exact-duplicate merge only; components may legitimately share atoms.
+        # Each run of equal values keeps its first member, and np.add.at sums
+        # the run's masses in stable-sorted order
+        first = np.concatenate([[True], vals[1:] != vals[:-1]])
+        keep_probs = np.zeros(int(np.count_nonzero(first)))
+        np.add.at(keep_probs, np.cumsum(first) - 1, probs)
+        return vals[first], keep_probs
 
     def support(self) -> Tuple[float, float]:
         los, his = zip(*(c.support() for c in self._components))
@@ -432,29 +438,34 @@ def _gaps(f_law: ScalarDistribution, g_law: ScalarDistribution, xs: np.ndarray) 
 def kolmogorov(f_law: ScalarDistribution, g_law: ScalarDistribution) -> DistanceEstimate:
     """sup_x |F(x) - G(x)| with both one-sided limits at every candidate.
 
-    Search grid: _KOLMOGOROV_GRID points spanning both laws' mean +- 10
-    standard deviations, plus every atom of either law, then two
-    refinement passes around the largest observed gaps.  The reported
-    bound covers what the grid can hide: within each cell the distance
-    cannot exceed the observed endpoint values by more than the smaller
-    of the two laws' probability masses across the cell, and the grid
-    ends leave at most the remaining tail masses.
+    When either law is purely atomic (``atoms()`` is not None; the first
+    law's atoms when both are) the supremum is taken at its atoms alone and
+    is exact, method ``exact-atomic`` with bound 0: that law's CDF is
+    constant on each open gap between consecutive atoms and on each tail,
+    the other CDF is monotone there, so the gap is largest at the one-sided
+    limits, which ``cdf`` and ``prob_le`` at the atoms give exactly.
+    ``params["grid"]`` is the number of atoms evaluated.
+
+    Otherwise (method ``exact-grid``) the search grid has _KOLMOGOROV_GRID
+    points spanning both laws' mean +- 10 standard deviations, refined
+    twice around the largest observed gaps.  The reported bound covers
+    what the grid can hide: within each cell the distance cannot exceed
+    the observed endpoint values by more than the smaller of the two laws'
+    probability masses across the cell, and the grid ends leave at most
+    the remaining tail masses.
     """
+    for law in (f_law, g_law):
+        at = law.atoms()
+        if at is not None:
+            atoms = at[0]
+            value = float(np.max(_gaps(f_law, g_law, atoms)))
+            return DistanceEstimate(value, 0.0, "exact-atomic", {"grid": float(atoms.size)})
+
     spread_f = 10.0 * max(f_law.std, 1e-12)
     spread_g = 10.0 * max(g_law.std, 1e-12)
     lo = min(f_law.mean - spread_f, g_law.mean - spread_g)
     hi = max(f_law.mean + spread_f, g_law.mean + spread_g)
     xs = np.linspace(lo, hi, _KOLMOGOROV_GRID)
-    atom_sets = []
-    for law in (f_law, g_law):
-        at = law.atoms()
-        if at is not None:
-            atom_sets.append(at[0])
-    both_atomic = len(atom_sets) == 2
-    if atom_sets:
-        xs = np.unique(np.concatenate([xs, *atom_sets]))
-        lo = min(lo, float(xs[0]))
-        hi = max(hi, float(xs[-1]))
 
     g = _gaps(f_law, g_law, xs)
     for _ in range(2):
@@ -485,8 +496,7 @@ def kolmogorov(f_law: ScalarDistribution, g_law: ScalarDistribution) -> Distance
     )
     bound = max(float(np.max(cell_excess)) if cell_excess.size else 0.0,
                 tail_left, tail_right)
-    method = "exact-atomic" if both_atomic else "exact-grid"
-    return DistanceEstimate(value, bound, method, {"grid": float(xs.size)})
+    return DistanceEstimate(value, bound, "exact-grid", {"grid": float(xs.size)})
 
 
 def empirical_kolmogorov(

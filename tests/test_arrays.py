@@ -1,6 +1,8 @@
 """Triangular arrays: row structure, normalization, and the series bridge."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -152,6 +154,28 @@ class TestSeriesForm:
         assert np.allclose(lv, [0.0, 0.0, math.log(2.0), math.log(4.0), math.log(8.0)])
         lb = s.log_b_squared_profile(5)
         assert lb[-1] == pytest.approx(4.0 * math.log(2.0), rel=1e-14)
+
+    def test_shared_series_extends_safely_across_threads(self):
+        expected = shiryaev_series().log_b_squared_profile(3000)
+        shared = shiryaev_series()
+        results = [None] * 4
+
+        def worker(i):
+            results[i] = shared.log_b_squared_profile(3000)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            assert np.array_equal(got, expected)
 
     def test_rejects_flat_member(self):
         from randsum.distributions import FiniteDiscrete

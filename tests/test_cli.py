@@ -16,6 +16,9 @@ from randsum.cli import (
     effective_config,
     main,
 )
+from randsum.conditions import InvalidRowError
+from randsum.distributions import Normal
+from randsum.metrics import zeta
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -354,3 +357,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "$.grids.epsilonn: unknown key" in err
+
+    def test_invalid_row_is_numeric_failure(self, monkeypatch, capsys):
+        def raise_invalid_row(*args):
+            raise InvalidRowError("row n=4 of 'array' violates array conditions")
+
+        monkeypatch.setattr("randsum.cli._counterexample_findings", raise_invalid_row)
+        code = main(["counterexample"])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert "numeric failure" in err and "config error" not in err
+
+    def test_moment_mismatch_is_numeric_failure(self, monkeypatch, capsys):
+        def raise_moment_mismatch(*args):
+            # the means differ by 1, so zeta_2 has no iterated-integral form
+            return zeta(Normal(0.0, 1.0), Normal(1.0, 1.0), 2)
+
+        monkeypatch.setattr("randsum.cli._counterexample_findings", raise_moment_mismatch)
+        code = main(["counterexample"])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert "numeric failure" in err and "moment of order 1" in err

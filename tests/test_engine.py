@@ -1,12 +1,19 @@
 """Sampling engine, study runner, verdicts, and the selfcheck contract."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from randsum.arrays import make_iid_array, make_rare_jump_array, make_shiryaev_array
+from randsum.arrays import (
+    make_iid_array,
+    make_rare_jump_array,
+    make_shiryaev_array,
+    normal_twin,
+)
 from randsum.distributions import FiniteIndex, Geometric, Normal, Rademacher
 from randsum.engine import (
     BUILTIN_PLAN_NAMES,
@@ -271,6 +278,27 @@ class TestRunStudy:
         plain = {r["n"]: r["value"] for r in res.rows if r["metric"] == "rand_feller"}
         for r in twin_rows:
             assert r["value"] == pytest.approx(plain[r["n"]], rel=1e-9)
+
+
+    def test_normal_twin_released_after_study(self, monkeypatch):
+        refs = []
+
+        def tracked_twin(array):
+            twin = normal_twin(array)
+            refs.append(weakref.ref(twin))
+            return twin
+
+        monkeypatch.setattr("randsum.engine.normal_twin", tracked_twin)
+        plan = small_plan(
+            array={"array": "iid", "base": {"family": "rademacher"}},
+            normal_twin_feller=True,
+            distances=(),
+        )
+        run_study(plan)
+        run_study(plan)
+        gc.collect()
+        assert len(refs) == 2
+        assert refs[0]() is None
 
 
 class TestSelfcheck:

@@ -19,6 +19,8 @@ from randsum.distributions import (
     Normal,
     Rademacher,
     Uniform,
+    scale,
+    shift,
 )
 from randsum.metrics import (
     ConvolutionError,
@@ -64,7 +66,7 @@ class TestKolmogorov:
         law = row_sum_law(RAD, k)
         est = kolmogorov(law, PHI)
         assert est.value == pytest.approx(binomial_ks_oracle(k), abs=1e-12)
-        assert est.method == "exact-grid"
+        assert est.method == "exact-atomic"
 
     def test_identical_laws(self):
         est = kolmogorov(PHI, Normal(0.0, 1.0))
@@ -77,6 +79,7 @@ class TestKolmogorov:
         xs = math.sqrt(8.0 * math.log(2.0) / 3.0)
         expected = abs(norm.cdf(xs) - norm.cdf(xs / 2.0))
         assert est.value == pytest.approx(expected, abs=1e-9)
+        assert est.method == "exact-grid"
 
     def test_shiryaev_row_sum_is_standard_normal(self):
         law = row_sum_law(SHIRYAEV, 8)
@@ -90,6 +93,73 @@ class TestKolmogorov:
         # gap only on [-1, 0) and [0, 1): |0.5 - 0.25| and |0.5 - 0.75|
         assert est.value == pytest.approx(0.25, abs=1e-15)
         assert est.method == "exact-atomic"
+
+
+def step_cdf(values, probs):
+    """P(X <= x) of a finite atomic law, summed directly."""
+    values = np.asarray(values, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    return lambda x: (np.asarray(x)[:, None] >= values) @ probs
+
+
+def brute_force_ks(f_cdf, g_cdf, atoms):
+    """max |F - G| one ulp either side of every atom of either law.
+
+    Between consecutive atoms an atomic F is constant and G monotone, so
+    these one-sided limits hold the supremum.
+    """
+    atoms = np.unique(np.concatenate(atoms))
+    xs = np.concatenate([np.nextafter(atoms, -np.inf), np.nextafter(atoms, np.inf)])
+    return float(np.max(np.abs(f_cdf(xs) - g_cdf(xs))))
+
+
+RARE_SIX = row_sum_law(RARE, 6)
+LATTICE = row_sum_law(RAD, 4)
+SHARED_ATOMS = ([-1.0, 0.0, 1.0 / 6.0, 2.0], [0.1, 0.4, 0.3, 0.2])
+
+
+class TestKolmogorovAtomPath:
+    @pytest.mark.parametrize(
+        "other,other_cdf,other_atoms",
+        [
+            (PHI, ndtr, ()),
+            (Uniform(-1.5, 2.5), lambda x: np.clip((x + 1.5) / 4.0, 0.0, 1.0), ()),
+            (CenteredExponential(1.0), lambda x: np.where(x > -1.0, -np.expm1(-(x + 1.0)), 0.0), ()),
+            (FiniteDiscrete(*SHARED_ATOMS), step_cdf(*SHARED_ATOMS),
+             (np.array(SHARED_ATOMS[0]),)),
+            # atoms() is None, yet the CDF jumps at the lattice points
+            (MixtureLaw([LATTICE, PHI], [0.5, 0.5]),
+             lambda x: 0.5 * step_cdf(*LATTICE.atoms())(x) + 0.5 * ndtr(x),
+             (LATTICE.atoms()[0],)),
+        ],
+        ids=["normal", "uniform", "exponential", "atomic", "jumping-mixture"],
+    )
+    def test_against_brute_force_limits(self, other, other_cdf, other_atoms):
+        values, probs = RARE_SIX.atoms()
+        expected = brute_force_ks(step_cdf(values, probs), other_cdf, (values, *other_atoms))
+        for est in (kolmogorov(RARE_SIX, other), kolmogorov(other, RARE_SIX)):
+            assert est.value == pytest.approx(expected, abs=1e-12)
+            assert est.bound == 0.0
+            assert est.method == "exact-atomic"
+
+    @pytest.mark.parametrize(
+        "wrapped",
+        [scale(RARE_SIX, 0.7), scale(RARE_SIX, -3.3), shift(RARE_SIX, 0.37)],
+        ids=["scaled", "negative-scale", "shifted"],
+    )
+    def test_wrapped_atomic_law_jumps_at_its_atoms(self, wrapped):
+        # factor * atom and atom + offset round, so the wrapper's CDF must
+        # jump at the rounded atoms it reports, not where x / factor or
+        # x - offset lands back on the base atom
+        values, probs = wrapped.atoms()
+        assert np.array_equal(wrapped.prob_le(values) - wrapped.cdf(values) > 0, probs > 0)
+        expected = brute_force_ks(step_cdf(values, probs), ndtr, (values,))
+        assert kolmogorov(wrapped, PHI).value == pytest.approx(expected, abs=1e-12)
+
+    def test_evaluates_only_the_atoms(self):
+        law = row_sum_law(RARE, 64)
+        est = kolmogorov(law, PHI)
+        assert est.params["grid"] == law.atoms()[0].size
 
 
 class TestEmpiricalKolmogorov:
@@ -335,6 +405,28 @@ class TestMixtureLaw:
         expected = 0.25 * ndtr(xs) + 0.75 * ndtr(xs - 1.0)
         assert np.allclose(mix.cdf(xs), expected, atol=1e-14)
         assert mix.mean == pytest.approx(0.75)
+
+    def test_shared_atoms_merge_like_a_sequential_sum(self):
+        # the three components share the atom 1/3 with weighted masses 0.1,
+        # 0.2 and 0.3, whose float sum depends on the order: (0.1 + 0.2) + 0.3
+        # != (0.3 + 0.2) + 0.1.  Runs of equal values add left to right.
+        parts = [
+            FiniteDiscrete([0.0, 1.0 / 3.0, 2.0], [0.2, 0.4, 0.4]),
+            FiniteDiscrete([2.0, 1.0 / 3.0], [0.2, 0.8]),
+            FiniteDiscrete([1.0 / 3.0, 0.0, -1.0], [0.6, 0.3, 0.1]),
+        ]
+        mix = MixtureLaw(parts, [0.25, 0.25, 0.5])
+        pairs = sorted(
+            ((v, p * w) for c, w in zip(parts, mix._weights) for v, p in zip(*c.atoms())),
+            key=lambda vp: vp[0],
+        )
+        expected = {}
+        for v, p in pairs:
+            expected[v] = expected[v] + p if v in expected else p
+        values, probs = mix.atoms()
+        assert values.tolist() == list(expected)
+        assert probs.tolist() == list(expected.values())
+        assert probs[2] == (0.1 + 0.2) + 0.3
 
     def test_atoms_merge_across_components(self):
         a = FiniteDiscrete([0.0, 1.0], [0.5, 0.5])
