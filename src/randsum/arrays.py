@@ -21,11 +21,13 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .distributions import (
+    ConfigEntry,
     DistributionError,
     Normal,
     ScalarDistribution,
     TwoPoint,
     Uniform,
+    distribution_from_config,
     scale,
     shift,
 )
@@ -42,6 +44,7 @@ __all__ = [
     "from_series",
     "shiryaev_series",
     "validate",
+    "ARRAY_KINDS",
     "array_from_config",
 ]
 
@@ -482,30 +485,28 @@ def validate(
     return array.validate(n, mean_tol=mean_tol, var_tol=var_tol)
 
 
-def array_from_config(cfg: dict) -> TriangularArray:
-    """Build an array from a config mapping.
-
-    Recognized forms:
-      {"array": "iid", "base": {distribution...}, "rows": "n"}
-      {"array": "shiryaev", "rows": "n"}
-      {"array": "rare-jump", "rows": "n"}
-      {"array": "series", "base_seq": "shiryaev", "rows": "n"}
-    """
-    from .distributions import distribution_from_config
-
-    kind = cfg.get("array")
-    rows = cfg.get("rows", "n")
-    if kind == "iid":
-        if "base" not in cfg:
-            raise ArrayError("iid array config requires a base distribution")
-        return make_iid_array(distribution_from_config(cfg["base"]), rows)
-    if kind == "shiryaev":
-        return make_shiryaev_array(rows)
-    if kind == "rare-jump":
-        return make_rare_jump_array(rows)
-    if kind == "series":
-        seq = cfg.get("base_seq", "shiryaev")
-        if seq == "shiryaev":
-            return from_series(shiryaev_series(), rows)
+def _series_from_config(cfg: dict) -> TriangularArray:
+    seq = cfg.get("base_seq", "shiryaev")
+    if seq != "shiryaev":
         raise ArrayError(f"unknown series base sequence {seq!r}")
-    raise ArrayError(f"unknown array kind {kind!r}")
+    return from_series(shiryaev_series(), cfg.get("rows", "n"))
+
+
+ARRAY_KINDS = {
+    "iid": ConfigEntry(
+        lambda c: make_iid_array(distribution_from_config(c["base"]), c.get("rows", "n")),
+        ("base",),
+        ("rows",),
+    ),
+    "shiryaev": ConfigEntry(lambda c: make_shiryaev_array(c.get("rows", "n")), (), ("rows",)),
+    "rare-jump": ConfigEntry(lambda c: make_rare_jump_array(c.get("rows", "n")), (), ("rows",)),
+    "series": ConfigEntry(_series_from_config, (), ("base_seq", "rows")),
+}
+
+
+def array_from_config(cfg: dict) -> TriangularArray:
+    """Build an array from a config mapping (ARRAY_KINDS)."""
+    kind = cfg.get("array")
+    if kind not in ARRAY_KINDS:
+        raise ArrayError(f"unknown array kind {kind!r}")
+    return ARRAY_KINDS[kind].build(cfg)

@@ -1,10 +1,10 @@
 """Config-driven command line front end.
 
 Commands: ``conditions``, ``distances``, ``study``, ``counterexample``,
-``selfcheck``.  Scenario files are JSON; unknown keys are rejected with
-the offending location spelled out ("$.array.famly: unknown key"), and
-every default is materialized into the effective config echoed back, so
-the echo re-parses to the same run.  Output files are written once,
+``selfcheck``.  Scenario files are JSON; unknown and missing keys are
+rejected with the offending location spelled out ("$.array.famly: unknown
+key"), and every default is materialized into the effective config echoed
+back, so the echo re-parses to the same run.  Output files are written once,
 atomically.  Exit codes: 0 ok, 2 config error, 3 numeric failure,
 4 finding violated.
 """
@@ -27,7 +27,12 @@ from . import arrays as _arrays
 from . import conditions as _conditions
 from . import engine as _engine
 from . import metrics as _metrics
-from .distributions import Normal, index_from_config
+from .distributions import (
+    DISTRIBUTION_FAMILIES,
+    INDEX_FAMILIES,
+    Normal,
+    index_from_config,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,65 +95,29 @@ def _positive_int(value, path: str) -> int:
     return int(value)
 
 
-_DIST_KEYS = {
-    "normal": ("family", "mean", "var"),
-    "uniform": ("family", "low", "high"),
-    "rademacher": ("family",),
-    "two-point": ("family", "low", "high", "p_low"),
-    "exponential-centered": ("family", "rate"),
-    "finite-discrete": ("family", "values", "probs"),
-    "scaled": ("family", "base", "factor"),
-    "shifted": ("family", "base", "offset"),
-}
-
-_INDEX_KEYS = {
-    "deterministic": ("family", "k"),
-    "poisson": ("family", "mean"),
-    "geometric": ("family", "mean", "p"),
-    "negative-binomial": ("family", "mean", "r", "p"),
-    "finite": ("family", "values", "probs"),
-}
-
-_ARRAY_KEYS = {
-    "iid": ("array", "base", "rows"),
-    "shiryaev": ("array", "rows"),
-    "rare-jump": ("array", "rows"),
-    "series": ("array", "base_seq", "rows"),
-}
-
-
-def _validate_distribution(cfg, path: str) -> dict:
+def _validate_entry(cfg, path: str, table: dict, kind_key: str, what: str) -> dict:
+    """Check a config mapping against its family's entry in a registry table."""
     cfg = _expect_mapping(cfg, path)
-    family = cfg.get("family")
-    if family not in _DIST_KEYS:
-        raise ConfigError(f"{path}.family: unknown distribution family {family!r}")
-    _check_keys(cfg, _DIST_KEYS[family], path)
-    if family in ("scaled", "shifted"):
-        if "base" not in cfg:
-            raise ConfigError(f"{path}.base: required for family {family!r}")
-        _validate_distribution(cfg["base"], f"{path}.base")
-    return cfg
-
-
-def _validate_index(cfg, path: str) -> dict:
-    cfg = _expect_mapping(cfg, path)
-    family = cfg.get("family")
-    if family not in _INDEX_KEYS:
-        raise ConfigError(f"{path}.family: unknown index family {family!r}")
-    _check_keys(cfg, _INDEX_KEYS[family], path)
+    kind = cfg.get(kind_key)
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(
+            f"{path}.{kind_key}: unknown {what} {kind!r}; available: {', '.join(table)}"
+        )
+    entry = table[kind]
+    _check_keys(cfg, (kind_key, *entry.required, *entry.optional), path)
+    for key in entry.required:
+        if key not in cfg:
+            raise ConfigError(f"{path}.{key}: required for {what} {kind!r}")
+    if "base" in cfg:
+        _validate_entry(
+            cfg["base"], f"{path}.base", DISTRIBUTION_FAMILIES, "family",
+            "distribution family",
+        )
     return cfg
 
 
 def _validate_array(cfg, path: str) -> dict:
-    cfg = _expect_mapping(cfg, path)
-    kind = cfg.get("array")
-    if kind not in _ARRAY_KEYS:
-        raise ConfigError(f"{path}.array: unknown array kind {kind!r}")
-    _check_keys(cfg, _ARRAY_KEYS[kind], path)
-    if kind == "iid":
-        if "base" not in cfg:
-            raise ConfigError(f"{path}.base: required for iid arrays")
-        _validate_distribution(cfg["base"], f"{path}.base")
+    cfg = _validate_entry(cfg, path, _arrays.ARRAY_KINDS, "array", "array kind")
     rows = cfg.get("rows", "n")
     if rows not in ("n", "2n"):
         raise ConfigError(f'{path}.rows: expected "n" or "2n"')
@@ -218,28 +187,6 @@ _STUDY_FIELDS = (
     "normal_twin_feller",
 )
 
-_CHECK_KEYS = (
-    "kind",
-    "metric",
-    "epsilon",
-    "name",
-    "final_max",
-    "target",
-    "tol",
-    "threshold",
-    "other",
-)
-
-_CHECK_KINDS = (
-    "to_zero",
-    "noisy_decrease",
-    "constant",
-    "all_below",
-    "final_above",
-    "tracks_metric",
-)
-
-
 def _study_section_defaults(plan: Optional[_engine.StudyPlan]) -> dict:
     if plan is None:
         return {
@@ -278,12 +225,7 @@ def _validate_study_section(cfg, path: str, defaults: dict) -> dict:
                 raise ConfigError(f"{path}.{field}[{i}]: expected a string")
     checks = _expect_list(out["checks"], f"{path}.checks")
     for i, chk in enumerate(checks):
-        chk = _expect_mapping(chk, f"{path}.checks[{i}]")
-        _check_keys(chk, _CHECK_KEYS, f"{path}.checks[{i}]")
-        if chk.get("kind") not in _CHECK_KINDS:
-            raise ConfigError(
-                f"{path}.checks[{i}].kind: expected one of {', '.join(_CHECK_KINDS)}"
-            )
+        _expect_mapping(chk, f"{path}.checks[{i}]")
     return out
 
 
@@ -363,7 +305,13 @@ def effective_config(raw: dict, command: str) -> dict:
         "tasks": list(tasks),
     }
     index_raw = raw.get("index", index_default)
-    cfg["index"] = _validate_index(copy.deepcopy(index_raw), "$.index") if index_raw else None
+    cfg["index"] = (
+        _validate_entry(
+            copy.deepcopy(index_raw), "$.index", INDEX_FAMILIES, "family", "index family"
+        )
+        if index_raw
+        else None
+    )
 
     if command == "distances" and cfg["index"] is None:
         raise ConfigError("$.index: required for the distances task")
@@ -379,6 +327,11 @@ def effective_config(raw: dict, command: str) -> dict:
             if len(cfg["grids"]["delta"]) != 1:
                 raise ConfigError("$.grids.delta: the study task needs exactly one delta")
         cfg["study"] = study
+        # functional names and check fields are declared with the study code
+        try:
+            _plan_from_config(cfg).validated()
+        except ValueError as exc:
+            raise ConfigError(f"$.study: {exc}")
 
     if command == "distances" or "distances" in raw:
         cfg["distances"] = _validate_distances_section(
@@ -612,11 +565,7 @@ def cmd_study(args) -> int:
     else:
         cfg = _load_config(args, "study")
 
-    try:
-        plan = _plan_from_config(cfg).validated()
-    except ValueError as exc:
-        raise ConfigError(f"$.study: {exc}")
-
+    plan = _plan_from_config(cfg)
     if args.dry_run:
         sys.stdout.write(_json_text(cfg))
         return EXIT_OK

@@ -59,6 +59,7 @@ __all__ = [
     "cf_domination",
     "rl_normal_bound",
     "ConditionReport",
+    "REPORT_FUNCTIONALS",
     "evaluate_report",
 ]
 
@@ -70,6 +71,25 @@ MAX_ETA = 1e-3
 IMPLICATION_SLACK = 1e-9
 # Tail target when choosing the finite window of the Rotar integral.
 _ROTAR_TAIL_TARGET = 1e-12
+
+# the functional names evaluate_report emits, its keys cut at "@"; the
+# rand_ ones need an index
+REPORT_FUNCTIONALS = (
+    "lindeberg",
+    "lyapunov",
+    "feller",
+    "infinitesimality",
+    "infinitesimality_ratio",
+    "cf_deviation",
+    "rotar",
+    "sigma_star",
+    "rand_lindeberg",
+    "rand_lyapunov",
+    "rand_feller",
+    "rand_infinitesimality",
+    "rand_rotar",
+    "rand_sigma_star",
+)
 
 SUM_TAGS = ("RL", "RLambda", "RR")
 MAX_TAGS = ("RF", "RI", "R-sigma-star")

@@ -19,7 +19,7 @@ threads; sampling takes an explicit ``numpy.random.Generator``.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import integrate
@@ -39,6 +39,9 @@ __all__ = [
     "Shifted",
     "scale",
     "shift",
+    "merge_atoms",
+    "ConfigEntry",
+    "DISTRIBUTION_FAMILIES",
     "distribution_from_config",
     "RandomIndex",
     "Deterministic",
@@ -46,6 +49,7 @@ __all__ = [
     "Geometric",
     "ShiftedNegativeBinomial",
     "FiniteIndex",
+    "INDEX_FAMILIES",
     "index_from_config",
 ]
 
@@ -366,6 +370,24 @@ class Uniform(ScalarDistribution):
         return rng.uniform(self.low, self.high, size=size)
 
 
+def merge_atoms(
+    values: np.ndarray, probs: np.ndarray, tol: float = 0.0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sort atoms and merge each run whose neighbours lie at most ``tol`` apart.
+
+    ``tol = 0`` merges equal values only.  A run keeps its first member in
+    stable-sorted order, so 0.0 and -0.0 keep whichever came first, and its
+    masses are added left to right in that order.  Zero masses are kept.
+    """
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    start = np.ones(values.size, dtype=bool)
+    start[1:] = np.diff(values) > tol
+    merged = np.zeros(int(np.count_nonzero(start)))
+    np.add.at(merged, np.cumsum(start) - 1, probs[order])
+    return values[start], merged
+
+
 def _atom_steps(at: Optional[Tuple[np.ndarray, np.ndarray]]):
     """Sorted atom values and the masses below each (plus the total), or None."""
     if at is None:
@@ -393,25 +415,15 @@ class _AtomicMixin:
         prb = np.asarray(probs, dtype=float)
         if vals.ndim != 1 or vals.shape != prb.shape or vals.size == 0:
             raise DistributionError("atoms need matching one-dimensional arrays")
+        if not np.all(np.isfinite(vals)):
+            # merge_atoms would fold a nan into the atom before it
+            raise DistributionError("atom values must be finite")
         if np.any(prb < 0):
             raise DistributionError("atom probabilities must be nonnegative")
         total = float(prb.sum())
         if abs(total - 1.0) > 1e-9:
             raise DistributionError(f"atom probabilities sum to {total}, expected 1")
-        order = np.argsort(vals, kind="stable")
-        vals = vals[order]
-        prb = prb[order]
-        # merge duplicate atom values
-        keep_vals = [vals[0]]
-        keep_probs = [prb[0]]
-        for v, p in zip(vals[1:], prb[1:]):
-            if v == keep_vals[-1]:
-                keep_probs[-1] += p
-            else:
-                keep_vals.append(v)
-                keep_probs.append(p)
-        self._values = np.asarray(keep_vals)
-        self._probs = np.asarray(keep_probs)
+        self._values, self._probs = merge_atoms(vals, prb)
         self._probs = self._probs / self._probs.sum()
         self._steps = (self._values, np.concatenate(([0.0], np.cumsum(self._probs))))
         self.mean = float(np.dot(self._values, self._probs))
@@ -726,37 +738,53 @@ def shift(dist: ScalarDistribution, offset: float) -> ScalarDistribution:
     return Shifted(dist, offset)
 
 
-def distribution_from_config(cfg: dict) -> ScalarDistribution:
-    """Build a ScalarDistribution from a config mapping.
+class ConfigEntry(NamedTuple):
+    """One family of a config table: its builder and the keys it reads.
 
-    Recognized forms (keys beyond the listed ones are rejected upstream):
-      {"family": "normal", "mean": 0, "var": 1}
-      {"family": "uniform", "low": -1, "high": 1}
-      {"family": "rademacher"}
-      {"family": "two-point", "low": -1, "high": 1, "p_low": 0.5}
-      {"family": "exponential-centered", "rate": 1}
-      {"family": "finite-discrete", "values": [...], "probs": [...]}
-      {"family": "scaled", "base": {...}, "factor": c}
-      {"family": "shifted", "base": {...}, "offset": h}
+    Every config mapping names its family under one key ("family" or
+    "array") and may hold the required keys and the optional ones, no
+    other.  A "base" key holds a nested distribution config.
     """
+
+    build: Callable
+    required: Tuple[str, ...] = ()
+    optional: Tuple[str, ...] = ()
+
+
+DISTRIBUTION_FAMILIES = {
+    "normal": ConfigEntry(
+        lambda c: Normal(c.get("mean", 0.0), c.get("var", 1.0)), (), ("mean", "var")
+    ),
+    "uniform": ConfigEntry(lambda c: Uniform(c["low"], c["high"]), ("low", "high")),
+    "rademacher": ConfigEntry(lambda c: Rademacher()),
+    "two-point": ConfigEntry(
+        lambda c: TwoPoint(c["low"], c["high"], c.get("p_low", 0.5)),
+        ("low", "high"),
+        ("p_low",),
+    ),
+    "exponential-centered": ConfigEntry(
+        lambda c: CenteredExponential(c.get("rate", 1.0)), (), ("rate",)
+    ),
+    "finite-discrete": ConfigEntry(
+        lambda c: FiniteDiscrete(c["values"], c["probs"]), ("values", "probs")
+    ),
+    "scaled": ConfigEntry(
+        lambda c: Scaled(distribution_from_config(c["base"]), c["factor"]),
+        ("base", "factor"),
+    ),
+    "shifted": ConfigEntry(
+        lambda c: Shifted(distribution_from_config(c["base"]), c["offset"]),
+        ("base", "offset"),
+    ),
+}
+
+
+def distribution_from_config(cfg: dict) -> ScalarDistribution:
+    """Build a ScalarDistribution from a config mapping (DISTRIBUTION_FAMILIES)."""
     family = cfg.get("family")
-    if family == "normal":
-        return Normal(cfg.get("mean", 0.0), cfg.get("var", 1.0))
-    if family == "uniform":
-        return Uniform(cfg["low"], cfg["high"])
-    if family == "rademacher":
-        return Rademacher()
-    if family == "two-point":
-        return TwoPoint(cfg["low"], cfg["high"], cfg.get("p_low", 0.5))
-    if family == "exponential-centered":
-        return CenteredExponential(cfg.get("rate", 1.0))
-    if family == "finite-discrete":
-        return FiniteDiscrete(cfg["values"], cfg["probs"])
-    if family == "scaled":
-        return Scaled(distribution_from_config(cfg["base"]), cfg["factor"])
-    if family == "shifted":
-        return Shifted(distribution_from_config(cfg["base"]), cfg["offset"])
-    raise DistributionError(f"unknown distribution family {family!r}")
+    if family not in DISTRIBUTION_FAMILIES:
+        raise DistributionError(f"unknown distribution family {family!r}")
+    return DISTRIBUTION_FAMILIES[family].build(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -1025,8 +1053,40 @@ class FiniteIndex(RandomIndex):
         return rng.choice(self._values, size=size, p=self._probs)
 
 
+def _geometric_from_config(cfg: dict, resolve) -> Geometric:
+    if "p" in cfg:
+        return Geometric(float(cfg["p"]))
+    return Geometric.from_mean(float(resolve(cfg.get("mean", "n"))))
+
+
+def _negative_binomial_from_config(cfg: dict, resolve) -> ShiftedNegativeBinomial:
+    r = float(cfg.get("r", 2.0))
+    if "p" in cfg:
+        return ShiftedNegativeBinomial(r, float(cfg["p"]))
+    return ShiftedNegativeBinomial.from_mean(float(resolve(cfg.get("mean", "n"))), r=r)
+
+
+# builders take the config and a resolver for the literal "n"
+INDEX_FAMILIES = {
+    "deterministic": ConfigEntry(
+        lambda c, resolve: Deterministic(int(resolve(c.get("k", "n")))), (), ("k",)
+    ),
+    "poisson": ConfigEntry(
+        lambda c, resolve: ShiftedPoisson(float(resolve(c.get("mean", "n")))),
+        (),
+        ("mean",),
+    ),
+    "geometric": ConfigEntry(_geometric_from_config, (), ("mean", "p")),
+    "negative-binomial": ConfigEntry(_negative_binomial_from_config, (), ("mean", "r", "p")),
+    "finite": ConfigEntry(
+        lambda c, resolve: FiniteIndex([int(resolve(v)) for v in c["values"]], c["probs"]),
+        ("values", "probs"),
+    ),
+}
+
+
 def index_from_config(cfg: dict, n: Optional[int] = None) -> RandomIndex:
-    """Build a RandomIndex from a config mapping.
+    """Build a RandomIndex from a config mapping (INDEX_FAMILIES).
 
     Integer-valued fields accept the literal string "n", resolved against
     the row parameter at evaluation time.
@@ -1042,20 +1102,6 @@ def index_from_config(cfg: dict, n: Optional[int] = None) -> RandomIndex:
         return value
 
     family = cfg.get("family")
-    if family == "deterministic":
-        return Deterministic(int(resolve(cfg.get("k", "n"))))
-    if family == "poisson":
-        return ShiftedPoisson(float(resolve(cfg.get("mean", "n"))))
-    if family == "geometric":
-        if "p" in cfg:
-            return Geometric(float(cfg["p"]))
-        return Geometric.from_mean(float(resolve(cfg.get("mean", "n"))))
-    if family == "negative-binomial":
-        r = float(cfg.get("r", 2.0))
-        if "p" in cfg:
-            return ShiftedNegativeBinomial(r, float(cfg["p"]))
-        return ShiftedNegativeBinomial.from_mean(float(resolve(cfg.get("mean", "n"))), r=r)
-    if family == "finite":
-        values = [int(resolve(v)) for v in cfg["values"]]
-        return FiniteIndex(values, cfg["probs"])
-    raise DistributionError(f"unknown index family {family!r}")
+    if family not in INDEX_FAMILIES:
+        raise DistributionError(f"unknown index family {family!r}")
+    return INDEX_FAMILIES[family].build(cfg, resolve)

@@ -16,12 +16,13 @@ does not depend on thread scheduling.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -240,6 +241,18 @@ def empirical_delta(
 
 _KNOWN_DISTANCES = ("empirical_delta", "delta_mixture", "delta_randomsum")
 
+# each check kind's required fields (see _evaluate_check); any kind may
+# also carry the optional ones
+CHECK_FIELDS = {
+    "to_zero": ("metric", "final_max"),
+    "noisy_decrease": ("metric", "final_max"),
+    "constant": ("metric", "target"),
+    "all_below": ("metric", "threshold"),
+    "final_above": ("metric", "threshold"),
+    "tracks_metric": ("metric", "other"),
+}
+_CHECK_OPTIONAL = ("epsilon", "name", "tol")
+
 
 @dataclass(frozen=True)
 class StudyPlan:
@@ -282,6 +295,22 @@ class StudyPlan:
         unknown = set(self.distances) - set(_KNOWN_DISTANCES)
         if unknown:
             raise ValueError(f"unknown distances: {sorted(unknown)}")
+        unknown = set(self.functionals) - set(_conditions.REPORT_FUNCTIONALS)
+        if unknown:
+            raise ValueError(f"unknown functionals: {sorted(unknown)}")
+        for i, check in enumerate(self.checks):
+            kind = check.get("kind")
+            if not isinstance(kind, str) or kind not in CHECK_FIELDS:
+                raise ValueError(
+                    f"checks[{i}].kind: unknown check kind {kind!r}; "
+                    f"available: {', '.join(CHECK_FIELDS)}"
+                )
+            for key in check:
+                if key not in ("kind", *_CHECK_OPTIONAL, *CHECK_FIELDS[kind]):
+                    raise ValueError(f"checks[{i}].{key}: unknown key")
+            for key in CHECK_FIELDS[kind]:
+                if key not in check:
+                    raise ValueError(f"checks[{i}].{key}: required for check kind {kind!r}")
         return self
 
     def to_json_dict(self) -> dict:
@@ -353,10 +382,6 @@ class StudyResult:
         return doc
 
 
-def _resolve_index(cfg: dict, n: int) -> RandomIndex:
-    return index_from_config(cfg, n)
-
-
 def _study_cell(
     plan: StudyPlan,
     array: TriangularArray,
@@ -367,7 +392,7 @@ def _study_cell(
     """All rows for one grid point n.  Pure given its own rng."""
     rows: List[dict] = []
     errors: List[dict] = []
-    index = _resolve_index(plan.index, n)
+    index = index_from_config(plan.index, n)
     # randomized functionals are the expensive part of a report; skip
     # them when the plan only reads classical columns
     wants_randomized = not plan.functionals or any(
@@ -464,7 +489,7 @@ def _evaluate_check(check: dict, rows: List[dict]) -> dict:
       tracks_metric  |metric - other| <= combined bounds per n
     """
     kind = check["kind"]
-    metric = check.get("metric", "")
+    metric = check["metric"]
     eps = check.get("epsilon")
     series = _metric_series(rows, metric, eps)
     name = check.get("name") or f"{kind}:{metric}" + (f"@eps={eps:g}" if eps is not None else "")
@@ -528,21 +553,19 @@ def _evaluate_check(check: dict, rows: List[dict]) -> dict:
             "detail": f"final={vals[-1]:.4f}",
         }
 
-    if kind == "tracks_metric":
-        other = _metric_series(rows, check["other"], None)
-        if len(other) != len(series):
-            return {"check": name, "passed": False, "detail": "metric grids differ"}
-        worst = 0.0
-        ok = True
-        for a, b in zip(series, other):
-            gap = abs(a["value"] - b["value"])
-            allow = a["error_bound"] + b["error_bound"]
-            worst = max(worst, gap - allow)
-            if gap > allow:
-                ok = False
-        return {"check": name, "passed": ok, "detail": f"worst excess {worst:.3e}"}
-
-    return {"check": name, "passed": False, "detail": f"unknown check kind {kind!r}"}
+    # tracks_metric, the last kind StudyPlan.validated admits
+    other = _metric_series(rows, check["other"], None)
+    if len(other) != len(series):
+        return {"check": name, "passed": False, "detail": "metric grids differ"}
+    worst = 0.0
+    ok = True
+    for a, b in zip(series, other):
+        gap = abs(a["value"] - b["value"])
+        allow = a["error_bound"] + b["error_bound"]
+        worst = max(worst, gap - allow)
+        if gap > allow:
+            ok = False
+    return {"check": name, "passed": ok, "detail": f"worst excess {worst:.3e}"}
 
 
 def run_study(plan: StudyPlan) -> StudyResult:
@@ -595,15 +618,12 @@ def run_study(plan: StudyPlan) -> StudyResult:
 # ---------------------------------------------------------------------------
 
 
-_DESK_N_GRID = (16, 64, 256, 1024, 4096, 10_000)
-
-
-def _plan_lindeberg_uniform_poisson(**overrides) -> StudyPlan:
-    base = StudyPlan(
+_BUILTIN_PLANS: Dict[str, StudyPlan] = {
+    "lindeberg_uniform_poisson": StudyPlan(
         label="lindeberg-uniform-poisson",
         array={"array": "iid", "base": {"family": "uniform", "low": -1.0, "high": 1.0}},
         index={"family": "poisson", "mean": "n"},
-        n_grid=_DESK_N_GRID,
+        n_grid=(16, 64, 256, 1024, 4096, 10_000),
         epsilon_grid=(0.1,),
         delta=1.0,
         functionals=("lindeberg", "feller", "rand_lindeberg", "rand_feller"),
@@ -615,15 +635,11 @@ def _plan_lindeberg_uniform_poisson(**overrides) -> StudyPlan:
             {"kind": "noisy_decrease", "metric": "empirical_delta",
              "final_max": 0.02},
         ),
-    )
-    return replace(base, **overrides)
-
-
-def _plan_lyapunov_exponential_poisson(**overrides) -> StudyPlan:
+    ),
     # the index must concentrate (relative spread -> 0) for the
     # unstandardized random sum to go normal; a geometric index would
     # park the distance at the Laplace-mixture gap forever
-    base = StudyPlan(
+    "lyapunov_exponential_poisson": StudyPlan(
         label="lyapunov-exponential-poisson",
         array={"array": "iid", "base": {"family": "exponential-centered", "rate": 1.0}},
         index={"family": "poisson", "mean": "n"},
@@ -638,12 +654,8 @@ def _plan_lyapunov_exponential_poisson(**overrides) -> StudyPlan:
             {"kind": "noisy_decrease", "metric": "empirical_delta",
              "final_max": 0.05},
         ),
-    )
-    return replace(base, **overrides)
-
-
-def _plan_feller_necessity_rare_jump(**overrides) -> StudyPlan:
-    base = StudyPlan(
+    ),
+    "feller_necessity_rare_jump": StudyPlan(
         label="feller-necessity-rare-jump",
         array={"array": "rare-jump"},
         index={"family": "geometric", "mean": "n"},
@@ -662,14 +674,10 @@ def _plan_feller_necessity_rare_jump(**overrides) -> StudyPlan:
             {"kind": "final_above", "metric": "empirical_delta",
              "threshold": 0.05},
         ),
-    )
-    return replace(base, **overrides)
-
-
-def _plan_rotar_shiryaev_series(**overrides) -> StudyPlan:
+    ),
     # the concentrated poisson index keeps the sampled rows near n; the
     # grid cap is a cost choice (per-row laws are O(k) at rows-mode scale)
-    base = StudyPlan(
+    "rotar_shiryaev_series": StudyPlan(
         label="rotar-shiryaev-series",
         array={"array": "series", "base_seq": "shiryaev"},
         index={"family": "poisson", "mean": "n"},
@@ -685,29 +693,24 @@ def _plan_rotar_shiryaev_series(**overrides) -> StudyPlan:
             {"kind": "all_below", "metric": "delta_mixture", "threshold": 1e-10},
             {"kind": "all_below", "metric": "empirical_delta", "threshold": 0.02},
         ),
-    )
-    return replace(base, **overrides)
-
-
-_BUILTIN_PLANS: Dict[str, Callable[..., StudyPlan]] = {
-    "lindeberg_uniform_poisson": _plan_lindeberg_uniform_poisson,
-    "lyapunov_exponential_poisson": _plan_lyapunov_exponential_poisson,
-    "feller_necessity_rare_jump": _plan_feller_necessity_rare_jump,
-    "rotar_shiryaev_series": _plan_rotar_shiryaev_series,
+    ),
 }
 
 BUILTIN_PLAN_NAMES = tuple(sorted(_BUILTIN_PLANS))
 
 
 def builtin_plan(name: str, **overrides) -> StudyPlan:
-    """A bundled study plan by name; overrides replace plan fields."""
+    """A bundled study plan by name; overrides replace plan fields.
+
+    Every call returns fresh config dicts, so callers may edit them.
+    """
     try:
-        factory = _BUILTIN_PLANS[name]
+        plan = _BUILTIN_PLANS[name]
     except KeyError:
         raise KeyError(
             f"unknown plan {name!r}; available: {', '.join(BUILTIN_PLAN_NAMES)}"
         ) from None
-    return factory(**overrides)
+    return replace(copy.deepcopy(plan), **overrides)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .distributions import (
     Normal,
     RandomIndex,
     ScalarDistribution,
+    merge_atoms,
 )
 
 __all__ = [
@@ -121,33 +122,6 @@ def dkw_bound(samples: int, alpha: float = 0.01) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _merge_close_atoms(values: np.ndarray, probs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Coalesce atoms separated by at most a few ulps.
-
-    Different addition orders land the same lattice point within rounding;
-    genuine distinct atoms in our constructions sit far apart relative to
-    the 1e-13 relative snap.
-    """
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    probs = probs[order]
-    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
-    tol = 1e-13 * scale
-    group = np.zeros(values.size, dtype=np.int64)
-    if values.size > 1:
-        group[1:] = np.cumsum(np.diff(values) > tol)
-    n_groups = int(group[-1]) + 1 if values.size else 0
-    merged_p = np.zeros(n_groups)
-    np.add.at(merged_p, group, probs)
-    # representative = first group member: exact for bit-equal lattice
-    # points, and a probability-weighted mean would divide by masses that
-    # underflow to subnormals, smearing atoms off their lattice
-    first = np.unique(group, return_index=True)[1]
-    merged_v = values[first]
-    keep = merged_p > 0
-    return merged_v[keep], merged_p[keep]
-
-
 class SumLaw(ScalarDistribution):
     """Law of a sum of independent entries, each atomic or normal.
 
@@ -167,14 +141,18 @@ class SumLaw(ScalarDistribution):
             p = np.array([1.0])
         if abs(float(np.sum(p)) - 1.0) > 1e-9:
             raise ValueError("atom probabilities must sum to one")
-        order = np.argsort(v, kind="stable")
-        self._values = v[order]
-        self._probs = p[order]
-        self._cum = np.concatenate([[0.0], np.cumsum(self._probs)])
         self._normal_mean = float(normal_mean)
         self._normal_var = float(normal_var)
         if self._normal_var < 0.0:
             raise ValueError("normal variance must be nonnegative")
+        if self._normal_var == 0.0 and self._normal_mean != 0.0:
+            # no normal part: the shift moves the atoms themselves
+            v = v + self._normal_mean
+            self._normal_mean = 0.0
+        order = np.argsort(v, kind="stable")
+        self._values = v[order]
+        self._probs = p[order]
+        self._cum = np.concatenate([[0.0], np.cumsum(self._probs)])
         atom_mean = float(np.dot(self._values, self._probs))
         atom_var = float(np.dot(np.square(self._values - atom_mean), self._probs))
         self.mean = atom_mean + self._normal_mean
@@ -251,8 +229,6 @@ class SumLaw(ScalarDistribution):
             picks = picks + rng.normal(
                 self._normal_mean, math.sqrt(self._normal_var), size=size
             )
-        elif self._normal_mean != 0.0:
-            picks = picks + self._normal_mean
         return picks
 
 
@@ -311,19 +287,11 @@ class MixtureLaw(ScalarDistribution):
         parts = [c.atoms() for c in self._components]
         if any(p is None for p in parts):
             return None
-        vals = np.concatenate([p[0] for p in parts])
-        probs = np.concatenate(
-            [p[1] * w for p, w in zip(parts, self._weights)]
+        # exact-duplicate merge only; components may legitimately share atoms
+        return merge_atoms(
+            np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] * w for p, w in zip(parts, self._weights)]),
         )
-        order = np.argsort(vals, kind="stable")
-        vals, probs = vals[order], probs[order]
-        # exact-duplicate merge only; components may legitimately share atoms.
-        # Each run of equal values keeps its first member, and np.add.at sums
-        # the run's masses in stable-sorted order
-        first = np.concatenate([[True], vals[1:] != vals[:-1]])
-        keep_probs = np.zeros(int(np.count_nonzero(first)))
-        np.add.at(keep_probs, np.cumsum(first) - 1, probs)
-        return vals[first], keep_probs
 
     def support(self) -> Tuple[float, float]:
         los, his = zip(*(c.support() for c in self._components))
@@ -386,9 +354,17 @@ def _extend_sum(
     if values.size * av.size > ATOM_BUDGET:
         raise ConvolutionError(f"atomic convolution exceeds {ATOM_BUDGET} atoms")
     new_values = np.add.outer(values, av).ravel()
-    new_probs = np.multiply.outer(probs, ap).ravel()
-    new_values, new_probs = _merge_close_atoms(new_values, new_probs)
-    return new_values, new_probs, n_mean, n_var
+    # different addition orders land the same lattice point within a few
+    # ulps; genuinely distinct atoms in our constructions sit far apart
+    # relative to this 1e-13 relative snap.  The run's first member stays
+    # the atom: a probability-weighted mean would divide by masses that
+    # underflow to subnormals, smearing atoms off their lattice
+    tol = 1e-13 * max(1.0, float(np.max(np.abs(new_values))))
+    new_values, new_probs = merge_atoms(
+        new_values, np.multiply.outer(probs, ap).ravel(), tol
+    )
+    keep = new_probs > 0
+    return new_values[keep], new_probs[keep], n_mean, n_var
 
 
 def sum_of_independent(entries: Sequence[ScalarDistribution]) -> SumLaw:

@@ -1,9 +1,12 @@
 """Command-line surface: config materialization, outputs, exit codes."""
 
+import copy
 import json
 import os
 
 import pytest
+
+from randsum.arrays import ARRAY_KINDS, array_from_config
 
 from randsum.cli import (
     COUNTEREXAMPLE_CSV_HEADER,
@@ -17,7 +20,14 @@ from randsum.cli import (
     main,
 )
 from randsum.conditions import InvalidRowError
-from randsum.distributions import Normal
+from randsum.distributions import (
+    DISTRIBUTION_FAMILIES,
+    INDEX_FAMILIES,
+    Normal,
+    distribution_from_config,
+    index_from_config,
+)
+from randsum.engine import BUILTIN_PLAN_NAMES
 from randsum.metrics import zeta
 
 
@@ -104,6 +114,61 @@ class TestEffectiveConfig:
         assert cfg["distances"]["metrics"] == [
             "kolmogorov_row", "empirical_delta", "delta_mixture"
         ]
+
+
+# a value for every required key of every registry entry
+REQUIRED_VALUES = {
+    "low": -1.0,
+    "high": 1.0,
+    "values": [1, 2],
+    "probs": [0.5, 0.5],
+    "factor": 0.5,
+    "offset": 0.25,
+    "base": {"family": "rademacher"},
+}
+
+# registry -> (table, kind key, builder, conditions document, config path)
+REGISTRIES = {
+    "distribution": (DISTRIBUTION_FAMILIES, "family", distribution_from_config,
+                     lambda c: {"array": {"array": "iid", "base": c}}, "$.array.base"),
+    "index": (INDEX_FAMILIES, "family", lambda c: index_from_config(c, 4),
+              lambda c: {"index": c}, "$.index"),
+    "array": (ARRAY_KINDS, "array", array_from_config, lambda c: {"array": c}, "$.array"),
+}
+
+
+def minimal_config(registry, name):
+    table, kind_key = REGISTRIES[registry][:2]
+    cfg = {kind_key: name}
+    for key in table[name].required:
+        cfg[key] = copy.deepcopy(REQUIRED_VALUES[key])
+    return cfg
+
+
+class TestRegistry:
+    @pytest.mark.parametrize(
+        "registry,name", [(r, n) for r, spec in REGISTRIES.items() for n in spec[0]]
+    )
+    def test_required_keys_suffice(self, registry, name):
+        build, document = REGISTRIES[registry][2:4]
+        cfg = minimal_config(registry, name)
+        build(copy.deepcopy(cfg))
+        effective_config(document(cfg), "conditions")
+
+    @pytest.mark.parametrize(
+        "registry,name,key",
+        [(r, n, k) for r, spec in REGISTRIES.items() for n in spec[0]
+         for k in spec[0][n].required],
+    )
+    def test_missing_required_key_exits_2(self, tmp_path, capsys, registry, name, key):
+        document, path = REGISTRIES[registry][3:]
+        cfg = minimal_config(registry, name)
+        del cfg[key]
+        code = main(["conditions", "--config", write_config(tmp_path, document(cfg))])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"config error: {path}.{key}: required for" in err
+        assert "Traceback" not in err
 
 
 class TestConditionsCommand:
@@ -282,6 +347,38 @@ class TestStudyCommand:
         echoed = json.loads(out)
         assert echoed["study"]["plan"] == "lindeberg_uniform_poisson"
         assert echoed == effective_config(echoed, "study")
+
+
+    @pytest.mark.parametrize("name", BUILTIN_PLAN_NAMES)
+    def test_every_plan_dry_run_revalidates_to_itself(self, capsys, name):
+        code = main(["study", "--plan", name, "--dry-run"])
+        echoed = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert echoed["study"]["plan"] == name
+        assert echoed == effective_config(echoed, "study")
+
+    @pytest.mark.parametrize(
+        "study,message",
+        [
+            ({"functionals": ["rand_lindeburg"]},
+             "$.study: unknown functionals: ['rand_lindeburg']"),
+            ({"checks": [{"kind": "to_zero", "metric": "rand_feller"}]},
+             "$.study: checks[0].final_max: required for check kind 'to_zero'"),
+            ({"checks": [{"kind": "tracks_metric", "metric": "rand_feller"}]},
+             "$.study: checks[0].other: required for check kind 'tracks_metric'"),
+            ({"checks": [{"kind": "all_below", "metric": "rand_feller",
+                          "threshold": 0.1, "final_max": 0.1}]},
+             "$.study: checks[0].final_max: unknown key"),
+            ({"checks": [{"kind": "wibble", "metric": "rand_feller"}]},
+             "$.study: checks[0].kind: unknown check kind 'wibble'"),
+        ],
+    )
+    def test_study_section_faults_exit_2(self, tmp_path, capsys, study, message):
+        cfg = self.study_config(tmp_path, study={"label": "tiny", **study})
+        code = main(["study", "--config", cfg])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert message in err
 
 
 class TestCounterexampleCommand:

@@ -10,6 +10,7 @@ from scipy.special import ndtr
 import randsum.conditions as cond
 from randsum.arrays import from_series, make_iid_array, make_rare_jump_array, make_shiryaev_array, shiryaev_series
 from randsum.conditions import (
+    REPORT_FUNCTIONALS,
     cf_deviation,
     cf_domination,
     evaluate_report,
@@ -328,3 +329,9 @@ class TestEvaluateReport:
         assert "rand_rotar" in names and "sigma_star" in names
         d = rep.to_json_dict()
         assert d["n"] == 4 and "values" in d and "error_bounds" in d
+
+    def test_report_functionals_are_the_emitted_names(self):
+        # studies validate their functional names against this declaration
+        rep = evaluate_report(RAD4, 4, 0.5, 1.0, index=ShiftedPoisson(4.0))
+        assert {name.split("@")[0] for name in rep.values} == set(REPORT_FUNCTIONALS)
+        assert len(REPORT_FUNCTIONALS) == len(set(REPORT_FUNCTIONALS))

@@ -21,6 +21,7 @@ from randsum.distributions import (
     Uniform,
     distribution_from_config,
     index_from_config,
+    merge_atoms,
     scale,
     shift,
 )
@@ -208,6 +209,40 @@ class TestIndices:
         draws = g.sample(rng, 200_000)
         assert draws.min() >= 1
         assert float(draws.mean()) == pytest.approx(5.0, abs=0.05)
+
+
+class TestMergeAtoms:
+    @staticmethod
+    def loop_merge(values, probs, tol):
+        # reference: one pass over the stable-sorted atoms, adding each
+        # atom within tol of its predecessor to the current run
+        order = sorted(range(len(values)), key=lambda i: values[i])
+        out_v, out_p = [], []
+        for i in order:
+            if out_v and values[i] - prev <= tol:
+                out_p[-1] += probs[i]
+            else:
+                out_v.append(values[i])
+                out_p.append(probs[i])
+            prev = values[i]
+        return np.array(out_v), np.array(out_p)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-13])
+    def test_bit_identical_to_the_loop(self, tol):
+        rng = np.random.default_rng(3)
+        lattice = np.array([-1.0, -0.0, 0.0, 1.0 / 3.0, 1.0 / 3.0 + 2.0**-53, 2.0])
+        values = rng.choice(lattice, 200)
+        probs = rng.random(200) * np.where(rng.random(200) < 0.1, 0.0, 1.0)
+        got_v, got_p = merge_atoms(values, probs, tol)
+        want_v, want_p = self.loop_merge(values.tolist(), probs.tolist(), tol)
+        # compare bits, so 0.0 and -0.0 and the order of additions count
+        assert np.array_equal(got_v.view(np.int64), want_v.view(np.int64))
+        assert np.array_equal(got_p.view(np.int64), want_p.view(np.int64))
+        assert got_v.size == (5 if tol == 0.0 else 4)
+
+    def test_atomic_laws_reject_nonfinite_values(self):
+        with pytest.raises(DistributionError, match="finite"):
+            FiniteDiscrete([0.0, math.nan], [0.5, 0.5])
 
 
 class TestConfig:

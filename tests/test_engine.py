@@ -17,6 +17,7 @@ from randsum.arrays import (
 from randsum.distributions import FiniteIndex, Geometric, Normal, Rademacher
 from randsum.engine import (
     BUILTIN_PLAN_NAMES,
+    CHECK_FIELDS,
     StudyPlan,
     _evaluate_check,
     builtin_plan,
@@ -117,6 +118,10 @@ class TestStudyPlan:
             builtin_plan(
                 "feller_necessity_rare_jump", distances=("delta_quantum",)
             ).validated()
+        with pytest.raises(ValueError, match=r"unknown functionals: \['rand_lindeburg'\]"):
+            builtin_plan(
+                "feller_necessity_rare_jump", functionals=("rand_lindeburg",)
+            ).validated()
 
     def test_builtin_names_and_overrides(self):
         assert BUILTIN_PLAN_NAMES == (
@@ -127,6 +132,12 @@ class TestStudyPlan:
         )
         p = builtin_plan("lindeberg_uniform_poisson", n_grid=(4, 8), samples=2000)
         assert p.n_grid == (4, 8) and p.samples == 2000
+        # every call hands out fresh dicts
+        p.array["base"]["low"] = -2.0
+        p.checks[0]["final_max"] = 1.0
+        fresh = builtin_plan("lindeberg_uniform_poisson")
+        assert fresh.array["base"]["low"] == -1.0
+        assert fresh.checks[0]["final_max"] == 1e-3
         with pytest.raises(KeyError):
             builtin_plan("does_not_exist")
 
@@ -208,7 +219,21 @@ class TestEvaluateCheck:
         assert not _evaluate_check(
             {"kind": "to_zero", "metric": "ghost", "final_max": 1.0}, []
         )["passed"]
-        assert not _evaluate_check({"kind": "wibble", "metric": "m"}, [])["passed"]
+        with pytest.raises(ValueError, match=r"checks\[0\]\.kind: unknown check kind 'wibble'"):
+            small_plan(checks=({"kind": "wibble", "metric": "m"},)).validated()
+
+    @pytest.mark.parametrize("kind", sorted(CHECK_FIELDS))
+    def test_declared_fields_are_the_ones_read(self, kind):
+        check = {"kind": kind}
+        for key in CHECK_FIELDS[kind]:
+            check[key] = "m" if key in ("metric", "other") else 0.5
+        # a check with only its required fields evaluates and validates
+        _evaluate_check(check, self.rows("m", [(4, 0.5, 0.0)], eps=None))
+        small_plan(checks=(check,)).validated()
+        for key in CHECK_FIELDS[kind]:
+            partial = {k: v for k, v in check.items() if k != key}
+            with pytest.raises(ValueError, match=rf"checks\[0\]\.{key}: required"):
+                small_plan(checks=(partial,)).validated()
 
 
 def small_plan(**overrides):

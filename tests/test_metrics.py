@@ -212,6 +212,17 @@ class TestSumLaw:
         for v, p in zip(values, probs):
             assert p == pytest.approx(expect[float(v)], rel=1e-14)
 
+    def test_shift_without_normal_part_moves_the_atoms(self):
+        law = SumLaw([0.0, 1.0], [0.5, 0.5], normal_mean=1.0)
+        assert law.mean == 1.5
+        assert law.atoms()[0].tolist() == [1.0, 2.0]
+        assert law.support() == (1.0, 2.0)
+        assert law.cdf(1.5) == 0.5
+        # the atoms at 1 and 2 each miss Phi(+-1) by Phi(1) - 1/2
+        est = kolmogorov(law, Normal(1.5, 0.25))
+        assert est.bound == 0.0
+        assert est.value == pytest.approx(ndtr(1.0) - 0.5, abs=1e-12)
+
     def test_mixed_atoms_and_normals(self):
         law = sum_of_independent([Rademacher(), Normal(0.5, 2.0)])
         assert law.is_atomic is False
