@@ -142,10 +142,6 @@ class TriangularArray:
     def _entry(self, n: int, j: int) -> ScalarDistribution:
         raise NotImplementedError
 
-    def row_entries(self, n: int, upto: Optional[int] = None) -> List[ScalarDistribution]:
-        k = self.row_length(n) if upto is None else int(upto)
-        return [self.entry(n, j) for j in range(1, k + 1)]
-
     def prefix_variance(self, n: int, k: Optional[int] = None) -> float:
         """sum_{j<=k} var(n, j); defaults to the full row k = k_n."""
         if k is None:

@@ -116,6 +116,14 @@ def _validate_entry(cfg, path: str, table: dict, kind_key: str, what: str) -> di
     return cfg
 
 
+def _check_value_types(build, cfg: dict, path: str) -> None:
+    """Build ``cfg`` once, so a wrongly typed value is a config error."""
+    try:
+        build(cfg)
+    except TypeError as exc:
+        raise ConfigError(f"{path}: wrongly typed value: {exc}") from None
+
+
 def _validate_array(cfg, path: str) -> dict:
     cfg = _validate_entry(cfg, path, _arrays.ARRAY_KINDS, "array", "array kind")
     rows = cfg.get("rows", "n")
@@ -312,6 +320,12 @@ def effective_config(raw: dict, command: str) -> dict:
         if index_raw
         else None
     )
+
+    # the checks above read key names; one build reads the values' types
+    _check_value_types(_arrays.array_from_config, cfg["array"], "$.array")
+    if cfg["index"]:
+        n_first = cfg["grids"]["n"][0]
+        _check_value_types(lambda c: index_from_config(c, n_first), cfg["index"], "$.index")
 
     if command == "distances" and cfg["index"] is None:
         raise ConfigError("$.index: required for the distances task")

@@ -225,45 +225,68 @@ def rotar_error_bound(row_length: int, quad_tol: float = QUAD_ABS_TOL) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _entry_values(
+    array: TriangularArray, n: int, fn: Callable[[ScalarDistribution], float]
+) -> Callable[[int], float]:
+    """j -> fn(entry(n, j)), with fn run once per distinct entry object.
+
+    An i.i.d. row shares one entry object across its positions, so a row
+    functional costs one per-law evaluation, not one per position.  The
+    memo lives as long as the returned function, i.e. within one call.
+    """
+    memo: Dict[int, Tuple[ScalarDistribution, float]] = {}
+
+    def value(j: int) -> float:
+        dist = array.entry(n, j)
+        hit = memo.get(id(dist))
+        if hit is None:
+            # the entry is kept alive with its value, so its id stays unique
+            hit = memo[id(dist)] = (dist, float(fn(dist)))
+        return hit[1]
+
+    return value
+
+
+def _row_values(
+    array: TriangularArray, n: int, fn: Callable[[ScalarDistribution], float]
+) -> List[float]:
+    """fn(entry) for j = 1..k_n of a validated row, in position order."""
+    k = _guard_row(array, n)
+    value = _entry_values(array, n, fn)
+    return [value(j) for j in range(1, k + 1)]
+
+
 def lindeberg(array: TriangularArray, n: int, epsilon: float) -> float:
     """Lindeberg sum over row n at threshold ``epsilon``."""
     eps = _eps_ok(epsilon)
-    k = _guard_row(array, n)
-    return float(
-        sum(array.entry(n, j).truncated_second_moment(eps) for j in range(1, k + 1))
-    )
+    return float(sum(_row_values(array, n, lambda d: d.truncated_second_moment(eps))))
 
 
 def lyapunov(array: TriangularArray, n: int, delta: float) -> float:
     """Lyapunov sum of absolute moments of order 2 + delta over row n."""
     d = _delta_ok(delta)
-    k = _guard_row(array, n)
-    return float(sum(array.entry(n, j).abs_moment(2.0 + d) for j in range(1, k + 1)))
+    return float(sum(_row_values(array, n, lambda dist: dist.abs_moment(2.0 + d))))
 
 
 def feller(array: TriangularArray, n: int) -> float:
     """Largest entry variance in row n."""
-    k = _guard_row(array, n)
-    return float(max(array.entry(n, j).variance for j in range(1, k + 1)))
+    return float(max(_row_values(array, n, lambda d: d.variance)))
 
 
 def infinitesimality(array: TriangularArray, n: int, epsilon: float) -> float:
     """max_j P(|X_{nj}| >= epsilon) over row n."""
     eps = _eps_ok(epsilon)
-    k = _guard_row(array, n)
-    return float(max(_tail_probability(array.entry(n, j), eps) for j in range(1, k + 1)))
+    return float(max(_row_values(array, n, lambda d: _tail_probability(d, eps))))
 
 
 def infinitesimality_ratio(array: TriangularArray, n: int) -> float:
     """max_j E[X^2 / (1 + X^2)] over row n."""
-    k = _guard_row(array, n)
-    return float(max(_second_moment_ratio(array.entry(n, j)) for j in range(1, k + 1)))
+    return float(max(_row_values(array, n, _second_moment_ratio)))
 
 
 def cf_deviation(array: TriangularArray, n: int, t: float) -> float:
     """max_j |phi_{nj}(t) - 1| over row n."""
-    k = _guard_row(array, n)
-    return float(max(abs(array.entry(n, j).char_fn(t) - 1.0) for j in range(1, k + 1)))
+    return float(max(_row_values(array, n, lambda d: abs(d.char_fn(t) - 1.0))))
 
 
 def rotar(
@@ -271,16 +294,14 @@ def rotar(
 ) -> float:
     """Rotar sum over row n: normal-deviation weighted tail integrals."""
     eps = _eps_ok(epsilon)
-    k = _guard_row(array, n)
     return float(
-        sum(_rotar_entry(array.entry(n, j), eps, quad_tol=quad_tol) for j in range(1, k + 1))
+        sum(_row_values(array, n, lambda d: _rotar_entry(d, eps, quad_tol=quad_tol)))
     )
 
 
 def sigma_star(array: TriangularArray, n: int) -> float:
     """Largest entry standard deviation in row n."""
-    k = _guard_row(array, n)
-    return float(max(array.entry(n, j).std for j in range(1, k + 1)))
+    return float(max(_row_values(array, n, lambda d: d.std)))
 
 
 # ---------------------------------------------------------------------------
@@ -326,29 +347,9 @@ def _entry_value_fn(
     raise ValueError(f"unknown randomized tag {tag!r}; expected one of {RANDOMIZED_TAGS}")
 
 
-def _prefix_values(
-    array: TriangularArray,
-    n: int,
-    upto: int,
-    fn: Callable[[ScalarDistribution], float],
-) -> np.ndarray:
-    """fn(entry) for j = 1..upto, memoized per distinct entry object."""
-    memo: Dict[int, float] = {}
-    out = np.empty(upto)
-    for j in range(1, upto + 1):
-        dist = array.entry(n, j)
-        key = id(dist)
-        if key not in memo:
-            memo[key] = float(fn(dist))
-        out[j - 1] = memo[key]
-    return out
-
-
 def _tail_extension(
-    array: TriangularArray,
-    n: int,
+    value: Callable[[int], float],
     start: int,
-    fn: Callable[[ScalarDistribution], float],
     index: RandomIndex,
     inner_last: float,
     is_max: bool,
@@ -364,9 +365,9 @@ def _tail_extension(
     This function returns the increment series; it walks until terms are
     provably negligible and returns inf when they keep growing (no finite
     majorant available, e.g. entry variances growing faster than the
-    index tail decays).
+    index tail decays).  ``value`` is the prefix's per-position getter,
+    so the walk evaluates no law the prefix already evaluated.
     """
-    memo: Dict[int, float] = {}
     bound = 0.0
     prev_raw = math.inf
     running_max = inner_last
@@ -375,11 +376,7 @@ def _tail_extension(
     j = start + 1
     limit = start + max(4 * start, 512)
     while j <= limit:
-        dist = array.entry(n, j)
-        key = id(dist)
-        if key not in memo:
-            memo[key] = float(fn(dist))
-        val = memo[key]
+        val = value(j)
         if is_max:
             incr = max(0.0, val - running_max)
             running_max = max(running_max, val)
@@ -423,9 +420,9 @@ def randomized_detailed(
     if not 0.0 < eta <= MAX_ETA:
         raise ValueError(f"eta must lie in (0, {MAX_ETA}]")
     _guard_row(array, n)
-    fn = _entry_value_fn(tag, epsilon, delta, quad_tol)
+    entry_value = _entry_values(array, n, _entry_value_fn(tag, epsilon, delta, quad_tol))
     trunc_k = index.truncation(eta)
-    entry_vals = _prefix_values(array, n, trunc_k, fn)
+    entry_vals = np.array([entry_value(j) for j in range(1, trunc_k + 1)])
     # divergent mixtures saturate to inf, which is the honest limit here
     with np.errstate(over="ignore"):
         if tag in SUM_TAGS:
@@ -444,7 +441,7 @@ def randomized_detailed(
         remainder = 0.0
     else:
         extension = _tail_extension(
-            array, n, trunc_k, fn, index, inner_last, tag in MAX_TAGS
+            entry_value, trunc_k, index, inner_last, tag in MAX_TAGS
         )
         remainder = eta_actual * inner_last + extension
     return RandomizedValue(
@@ -866,15 +863,21 @@ def evaluate_report(
     t_grid: Sequence[float] = (0.5, 1.0, 2.0),
     eta: float = DEFAULT_ETA,
     quad_tol: float = QUAD_ABS_TOL,
+    functionals: Sequence[str] = (),
 ) -> ConditionReport:
-    """Evaluate every condition functional on row n of the array.
+    """Evaluate the condition functionals on row n of the array.
 
-    With an ``index`` the randomized counterparts are included.  Error
-    bounds cover quadrature tolerances (a priori, per entry) and mixture
-    truncation remainders.
+    ``functionals`` names the ones to compute (``REPORT_FUNCTIONALS``);
+    empty means all of them.  The randomized ones need an ``index`` and
+    are left out without one.  Error bounds cover quadrature tolerances
+    (a priori, per entry) and mixture truncation remainders.
     """
     eps = _eps_ok(epsilon)
     dlt = _delta_ok(delta)
+    unknown = set(functionals) - set(REPORT_FUNCTIONALS)
+    if unknown:
+        raise ValueError(f"unknown functionals: {sorted(unknown)}")
+    wanted = set(functionals or REPORT_FUNCTIONALS)
     k = _guard_row(array, n)
     report = ConditionReport(
         array_label=array.label,
@@ -891,19 +894,27 @@ def evaluate_report(
     errs = report.error_bounds
     # moment evaluations fall back to quadrature at the library tolerance
     # when no closed form applies; the a priori bound covers that case
-    vals["lindeberg"] = lindeberg(array, n, eps)
-    errs["lindeberg"] = k * QUAD_ABS_TOL
-    vals["lyapunov"] = lyapunov(array, n, dlt)
-    errs["lyapunov"] = k * QUAD_ABS_TOL
-    vals["feller"] = feller(array, n)
-    vals["infinitesimality"] = infinitesimality(array, n, eps)
-    vals["infinitesimality_ratio"] = infinitesimality_ratio(array, n)
-    errs["infinitesimality_ratio"] = k * QUAD_ABS_TOL
-    for t in report.t_grid:
-        vals[f"cf_deviation@t={t:g}"] = cf_deviation(array, n, t)
-    vals["rotar"] = rotar(array, n, eps, quad_tol=quad_tol)
-    errs["rotar"] = rotar_error_bound(k, quad_tol)
-    vals["sigma_star"] = sigma_star(array, n)
+    if "lindeberg" in wanted:
+        vals["lindeberg"] = lindeberg(array, n, eps)
+        errs["lindeberg"] = k * QUAD_ABS_TOL
+    if "lyapunov" in wanted:
+        vals["lyapunov"] = lyapunov(array, n, dlt)
+        errs["lyapunov"] = k * QUAD_ABS_TOL
+    if "feller" in wanted:
+        vals["feller"] = feller(array, n)
+    if "infinitesimality" in wanted:
+        vals["infinitesimality"] = infinitesimality(array, n, eps)
+    if "infinitesimality_ratio" in wanted:
+        vals["infinitesimality_ratio"] = infinitesimality_ratio(array, n)
+        errs["infinitesimality_ratio"] = k * QUAD_ABS_TOL
+    if "cf_deviation" in wanted:
+        for t in report.t_grid:
+            vals[f"cf_deviation@t={t:g}"] = cf_deviation(array, n, t)
+    if "rotar" in wanted:
+        vals["rotar"] = rotar(array, n, eps, quad_tol=quad_tol)
+        errs["rotar"] = rotar_error_bound(k, quad_tol)
+    if "sigma_star" in wanted:
+        vals["sigma_star"] = sigma_star(array, n)
 
     if index is not None:
         spec = [
@@ -915,6 +926,8 @@ def evaluate_report(
             ("rand_sigma_star", "R-sigma-star", {}),
         ]
         for name, tag, kwargs in spec:
+            if name not in wanted:
+                continue
             detail = randomized_detailed(
                 tag, array, index, n, eta=eta, quad_tol=quad_tol, **kwargs
             )

@@ -82,19 +82,20 @@ def spawn_streams(seed: int, count: int) -> List[np.random.Generator]:
 def _chunk_boundaries(ks: np.ndarray, cap: int) -> List[Tuple[int, int]]:
     """Split rows into contiguous chunks whose total draws stay under cap.
 
-    A single row longer than the cap still becomes its own chunk.
+    Each chunk is the longest run of rows from its first one whose draws
+    sum to at most cap; a single row longer than the cap still becomes
+    its own chunk.
     """
+    ends = np.cumsum(ks, dtype=np.int64)
     spans: List[Tuple[int, int]] = []
     start = 0
-    acc = 0
-    for i, k in enumerate(ks):
-        if acc + int(k) > cap and i > start:
-            spans.append((start, i))
-            start = i
-            acc = 0
-        acc += int(k)
-    spans.append((start, len(ks)))
-    return spans
+    while True:
+        base = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + cap, side="right")))
+        spans.append((start, min(stop, len(ks))))
+        if stop >= len(ks):
+            return spans
+        start = stop
 
 
 def _iid_row_sums(dist: ScalarDistribution, ks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -298,6 +299,10 @@ class StudyPlan:
         unknown = set(self.functionals) - set(_conditions.REPORT_FUNCTIONALS)
         if unknown:
             raise ValueError(f"unknown functionals: {sorted(unknown)}")
+        # the metric names of the study's rows, cut at "@" (cf_deviation@t=...)
+        emitted = {*(self.functionals or _conditions.REPORT_FUNCTIONALS), *self.distances}
+        if self.normal_twin_feller:
+            emitted.add("rand_feller_normal_twin")
         for i, check in enumerate(self.checks):
             kind = check.get("kind")
             if not isinstance(kind, str) or kind not in CHECK_FIELDS:
@@ -311,6 +316,16 @@ class StudyPlan:
             for key in CHECK_FIELDS[kind]:
                 if key not in check:
                     raise ValueError(f"checks[{i}].{key}: required for check kind {kind!r}")
+            for key in ("epsilon", "final_max", "target", "threshold", "tol"):
+                value = check.get(key, 0.0)
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError(f"checks[{i}].{key}: expected a number")
+            for key in ("metric", "other"):
+                if key in check and str(check[key]).split("@")[0] not in emitted:
+                    raise ValueError(
+                        f"checks[{i}].{key}: the study emits no metric {check[key]!r}; "
+                        f"it emits: {', '.join(sorted(emitted))}"
+                    )
         return self
 
     def to_json_dict(self) -> dict:
@@ -393,11 +408,6 @@ def _study_cell(
     rows: List[dict] = []
     errors: List[dict] = []
     index = index_from_config(plan.index, n)
-    # randomized functionals are the expensive part of a report; skip
-    # them when the plan only reads classical columns
-    wants_randomized = not plan.functionals or any(
-        f.startswith("rand_") for f in plan.functionals
-    )
 
     def emit(metric: str, value: float, bound: float, epsilon=None, delta=None):
         rows.append(
@@ -412,7 +422,6 @@ def _study_cell(
             }
         )
 
-    want = set(plan.functionals)
     for eps in plan.epsilon_grid:
         try:
             report = _conditions.evaluate_report(
@@ -420,16 +429,15 @@ def _study_cell(
                 n,
                 eps,
                 plan.delta,
-                index=index if wants_randomized else None,
+                index=index,
                 eta=plan.eta,
+                functionals=plan.functionals,
             )
         except Exception as exc:  # record and continue per spec
             errors.append({"n": int(n), "epsilon": eps, "stage": "conditions",
                            "error": f"{type(exc).__name__}: {exc}"})
             continue
         for name in sorted(report.values):
-            if want and name.split("@")[0] not in want:
-                continue
             emit(
                 name,
                 report.values[name],

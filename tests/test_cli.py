@@ -371,6 +371,12 @@ class TestStudyCommand:
              "$.study: checks[0].final_max: unknown key"),
             ({"checks": [{"kind": "wibble", "metric": "rand_feller"}]},
              "$.study: checks[0].kind: unknown check kind 'wibble'"),
+            ({"checks": [{"kind": "all_below", "metric": "rand_felller", "threshold": 1.0}]},
+             "$.study: checks[0].metric: the study emits no metric 'rand_felller'"),
+            ({"checks": [{"kind": "all_below", "metric": "rotar", "threshold": 1.0}]},
+             "$.study: checks[0].metric: the study emits no metric 'rotar'"),
+            ({"checks": [{"kind": "all_below", "metric": "rand_feller", "threshold": [1]}]},
+             "$.study: checks[0].threshold: expected a number"),
         ],
     )
     def test_study_section_faults_exit_2(self, tmp_path, capsys, study, message):
@@ -454,6 +460,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "$.grids.epsilonn: unknown key" in err
+
+    @pytest.mark.parametrize(
+        "doc,path",
+        [
+            ({"array": {"array": "iid",
+                        "base": {"family": "uniform", "low": "a", "high": 1}}}, "$.array"),
+            ({"array": {"array": "iid",
+                        "base": {"family": "exponential-centered", "rate": [1.0]}}},
+             "$.array"),
+            ({"index": {"family": "poisson", "mean": [4]}}, "$.index"),
+        ],
+    )
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_wrongly_typed_value_is_config_error(self, tmp_path, capsys, doc, path, dry_run):
+        cfg = write_config(tmp_path, {"grids": {"n": [4]}, **doc})
+        code = main(["conditions", "--config", cfg, *(["--dry-run"] if dry_run else [])])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"config error: {path}: wrongly typed value" in err
+        assert "Traceback" not in err
 
     def test_invalid_row_is_numeric_failure(self, monkeypatch, capsys):
         def raise_invalid_row(*args):

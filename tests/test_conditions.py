@@ -29,6 +29,7 @@ from randsum.conditions import (
     sigma_star,
 )
 from randsum.distributions import (
+    CenteredExponential,
     Deterministic,
     FiniteIndex,
     Geometric,
@@ -335,3 +336,81 @@ class TestEvaluateReport:
         rep = evaluate_report(RAD4, 4, 0.5, 1.0, index=ShiftedPoisson(4.0))
         assert {name.split("@")[0] for name in rep.values} == set(REPORT_FUNCTIONALS)
         assert len(REPORT_FUNCTIONALS) == len(set(REPORT_FUNCTIONALS))
+
+    def test_only_the_asked_functionals(self):
+        rep = evaluate_report(
+            RAD4, 4, 0.5, 1.0, index=ShiftedPoisson(4.0),
+            functionals=("feller", "cf_deviation", "rand_feller"),
+        )
+        assert set(rep.values) == {
+            "feller", "cf_deviation@t=0.5", "cf_deviation@t=1", "cf_deviation@t=2",
+            "rand_feller",
+        }
+        full = evaluate_report(RAD4, 4, 0.5, 1.0, index=ShiftedPoisson(4.0))
+        for name, value in rep.values.items():
+            assert value == full.values[name]
+            assert rep.error_bounds.get(name) == full.error_bounds.get(name)
+        with pytest.raises(ValueError, match="unknown functionals"):
+            evaluate_report(RAD4, 4, 0.5, 1.0, functionals=("rotor",))
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name for the test's duration; returns the list of calls."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestRowKernel:
+    """Each distinct entry law is evaluated once per functional call."""
+
+    EXP = make_iid_array(CenteredExponential(1.0))
+
+    def test_quadrature_count_does_not_grow_with_the_row(self, monkeypatch):
+        calls = count_calls(monkeypatch, integrate, "quad")
+        counts = []
+        for n in (16, 256):
+            del calls[:]
+            # a threshold in units of the entry scale 1/sqrt(n) poses the
+            # same per-law integrals at every n, so only per-position work
+            # could make the counts differ
+            eps = 1.2 / math.sqrt(n)
+            evaluate_report(self.EXP, n, eps, 1.0, index=ShiftedPoisson(float(n)))
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts[0] == counts[1]
+
+    def test_unreported_functionals_are_not_evaluated(self, monkeypatch):
+        calls = count_calls(monkeypatch, cond, "_rotar_entry")
+        rep = evaluate_report(
+            self.EXP, 16, 0.3, 1.0, index=ShiftedPoisson(16.0), functionals=("lyapunov",)
+        )
+        assert set(rep.values) == {"lyapunov"}
+        assert calls == []
+
+    def test_tail_walk_reuses_the_prefix_evaluations(self, monkeypatch):
+        calls = count_calls(monkeypatch, cond, "_rotar_entry")
+        detail = randomized_detailed("RR", UNI4, ShiftedPoisson(4.0), 4, epsilon=0.3)
+        # one law for the whole row, beyond the row as well
+        assert len(calls) == 1
+        assert detail.remainder_bound > 0.0
+        del calls[:]
+        rotar(UNI4, 4, 0.3)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("array", [SHIRYAEV, RARE, from_series(shiryaev_series())])
+    def test_reductions_keep_position_order(self, array):
+        # distinct laws per position: the builtin sum and max in row order
+        n, eps = 6, 0.3
+        entries = [array.entry(n, j) for j in range(1, array.row_length(n) + 1)]
+        assert lindeberg(array, n, eps) == sum(d.truncated_second_moment(eps) for d in entries)
+        assert lyapunov(array, n, 0.5) == sum(d.abs_moment(2.5) for d in entries)
+        assert feller(array, n) == max(d.variance for d in entries)
+        assert sigma_star(array, n) == max(d.std for d in entries)
+        assert rotar(array, n, eps) == sum(cond._rotar_entry(d, eps) for d in entries)

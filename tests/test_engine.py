@@ -19,6 +19,7 @@ from randsum.engine import (
     BUILTIN_PLAN_NAMES,
     CHECK_FIELDS,
     StudyPlan,
+    _chunk_boundaries,
     _evaluate_check,
     builtin_plan,
     empirical_delta,
@@ -104,6 +105,37 @@ class TestSampling:
             empirical_delta(RAD, FiniteIndex([4], [1.0]), 4, rng, samples=500)
 
 
+def chunk_boundaries_loop(ks, cap):
+    """The sequential reference: close a chunk before the row that overflows it."""
+    spans, start, acc = [], 0, 0
+    for i, k in enumerate(ks):
+        if acc + int(k) > cap and i > start:
+            spans.append((start, i))
+            start, acc = i, 0
+        acc += int(k)
+    spans.append((start, len(ks)))
+    return spans
+
+
+class TestChunkBoundaries:
+    def test_matches_the_sequential_loop(self):
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            size = int(rng.integers(0, 40))
+            cap = int(rng.integers(1, 30))
+            # zero-length rows, rows at the cap and rows past it
+            ks = rng.integers(0, 2 * cap + 2, size=size).astype(np.int64)
+            ks[rng.random(size) < 0.2] = 0
+            assert _chunk_boundaries(ks, cap) == chunk_boundaries_loop(ks, cap)
+
+    def test_edge_cases(self):
+        assert _chunk_boundaries(np.array([], dtype=np.int64), 4) == [(0, 0)]
+        # a row past the cap is a chunk of its own, even before empty rows
+        ks = np.array([9, 0, 0, 2, 2, 1, 9], dtype=np.int64)
+        assert _chunk_boundaries(ks, 4) == [(0, 1), (1, 5), (5, 6), (6, 7)]
+        assert _chunk_boundaries(ks, 4) == chunk_boundaries_loop(ks, 4)
+
+
 class TestStudyPlan:
     def test_validation(self):
         good = builtin_plan("feller_necessity_rare_jump")
@@ -122,6 +154,30 @@ class TestStudyPlan:
             builtin_plan(
                 "feller_necessity_rare_jump", functionals=("rand_lindeburg",)
             ).validated()
+
+    def test_checks_must_read_emitted_metrics(self):
+        with pytest.raises(ValueError, match=r"checks\[0\]\.metric: the study emits no metric 'rand_felller'"):
+            small_plan(checks=({"kind": "all_below", "metric": "rand_felller",
+                                "threshold": 1.0},)).validated()
+        with pytest.raises(ValueError, match=r"checks\[0\]\.metric: the study emits no metric 'rotar'"):
+            builtin_plan(
+                "feller_necessity_rare_jump",
+                checks=({"kind": "all_below", "metric": "rotar", "threshold": 1.0},),
+            ).validated()
+        with pytest.raises(ValueError, match=r"checks\[0\]\.other: the study emits no metric 'ghost'"):
+            small_plan(checks=({"kind": "tracks_metric", "metric": "rand_feller",
+                                "other": "ghost"},)).validated()
+        twin = {"kind": "all_below", "metric": "rand_feller_normal_twin", "threshold": 1.0}
+        with pytest.raises(ValueError, match="rand_feller_normal_twin"):
+            small_plan(checks=(twin,)).validated()
+        small_plan(checks=(twin,), normal_twin_feller=True).validated()
+        # no functionals means all of them, cut at "@" like the report keys
+        small_plan(functionals=(), checks=(
+            {"kind": "all_below", "metric": "cf_deviation@t=0.5", "threshold": 1.0},
+            {"kind": "all_below", "metric": "delta_mixture", "threshold": 1.0},
+        )).validated()
+        for name in BUILTIN_PLAN_NAMES:
+            builtin_plan(name).validated()
 
     def test_builtin_names_and_overrides(self):
         assert BUILTIN_PLAN_NAMES == (
@@ -226,9 +282,10 @@ class TestEvaluateCheck:
     def test_declared_fields_are_the_ones_read(self, kind):
         check = {"kind": kind}
         for key in CHECK_FIELDS[kind]:
-            check[key] = "m" if key in ("metric", "other") else 0.5
+            # a metric small_plan emits, so the plan validates
+            check[key] = "rand_feller" if key in ("metric", "other") else 0.5
         # a check with only its required fields evaluates and validates
-        _evaluate_check(check, self.rows("m", [(4, 0.5, 0.0)], eps=None))
+        _evaluate_check(check, self.rows("rand_feller", [(4, 0.5, 0.0)], eps=None))
         small_plan(checks=(check,)).validated()
         for key in CHECK_FIELDS[kind]:
             partial = {k: v for k, v in check.items() if k != key}
@@ -272,6 +329,18 @@ class TestRunStudy:
         monkeypatch.setenv("RANDSUM_THREADS", "4")
         threaded = run_study(small_plan())
         assert serial.csv_text() == threaded.csv_text()
+
+    def test_unreported_functionals_cannot_fail_a_cell(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ArithmeticError("not reported, so never evaluated")
+
+        monkeypatch.setattr("randsum.conditions.rotar", broken)
+        monkeypatch.setattr("randsum.conditions.lyapunov", broken)
+        res = run_study(small_plan())
+        assert res.errors == []
+        assert {r["metric"] for r in res.rows} == {
+            "rand_lindeberg", "rand_feller", "empirical_delta", "delta_mixture"
+        }
 
     def test_failing_check_fails_study(self):
         res = run_study(
