@@ -14,19 +14,18 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from itertools import count, repeat
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .distributions import (
     ConfigEntry,
-    DistributionError,
     Normal,
     ScalarDistribution,
     TwoPoint,
-    Uniform,
     distribution_from_config,
     scale,
     shift,
@@ -116,12 +115,50 @@ class RowValidation:
         return abs(self.var_sum - 1.0)
 
 
+# A run of equal laws: (law, count); a count of None never ends.
+Run = Tuple[ScalarDistribution, Optional[int]]
+
+
+def expand(runs: Iterable[Tuple[object, Optional[int]]]) -> Iterator:
+    """Each run's item once per position it covers, read lazily."""
+    for item, size in runs:
+        yield from repeat(item) if size is None else repeat(item, size)
+
+
+def take(runs: Iterable[Run], k: int) -> List[Tuple[ScalarDistribution, int]]:
+    """The runs covering positions 1..k, the last one cut at k.
+
+    Reads no run past position k, so it builds no law there.
+    """
+    out: List[Tuple[ScalarDistribution, int]] = []
+    runs = iter(runs)
+    while k > 0:
+        law, size = next(runs)
+        size = k if size is None or size > k else size
+        out.append((law, size))
+        k -= size
+    return out
+
+
+def run_sum(runs: Sequence[Tuple[float, int]]) -> float:
+    """Sum of each value taken count times, added left to right.
+
+    The values are expanded and added in position order, so the sum keeps
+    the bits of the position-by-position sum.
+    """
+    if not runs:
+        return 0.0
+    values, counts = zip(*runs)
+    return float(np.cumsum(np.repeat(values, counts))[-1])
+
+
 class TriangularArray:
     """Base class: rows of independent zero-mean entries.
 
-    Subclasses implement ``entry(n, j)`` for every ``j >= 1`` and expose a
-    row-length rule.  ``entry`` results are cached per array so repeated
-    functional evaluations reuse the same distribution objects.
+    Subclasses implement ``_entry(n, j)`` for every ``j >= 1`` and expose a
+    row-length rule; ``entry`` caches its results per array.  Row
+    consumers read a row through ``runs``, which by default makes each
+    position a run of its own; a row of one law overrides it.
     """
 
     label: str = "array"
@@ -142,23 +179,30 @@ class TriangularArray:
     def _entry(self, n: int, j: int) -> ScalarDistribution:
         raise NotImplementedError
 
+    def runs(self, n: int) -> Iterator[Run]:
+        """Row n's laws as runs ``(law, count)`` in position order.
+
+        Rows are infinite, so the runs never end; each is built only when
+        it is read.
+        """
+        for j in count(1):
+            yield self.entry(n, j), 1
+
+    def prefix_runs(self, n: int, k: Optional[int] = None) -> List[Tuple[ScalarDistribution, int]]:
+        """The runs of row n covering positions 1..k (default k_n)."""
+        return take(self.runs(n), self.row_length(n) if k is None else k)
+
     def prefix_variance(self, n: int, k: Optional[int] = None) -> float:
         """sum_{j<=k} var(n, j); defaults to the full row k = k_n."""
-        if k is None:
-            k = self.row_length(n)
-        return float(sum(self.entry(n, j).variance for j in range(1, k + 1)))
-
-    def iid_entry(self, n: int) -> Optional[ScalarDistribution]:
-        """The common per-entry law when row n is i.i.d., else None."""
-        return None
+        return run_sum([(law.variance, size) for law, size in self.prefix_runs(n, k)])
 
     def validate(
         self, n: int, *, mean_tol: float = MEAN_TOL, var_tol: float = VAR_SUM_TOL
     ) -> RowValidation:
         k = self.row_length(n)
-        means = [abs(self.entry(n, j).mean) for j in range(1, k + 1)]
-        var_sum = self.prefix_variance(n, k)
-        max_mean = max(means) if means else 0.0
+        runs = self.prefix_runs(n, k)
+        max_mean = max(abs(law.mean) for law, _ in runs)
+        var_sum = run_sum([(law.variance, size) for law, size in runs])
         return RowValidation(
             n=n,
             row_length=k,
@@ -169,27 +213,19 @@ class TriangularArray:
         )
 
 
-class _IidArray(TriangularArray):
-    """Row n holds k_n (and beyond) copies of a centered, rescaled base law."""
+class _OneLawArray(TriangularArray):
+    """Row n holds one law, built from k_n, at every position and beyond."""
 
-    def __init__(self, base: ScalarDistribution, rows: RowRule = "n", label: Optional[str] = None):
-        if base.variance <= 0:
-            raise ArrayError("i.i.d. array requires a base law with positive variance")
+    def __init__(self, row_law: Callable[[int], ScalarDistribution], label: str, rows: RowRule):
         super().__init__(rows)
-        self._base = shift(base, -base.mean) if base.mean != 0.0 else base
-        self._row_dist = lru_cache(maxsize=None)(self._make_row_dist)
-        self.label = label or f"iid-{base.family}"
-
-    def _make_row_dist(self, k: int) -> ScalarDistribution:
-        factor = 1.0 / math.sqrt(k * self._base.variance)
-        return scale(self._base, factor)
+        self._row_law = lru_cache(maxsize=None)(row_law)
+        self.label = label
 
     def _entry(self, n: int, j: int) -> ScalarDistribution:
-        # one shared object per row so identity-keyed caches collapse the row
-        return self._row_dist(self.row_length(n))
+        return self._row_law(self.row_length(n))
 
-    def iid_entry(self, n: int) -> ScalarDistribution:
-        return self.entry(n, 1)
+    def runs(self, n: int) -> Iterator[Run]:
+        yield self._row_law(self.row_length(n)), None
 
 
 class _ShiryaevArray(TriangularArray):
@@ -219,32 +255,6 @@ class _ShiryaevArray(TriangularArray):
         return Normal(0.0, 2.0 ** expo if expo <= 1023 else math.inf)
 
 
-class _RareJumpArray(TriangularArray):
-    """Two-point entries with a rare O(1) jump: P(X = 1) = 1/(k_n + 1).
-
-    Each entry takes the value 1 with probability 1/(k_n+1) and -1/k_n
-    otherwise.  Rows satisfy the zero-mean and unit-variance-sum
-    conditions exactly, the Feller functional vanishes like 1/k_n, yet the
-    Lindeberg functional stays near one for thresholds below 1: the row
-    sums converge to a centered Poisson law, not to a normal one.
-    """
-
-    def __init__(self, rows: RowRule = "n"):
-        super().__init__(rows)
-        self._row_dist = lru_cache(maxsize=None)(self._make_row_dist)
-        self.label = "rare-jump"
-
-    def _make_row_dist(self, k: int) -> ScalarDistribution:
-        p_jump = 1.0 / (k + 1.0)
-        return TwoPoint(-1.0 / k, 1.0, 1.0 - p_jump)
-
-    def _entry(self, n: int, j: int) -> ScalarDistribution:
-        return self._row_dist(self.row_length(n))
-
-    def iid_entry(self, n: int) -> ScalarDistribution:
-        return self.entry(n, 1)
-
-
 _LOG_MAX = math.log(sys.float_info.max)
 
 
@@ -260,8 +270,8 @@ class SeriesForm:
     When the raw member laws themselves outgrow float64, supply explicit
     ``log_variance`` and ``standardized`` callables (the law of
     (X_j - a_j)/sd_j); by default both derive from ``base``.
-    ``all_normal=True`` declares every standardized member standard
-    normal, which unlocks closed-form vectorized row functionals.
+    ``series_implication_suite`` switches to closed forms when every
+    standardized member it needs is a centered ``Normal``.
     """
 
     def __init__(
@@ -271,13 +281,11 @@ class SeriesForm:
         *,
         log_variance: Optional[Callable[[int], float]] = None,
         standardized: Optional[Callable[[int], ScalarDistribution]] = None,
-        all_normal: bool = False,
     ):
         self._base = lru_cache(maxsize=None)(base)
         self.label = label
         self._log_variance_fn = log_variance
         self._standardized_fn = standardized
-        self.all_normal = bool(all_normal)
         self._logvar: List[float] = []
         self._logbsq: List[float] = []
         self._bsq_linear: List[float] = [0.0]
@@ -401,22 +409,13 @@ class _NormalTwinArray(TriangularArray):
         super().__init__(source.row_lengths, min_row=source.row_lengths._minimum)
         self.source = source
         self.label = f"normal-twin-{source.label}"
-        self._row_twin = lru_cache(maxsize=None)(self._make_row_twin)
-
-    def _make_row_twin(self, n: int) -> Optional[ScalarDistribution]:
-        base = self.source.iid_entry(n)
-        if base is None:
-            return None
-        return Normal(0.0, base.variance)
 
     def _entry(self, n: int, j: int) -> ScalarDistribution:
-        twin = self._row_twin(n)
-        if twin is not None:
-            return twin
         return Normal(0.0, self.source.entry(n, j).variance)
 
-    def iid_entry(self, n: int) -> Optional[ScalarDistribution]:
-        return self._row_twin(n)
+    def runs(self, n: int) -> Iterator[Run]:
+        for law, size in self.source.runs(n):
+            yield Normal(0.0, law.variance), size
 
 
 def make_iid_array(
@@ -424,7 +423,14 @@ def make_iid_array(
 ) -> TriangularArray:
     """I.i.d. array: every entry of row n is the centered base scaled to
     variance 1/k_n."""
-    return _IidArray(base, rows, label)
+    if base.variance <= 0:
+        raise ArrayError("i.i.d. array requires a base law with positive variance")
+    centered = shift(base, -base.mean) if base.mean != 0.0 else base
+    return _OneLawArray(
+        lambda k: scale(centered, 1.0 / math.sqrt(k * centered.variance)),
+        label or f"iid-{base.family}",
+        rows,
+    )
 
 
 def normal_twin(array: TriangularArray) -> TriangularArray:
@@ -442,8 +448,14 @@ def make_shiryaev_array(rows: RowRule = "n") -> TriangularArray:
 
 
 def make_rare_jump_array(rows: RowRule = "n") -> TriangularArray:
-    """Two-point array whose row sums approach a centered Poisson law."""
-    return _RareJumpArray(rows)
+    """Two-point array whose row sums approach a centered Poisson law.
+
+    Each entry of row n takes the value 1 with probability 1/(k_n + 1) and
+    -1/k_n otherwise.  Rows satisfy the zero-mean and unit-variance-sum
+    conditions exactly, the Feller functional vanishes like 1/k_n, yet the
+    Lindeberg functional stays near one for thresholds below 1.
+    """
+    return _OneLawArray(lambda k: TwoPoint(-1.0 / k, 1.0, 1.0 - 1.0 / (k + 1.0)), "rare-jump", rows)
 
 
 _STD_NORMAL = Normal(0.0, 1.0)
@@ -461,7 +473,6 @@ def shiryaev_series() -> SeriesForm:
         label="shiryaev",
         log_variance=lambda j: 0.0 if j == 1 else (j - 2) * _LN2,
         standardized=lambda j: _STD_NORMAL,
-        all_normal=True,
     )
 
 

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from itertools import islice
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .arrays import TriangularArray
+from .arrays import TriangularArray, expand, run_sum
 from .distributions import (
     QUAD_ABS_TOL,
     Normal,
@@ -71,6 +72,8 @@ MAX_ETA = 1e-3
 IMPLICATION_SLACK = 1e-9
 # Tail target when choosing the finite window of the Rotar integral.
 _ROTAR_TAIL_TARGET = 1e-12
+# Unit roundoff u of float64.
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 # the functional names evaluate_report emits, its keys cut at "@"; the
 # rand_ ones need an index
@@ -225,68 +228,53 @@ def rotar_error_bound(row_length: int, quad_tol: float = QUAD_ABS_TOL) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _entry_values(
+def _row_runs(
     array: TriangularArray, n: int, fn: Callable[[ScalarDistribution], float]
-) -> Callable[[int], float]:
-    """j -> fn(entry(n, j)), with fn run once per distinct entry object.
-
-    An i.i.d. row shares one entry object across its positions, so a row
-    functional costs one per-law evaluation, not one per position.  The
-    memo lives as long as the returned function, i.e. within one call.
-    """
-    memo: Dict[int, Tuple[ScalarDistribution, float]] = {}
-
-    def value(j: int) -> float:
-        dist = array.entry(n, j)
-        hit = memo.get(id(dist))
-        if hit is None:
-            # the entry is kept alive with its value, so its id stays unique
-            hit = memo[id(dist)] = (dist, float(fn(dist)))
-        return hit[1]
-
-    return value
-
-
-def _row_values(
-    array: TriangularArray, n: int, fn: Callable[[ScalarDistribution], float]
-) -> List[float]:
-    """fn(entry) for j = 1..k_n of a validated row, in position order."""
+) -> List[Tuple[float, int]]:
+    """(fn(law), count) for the runs of validated row n, fn once per run."""
     k = _guard_row(array, n)
-    value = _entry_values(array, n, fn)
-    return [value(j) for j in range(1, k + 1)]
+    return [(float(fn(law)), size) for law, size in array.prefix_runs(n, k)]
+
+
+def _row_sum(array: TriangularArray, n: int, fn: Callable[[ScalarDistribution], float]) -> float:
+    return run_sum(_row_runs(array, n, fn))
+
+
+def _row_max(array: TriangularArray, n: int, fn: Callable[[ScalarDistribution], float]) -> float:
+    return max(value for value, _ in _row_runs(array, n, fn))
 
 
 def lindeberg(array: TriangularArray, n: int, epsilon: float) -> float:
     """Lindeberg sum over row n at threshold ``epsilon``."""
     eps = _eps_ok(epsilon)
-    return float(sum(_row_values(array, n, lambda d: d.truncated_second_moment(eps))))
+    return _row_sum(array, n, lambda d: d.truncated_second_moment(eps))
 
 
 def lyapunov(array: TriangularArray, n: int, delta: float) -> float:
     """Lyapunov sum of absolute moments of order 2 + delta over row n."""
     d = _delta_ok(delta)
-    return float(sum(_row_values(array, n, lambda dist: dist.abs_moment(2.0 + d))))
+    return _row_sum(array, n, lambda dist: dist.abs_moment(2.0 + d))
 
 
 def feller(array: TriangularArray, n: int) -> float:
     """Largest entry variance in row n."""
-    return float(max(_row_values(array, n, lambda d: d.variance)))
+    return _row_max(array, n, lambda d: d.variance)
 
 
 def infinitesimality(array: TriangularArray, n: int, epsilon: float) -> float:
     """max_j P(|X_{nj}| >= epsilon) over row n."""
     eps = _eps_ok(epsilon)
-    return float(max(_row_values(array, n, lambda d: _tail_probability(d, eps))))
+    return _row_max(array, n, lambda d: _tail_probability(d, eps))
 
 
 def infinitesimality_ratio(array: TriangularArray, n: int) -> float:
     """max_j E[X^2 / (1 + X^2)] over row n."""
-    return float(max(_row_values(array, n, _second_moment_ratio)))
+    return _row_max(array, n, _second_moment_ratio)
 
 
 def cf_deviation(array: TriangularArray, n: int, t: float) -> float:
     """max_j |phi_{nj}(t) - 1| over row n."""
-    return float(max(_row_values(array, n, lambda d: abs(d.char_fn(t) - 1.0))))
+    return _row_max(array, n, lambda d: abs(d.char_fn(t) - 1.0))
 
 
 def rotar(
@@ -294,14 +282,12 @@ def rotar(
 ) -> float:
     """Rotar sum over row n: normal-deviation weighted tail integrals."""
     eps = _eps_ok(epsilon)
-    return float(
-        sum(_row_values(array, n, lambda d: _rotar_entry(d, eps, quad_tol=quad_tol)))
-    )
+    return _row_sum(array, n, lambda d: _rotar_entry(d, eps, quad_tol=quad_tol))
 
 
 def sigma_star(array: TriangularArray, n: int) -> float:
     """Largest entry standard deviation in row n."""
-    return float(max(_row_values(array, n, lambda d: d.std)))
+    return _row_max(array, n, lambda d: d.std)
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +302,20 @@ class RandomizedValue:
     ``remainder_bound`` majorizes the neglected tail
     ``sum_{k > truncation_k} P(nu = k) inner(k)`` where one exists;
     it is ``inf`` when the prefix values grow too fast for the index tail.
+    ``rounding_bound`` majorizes the rounding of the truncated mixture,
+    and ``error_bound`` is the two together.
     """
 
     tag: str
     value: float
     remainder_bound: float
+    rounding_bound: float
     truncation_k: int
     eta: float
+
+    @property
+    def error_bound(self) -> float:
+        return self.remainder_bound + self.rounding_bound
 
 
 def _entry_value_fn(
@@ -348,7 +341,7 @@ def _entry_value_fn(
 
 
 def _tail_extension(
-    value: Callable[[int], float],
+    values: Iterator[float],
     start: int,
     index: RandomIndex,
     inner_last: float,
@@ -365,8 +358,9 @@ def _tail_extension(
     This function returns the increment series; it walks until terms are
     provably negligible and returns inf when they keep growing (no finite
     majorant available, e.g. entry variances growing faster than the
-    index tail decays).  ``value`` is the prefix's per-position getter,
-    so the walk evaluates no law the prefix already evaluated.
+    index tail decays).  ``values`` continues the prefix's per-position
+    values at ``start + 1``, so the walk evaluates no law the prefix
+    already evaluated and builds none past the position where it stops.
     """
     bound = 0.0
     prev_raw = math.inf
@@ -376,7 +370,7 @@ def _tail_extension(
     j = start + 1
     limit = start + max(4 * start, 512)
     while j <= limit:
-        val = value(j)
+        val = next(values)
         if is_max:
             incr = max(0.0, val - running_max)
             running_max = max(running_max, val)
@@ -420,9 +414,12 @@ def randomized_detailed(
     if not 0.0 < eta <= MAX_ETA:
         raise ValueError(f"eta must lie in (0, {MAX_ETA}]")
     _guard_row(array, n)
-    entry_value = _entry_values(array, n, _entry_value_fn(tag, epsilon, delta, quad_tol))
+    fn = _entry_value_fn(tag, epsilon, delta, quad_tol)
+    # one lazy stream of per-position values, fn run once per run, shared
+    # by the prefix and the tail walk
+    values = expand((float(fn(law)), size) for law, size in array.runs(n))
     trunc_k = index.truncation(eta)
-    entry_vals = np.array([entry_value(j) for j in range(1, trunc_k + 1)])
+    entry_vals = np.fromiter(islice(values, trunc_k), float, trunc_k)
     # divergent mixtures saturate to inf, which is the honest limit here
     with np.errstate(over="ignore"):
         if tag in SUM_TAGS:
@@ -440,14 +437,16 @@ def randomized_detailed(
     elif eta_actual == 0.0:
         remainder = 0.0
     else:
-        extension = _tail_extension(
-            entry_value, trunc_k, index, inner_last, tag in MAX_TAGS
-        )
+        extension = _tail_extension(values, trunc_k, index, inner_last, tag in MAX_TAGS)
         remainder = eta_actual * inner_last + extension
+    # the K-term cumulative sums and the K-term dot product round by at
+    # most gamma_2K * sum_k p_k |inner_k| (Higham 2002, ch. 3-4)
+    gamma = 2 * trunc_k * _UNIT_ROUNDOFF / (1.0 - 2 * trunc_k * _UNIT_ROUNDOFF)
     return RandomizedValue(
         tag=tag,
         value=value,
         remainder_bound=float(remainder),
+        rounding_bound=gamma * float(np.dot(pmf, np.abs(inner))),
         truncation_k=trunc_k,
         eta=eta,
     )
@@ -655,7 +654,10 @@ def series_implication_suite(
     pmf = np.asarray(index.pmf(ks), dtype=float)
 
     series = getattr(array, "series", None)
-    if series is not None and series.all_normal:
+    if series is not None and all(
+        isinstance(member, Normal) and member.mean == 0.0
+        for member in map(series.standardized, range(1, trunc_k + 1))
+    ):
         rows = _normal_series_row_values(series, trunc_k, epsilon_grid, delta_grid)
         value = lambda key: float(np.dot(pmf, rows[key]))
     else:
@@ -729,12 +731,12 @@ def cf_domination(
     pmf = np.asarray(index.pmf(ks), dtype=float)
     rr = randomized("RR", array, index, n, epsilon=eps, eta=eta, quad_tol=quad_tol)
 
+    runs = array.prefix_runs(n, trunc_k)
+    sizes = [size for _, size in runs]
     checks = []
     for t in t_grid:
         t = float(t)
-        per_entry = np.array(
-            [complex(array.entry(n, j).char_fn(t)) for j in range(1, trunc_k + 1)]
-        )
+        per_entry = np.repeat([complex(law.char_fn(t)) for law, _ in runs], sizes)
         prefix_products = np.cumprod(per_entry)
         mix_cf = complex(np.dot(pmf, prefix_products))
         lhs = abs(mix_cf - math.exp(-0.5 * t * t))
@@ -775,13 +777,10 @@ def rl_normal_bound(
     eps = _eps_ok(epsilon)
     _guard_row(array, n)
     trunc_k = index.truncation(eta)
-    stds = []
-    for j in range(1, trunc_k + 1):
-        entry = array.entry(n, j)
-        if not (isinstance(entry, Normal) and entry.mean == 0.0):
-            raise InvalidRowError("rl_normal_bound requires centered normal entries")
-        stds.append(entry.std)
-    s_star = max(stds)
+    runs = array.prefix_runs(n, trunc_k)
+    if not all(isinstance(law, Normal) and law.mean == 0.0 for law, _ in runs):
+        raise InvalidRowError("rl_normal_bound requires centered normal entries")
+    s_star = max(law.std for law, _ in runs)
     lhs = randomized("RL", array, index, n, epsilon=eps, eta=eta)
     rhs = Normal(0.0, 1.0).truncated_second_moment(eps / s_star)
     return InequalityCheck(
@@ -932,7 +931,7 @@ def evaluate_report(
                 tag, array, index, n, eta=eta, quad_tol=quad_tol, **kwargs
             )
             vals[name] = detail.value
-            err = detail.remainder_bound
+            err = detail.error_bound
             if tag == "RR":
                 err += rotar_error_bound(detail.truncation_k, quad_tol)
             errs[name] = err

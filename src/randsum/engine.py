@@ -6,7 +6,7 @@ evidence against the exact computations.  One draw of a random sum
 consumes one index variate and then the row's entry variates; batches
 consume the same variates in a documented deterministic order (index
 batch first, then entries column by column or row-flattened, depending
-on the dispatch below).
+on the row's runs; see ``_prefix_sums``).
 
 Streams: substreams are derived from the master seed with
 ``numpy.random.SeedSequence.spawn``; each concurrent task owns its
@@ -22,6 +22,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from . import arrays as _arrays
 from . import conditions as _conditions
 from . import metrics as _metrics
-from .arrays import TriangularArray, array_from_config, normal_twin
+from .arrays import TriangularArray, array_from_config, expand, normal_twin, take
 from .distributions import (
     QUAD_ABS_TOL,
     Normal,
@@ -109,22 +110,6 @@ def _iid_row_sums(dist: ScalarDistribution, ks: np.ndarray, rng: np.random.Gener
     return out
 
 
-def _normal_sigma_vector(array: TriangularArray, n: int, upto: int) -> Optional[np.ndarray]:
-    """Entry standard deviations sigma_{n,1..upto} if the row is all normal."""
-    sigmas = np.empty(upto)
-    for j in range(1, upto + 1):
-        entry = array.entry(n, j)
-        if not (isinstance(entry, Normal) and entry.mean == 0.0):
-            return None
-        sigmas[j - 1] = entry.std
-    if not np.all(np.isfinite(sigmas)):
-        raise ArithmeticError(
-            f"entry scales of row {n} overflow beyond position {upto}; "
-            "shrink the index range or eta"
-        )
-    return sigmas
-
-
 def _normal_row_sums(sigmas: np.ndarray, ks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     out = np.empty(ks.size)
     for a, b in _chunk_boundaries(ks, CHUNK_DRAWS):
@@ -139,35 +124,42 @@ def _normal_row_sums(sigmas: np.ndarray, ks: np.ndarray, rng: np.random.Generato
 
 
 def _columnwise_row_sums(
-    array: TriangularArray, n: int, ks: np.ndarray, rng: np.random.Generator
+    runs: List[Tuple[ScalarDistribution, int]], ks: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """General fallback: draw column j for every sum still needing it."""
     out = np.zeros(ks.size)
-    kmax = int(np.max(ks))
     order = np.argsort(ks, kind="stable")
     sorted_ks = ks[order]
-    for j in range(1, kmax + 1):
-        first = int(np.searchsorted(sorted_ks, j, side="left"))
-        active = order[first:]
-        if active.size == 0:
-            break
-        draws = np.asarray(array.entry(n, j).sample(rng, active.size), dtype=float)
-        out[active] += draws
+    for j, law in enumerate(expand(runs), start=1):
+        active = order[int(np.searchsorted(sorted_ks, j, side="left")):]
+        out[active] += np.asarray(law.sample(rng, active.size), dtype=float)
     return out
 
 
 def _prefix_sums(
     array: TriangularArray, n: int, ks: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Sums of entries (n, 1..k) for each k in ks, summand by summand."""
-    iid = array.iid_entry(n)
-    if iid is not None:
-        return _iid_row_sums(iid, ks, rng)
-    kmax = int(np.max(ks))
-    sigmas = _normal_sigma_vector(array, n, kmax)
-    if sigmas is not None:
+    """Sums of entries (n, 1..k) for each k in ks, summand by summand.
+
+    Dispatch on the row's runs: a row of one unbounded run takes flat
+    i.i.d. draws of its law, a row of centered normals up to max(ks)
+    scales one flat block of standard normals, and any other row draws
+    column by column.
+    """
+    runs = array.runs(n)
+    first, size = next(runs)
+    if size is None:
+        return _iid_row_sums(first, ks, rng)
+    row = take(chain([(first, size)], runs), int(np.max(ks)))
+    if all(isinstance(law, Normal) and law.mean == 0.0 for law, _ in row):
+        sigmas = np.repeat([law.std for law, _ in row], [size for _, size in row])
+        if not np.all(np.isfinite(sigmas)):
+            raise ArithmeticError(
+                f"entry scales of row {n} overflow beyond position {sigmas.size}; "
+                "shrink the index range or eta"
+            )
         return _normal_row_sums(sigmas, ks, rng)
-    return _columnwise_row_sums(array, n, ks, rng)
+    return _columnwise_row_sums(row, ks, rng)
 
 
 def sample_random_sums(
@@ -448,7 +440,7 @@ def _study_cell(
     if twin is not None:
         try:
             tw = _conditions.randomized_detailed("RF", twin, index, n, eta=plan.eta)
-            emit("rand_feller_normal_twin", tw.value, tw.remainder_bound)
+            emit("rand_feller_normal_twin", tw.value, tw.error_bound)
         except Exception as exc:
             errors.append({"n": int(n), "stage": "normal-twin",
                            "error": f"{type(exc).__name__}: {exc}"})
@@ -820,9 +812,7 @@ def _selfcheck_arrays() -> List[dict]:
 
     worst = 0.0
     for arr in built:
-        n = 4
-        k = arr.row_length(n)
-        variances = [arr.entry(n, j).variance for j in range(1, k + 1)]
+        variances = [law.variance for law in expand(arr.prefix_runs(4))]
         lhs = sum(v * v for v in variances)
         rhs = max(variances)
         worst = max(worst, lhs - rhs)

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from itertools import islice
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
 
-from .arrays import TriangularArray
+from .arrays import TriangularArray, expand
 from .conditions import InequalityCheck, IMPLICATION_SLACK
 from .distributions import (
     Normal,
@@ -393,7 +394,7 @@ def row_sum_law(array: TriangularArray, n: int, k: Optional[int] = None) -> SumL
         k = array.row_length(n)
     if k < 1:
         raise ValueError("k must be >= 1")
-    return sum_of_independent([array.entry(n, j) for j in range(1, k + 1)])
+    return sum_of_independent(list(expand(array.prefix_runs(n, k))))
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +519,7 @@ def _per_k_laws(
     """
     laws: List[Optional[SumLaw]] = []
     if mode == "prefix":
+        laws_at = expand(array.runs(n))
         values = np.array([0.0])
         probs = np.array([1.0])
         n_mean = 0.0
@@ -528,9 +530,9 @@ def _per_k_laws(
             k = int(k)
             if not dead:
                 try:
-                    for j in range(prev + 1, k + 1):
+                    for law in islice(laws_at, k - prev):
                         values, probs, n_mean, n_var = _extend_sum(
-                            values, probs, n_mean, n_var, array.entry(n, j)
+                            values, probs, n_mean, n_var, law
                         )
                 except ConvolutionError:
                     dead = True
@@ -553,8 +555,8 @@ def _empirical_prefix(
     m: int,
 ) -> np.ndarray:
     total = np.zeros(m)
-    for j in range(1, k + 1):
-        total += array.entry(row, j).sample(rng, m)
+    for law in expand(array.prefix_runs(row, k)):
+        total += law.sample(rng, m)
     return total
 
 

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from randsum.arrays import (
     make_shiryaev_array,
     normal_twin,
     shiryaev_series,
+    take,
     validate,
 )
 from randsum.distributions import Normal, Rademacher, Uniform
@@ -123,9 +125,48 @@ class TestNormalTwin:
                 assert isinstance(t, Normal)
                 assert t.variance == pytest.approx(src.entry(n, j).variance, rel=1e-14)
 
-    def test_iid_twin_shares_row_object(self):
+    def test_iid_twin_is_one_run(self):
         twin = normal_twin(make_iid_array(Rademacher()))
-        assert twin.entry(5, 1) is twin.entry(5, 4)
+        ((law, size),) = list(islice(twin.runs(5), 2))
+        assert size is None
+        assert isinstance(law, Normal) and law.variance == pytest.approx(0.2, rel=1e-14)
+
+    def test_twin_of_a_per_position_row_maps_each_run(self):
+        src = make_shiryaev_array()
+        runs = normal_twin(src).prefix_runs(4)
+        assert [size for _, size in runs] == [1, 1, 1, 1]
+        assert [law.variance for law, _ in runs] == [0.125, 0.125, 0.25, 0.5]
+
+
+class TestRuns:
+    @pytest.mark.parametrize(
+        "array", [make_iid_array(Uniform(-1.0, 1.0)), make_rare_jump_array()]
+    )
+    def test_one_law_rows_are_one_unbounded_run(self, array):
+        ((law, size),) = list(islice(array.runs(6), 2))
+        assert size is None
+        assert law is array.entry(6, 1) is array.entry(6, 100)
+        assert array.prefix_runs(6) == [(law, 6)]
+        assert array.prefix_runs(6, 40) == [(law, 40)]
+
+    @pytest.mark.parametrize("array", [make_shiryaev_array(), from_series(shiryaev_series())])
+    def test_per_position_rows_are_built_through_entry(self, array):
+        runs = array.prefix_runs(5, 7)
+        assert [size for _, size in runs] == [1] * 7
+        assert [law for law, _ in runs] == [array.entry(5, j) for j in range(1, 8)]
+
+    def test_take_reads_no_run_past_k(self):
+        read = []
+
+        def runs():
+            for j in range(1, 100):
+                read.append(j)
+                yield j, 2
+
+        assert take(runs(), 5) == [(1, 2), (2, 2), (3, 1)]
+        assert read == [1, 2, 3]
+        assert take(runs(), 0) == []
+        assert take(iter([("a", None)]), 3) == [("a", 3)]
 
 
 class TestSeriesForm:

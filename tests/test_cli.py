@@ -3,6 +3,8 @@
 import copy
 import json
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -501,3 +503,63 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_NUMERIC
         assert "numeric failure" in err and "moment of order 1" in err
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+class TestBenchmarkTracer:
+    """The benchmark's tracer patches names of the program; they must stay."""
+
+    CONFIGS = {
+        "conditions": {
+            "array": {"array": "iid", "base": {"family": "uniform", "low": -1.0, "high": 1.0}},
+            "index": {"family": "poisson", "mean": "n"},
+            "grids": {"n": [4, 8], "epsilon": [0.5], "delta": [1.0]},
+            "outputs": {"format": "json"},
+        },
+        "distances": {
+            "array": {"array": "shiryaev"},
+            "index": {"family": "poisson", "mean": "n"},
+            "grids": {"n": [4, 8]},
+            "monte_carlo": {"M": 2000, "seed": 3},
+            "distances": {"metrics": ["kolmogorov_row", "delta_mixture", "empirical_delta"]},
+            "outputs": {"format": "json"},
+        },
+    }
+
+    def run_both(self, tmp_path, out):
+        written = {}
+        for command, doc in self.CONFIGS.items():
+            cfg = write_config(tmp_path, doc, f"{command}.json")
+            target = tmp_path / out / command
+            assert main([command, "--config", cfg, "--out", str(target)]) == EXIT_OK
+            written[command] = {p.name: p.read_bytes() for p in target.iterdir()}
+        return written
+
+    def test_traced_run_writes_the_same_bytes_and_every_metric(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import tracing
+
+        plain = self.run_both(tmp_path, "plain")
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            since = tracer.mark()
+            traced = self.run_both(tmp_path, "traced")
+        finally:
+            tracer.uninstall()
+        metrics = tracer.layer_metrics(since, tracer.entries_cached())
+        sys.modules.pop("tracing", None)
+
+        assert traced == plain
+        declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+        assert set(metrics) == {m["name"] for m in declared if not m["name"].startswith("bench.")}
+        assert set(tracing.SELF_TIME) | set(tracing.SPAN_COUNT) <= set(metrics)
+        assert metrics["cli.output_bytes"] == sum(
+            len(data) for files in plain.values() for data in files.values()
+        )
+        for name in ("distributions.quad_calls", "distributions.draws", "arrays.validate_calls",
+                     "conditions.report_calls", "conditions.randomized_calls",
+                     "metrics.kolmogorov_calls", "metrics.atoms_max"):
+            assert metrics[name] > 0, name

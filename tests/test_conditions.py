@@ -1,6 +1,7 @@
 """Condition functionals against enumeration, quadrature, and closed forms."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,15 @@ from scipy import integrate
 from scipy.special import ndtr
 
 import randsum.conditions as cond
-from randsum.arrays import from_series, make_iid_array, make_rare_jump_array, make_shiryaev_array, shiryaev_series
+from randsum.arrays import (
+    SeriesForm,
+    TriangularArray,
+    from_series,
+    make_iid_array,
+    make_rare_jump_array,
+    make_shiryaev_array,
+    shiryaev_series,
+)
 from randsum.conditions import (
     REPORT_FUNCTIONALS,
     cf_deviation,
@@ -205,6 +214,19 @@ class TestRandomizedMixtures:
         assert 0.0 < d.remainder_bound < 1e-4
         assert d.value <= 1.0 + 1e-12
 
+    def test_mixture_rounding_is_in_the_error_bound(self):
+        # E[nu] / 17 exactly: each rare-jump entry of row 16 contributes
+        # 1/17 at eps = 1/2.  The truncated tail alone (K = 357) misses it
+        # by 3.1e-14; the rounding of the K-term mixture covers the rest
+        d = randomized_detailed(
+            "RL", make_rare_jump_array(), Geometric.from_mean(16.0), 16, epsilon=0.5
+        )
+        assert d.truncation_k == 357
+        gap = abs(Fraction(d.value) - Fraction(16, 17))
+        assert gap > Fraction(d.remainder_bound)
+        assert gap <= Fraction(d.error_bound)
+        assert d.error_bound == d.remainder_bound + d.rounding_bound
+
     def test_divergent_mixture_reports_inf_remainder(self):
         # doubling variances outrun the geometric tail: no finite majorant
         d = randomized_detailed("RF", SHIRYAEV, Geometric(0.5), 4)
@@ -262,27 +284,50 @@ class TestImplicationSuite:
 
 
 class TestSeriesSuite:
-    def test_fast_path_matches_generic(self):
+    @staticmethod
+    def generic_reference(array, index, eps_grid, delta_grid):
+        """(lhs, rhs) of every check, from the row functionals mixed over k."""
+        ks = np.arange(1, index.truncation(cond.DEFAULT_ETA) + 1)
+        pmf = np.asarray(index.pmf(ks), dtype=float)
+
+        def mix(row_value):
+            return float(np.dot(pmf, [row_value(int(k)) for k in ks]))
+
+        fel = mix(lambda k: feller(array, k))
+        out = []
+        for eps in eps_grid:
+            lind = mix(lambda k: lindeberg(array, k, eps))
+            infi = mix(lambda k: infinitesimality(array, k, eps))
+            for delta in delta_grid:
+                lyap = mix(lambda k: lyapunov(array, k, delta))
+                out += [(lind, eps ** (-delta) * lyap), (fel, eps * eps + lind),
+                        (infi, fel / (eps * eps))]
+        return out
+
+    def test_fast_path_matches_generic(self, monkeypatch):
         eps_grid, delta_grid = [0.3, 1.0], [1.0]
         idx = Geometric(0.5)
-        fast_arr = from_series(shiryaev_series())
-        fast = series_implication_suite(fast_arr, idx, eps_grid, delta_grid)
-        # same member laws, no all_normal declaration: generic per-row loops
-        from randsum.arrays import SeriesForm
-        from randsum.arrays import _ShiryaevArray
-
-        generic_series = SeriesForm(
-            lambda j: Normal(0.0, _ShiryaevArray.base_variance(j)), label="generic"
-        )
-        generic = series_implication_suite(
-            from_series(generic_series), idx, eps_grid, delta_grid
-        )
-        assert len(fast) == len(generic) == 6
-        for a, b in zip(fast, generic):
-            assert a.name == b.name
-            assert a.lhs == pytest.approx(b.lhs, rel=1e-9)
-            assert a.rhs == pytest.approx(b.rhs, rel=1e-9)
+        arr = from_series(shiryaev_series())
+        calls = count_calls(monkeypatch, cond, "_normal_series_row_values")
+        fast = series_implication_suite(arr, idx, eps_grid, delta_grid)
+        assert len(calls) == 1
+        expected = self.generic_reference(arr, idx, eps_grid, delta_grid)
+        assert len(fast) == len(expected) == 6
+        for check, (lhs, rhs) in zip(fast, expected):
+            assert check.lhs == pytest.approx(lhs, rel=1e-9)
+            assert check.rhs == pytest.approx(rhs, rel=1e-9)
         assert all(c.ok for c in fast)
+
+    def test_non_normal_members_take_the_generic_path(self, monkeypatch):
+        eps_grid, delta_grid = [0.3, 1.0], [1.0]
+        idx = Geometric(0.5)
+        arr = from_series(SeriesForm(lambda j: Uniform(0.0, float(j)), label="ramp"))
+        calls = count_calls(monkeypatch, cond, "_normal_series_row_values")
+        checks = series_implication_suite(arr, idx, eps_grid, delta_grid)
+        assert calls == []
+        expected = self.generic_reference(arr, idx, eps_grid, delta_grid)
+        assert [(c.lhs, c.rhs) for c in checks] == expected
+        assert all(c.ok for c in checks)
 
     def test_series_chain_holds_deep(self):
         checks = series_implication_suite(
@@ -404,13 +449,55 @@ class TestRowKernel:
         rotar(UNI4, 4, 0.3)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("array", [SHIRYAEV, RARE, from_series(shiryaev_series())])
+    @pytest.mark.parametrize(
+        "array", [SHIRYAEV, RARE, from_series(shiryaev_series()), UNI4]
+    )
     def test_reductions_keep_position_order(self, array):
-        # distinct laws per position: the builtin sum and max in row order
+        # the sums added left to right and the max taken in row order
+        def left_to_right(values):
+            total = 0.0
+            for value in values:
+                total += value
+            return total
+
         n, eps = 6, 0.3
         entries = [array.entry(n, j) for j in range(1, array.row_length(n) + 1)]
-        assert lindeberg(array, n, eps) == sum(d.truncated_second_moment(eps) for d in entries)
-        assert lyapunov(array, n, 0.5) == sum(d.abs_moment(2.5) for d in entries)
+        assert lindeberg(array, n, eps) == left_to_right(
+            d.truncated_second_moment(eps) for d in entries
+        )
+        assert lyapunov(array, n, 0.5) == left_to_right(d.abs_moment(2.5) for d in entries)
         assert feller(array, n) == max(d.variance for d in entries)
         assert sigma_star(array, n) == max(d.std for d in entries)
-        assert rotar(array, n, eps) == sum(cond._rotar_entry(d, eps) for d in entries)
+        assert rotar(array, n, eps) == left_to_right(cond._rotar_entry(d, eps) for d in entries)
+
+
+class TestEntryCalls:
+    """Row consumers read runs: one-law rows need no per-position entry."""
+
+    @pytest.mark.parametrize(
+        "array,n", [(make_iid_array(Uniform(-1.0, 1.0)), 10_000), (RARE, 64)]
+    )
+    def test_one_law_reports_build_no_entry(self, monkeypatch, array, n):
+        calls = count_calls(monkeypatch, TriangularArray, "entry")
+        rep = evaluate_report(array, n, 0.5, 1.0, index=ShiftedPoisson(float(n)))
+        assert set(rep.values) >= {"rand_rotar", "rotar", "cf_deviation@t=1"}
+        assert calls == []
+
+    def test_tail_walk_builds_no_entry_past_its_stop(self, monkeypatch):
+        calls = count_calls(monkeypatch, TriangularArray, "entry")
+        walk = cond._tail_extension
+        pulled = []
+
+        def counted_walk(values, *args):
+            def counted():
+                for value in values:
+                    pulled.append(value)
+                    yield value
+
+            return walk(counted(), *args)
+
+        monkeypatch.setattr(cond, "_tail_extension", counted_walk)
+        detail = randomized_detailed("RF", make_shiryaev_array(), ShiftedPoisson(4.0), 4)
+        assert len(pulled) > 0
+        positions = [j for _, n, j in calls]
+        assert max(positions) == detail.truncation_k + len(pulled)

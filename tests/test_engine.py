@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from randsum.arrays import (
+    TriangularArray,
     make_iid_array,
     make_rare_jump_array,
     make_shiryaev_array,
     normal_twin,
 )
-from randsum.distributions import FiniteIndex, Geometric, Normal, Rademacher
+from randsum.distributions import FiniteIndex, Geometric, Normal, Rademacher, ShiftedPoisson, Uniform
 from randsum.engine import (
     BUILTIN_PLAN_NAMES,
     CHECK_FIELDS,
@@ -98,6 +99,28 @@ class TestSampling:
             sample_random_sums(RAD, FiniteIndex([4], [1.0]), 4, rng, 0)
         with pytest.raises(ValueError):
             sample_random_sums(RAD, FiniteIndex([4], [1.0]), 4, rng, 10, mode="rolls")
+
+    @pytest.mark.parametrize("mode", ["prefix", "rows"])
+    def test_one_law_rows_build_no_entry(self, monkeypatch, mode):
+        built = []
+        entry = TriangularArray.entry
+        monkeypatch.setattr(TriangularArray, "entry", lambda *a: built.append(a) or entry(*a))
+        for array in (make_iid_array(Uniform(-1.0, 1.0)), make_rare_jump_array()):
+            for source in (array, normal_twin(array)):
+                rng = np.random.default_rng(3)
+                sample_random_sums(source, ShiftedPoisson(16.0), 16, rng, 500, mode=mode)
+        assert built == []
+
+    def test_one_law_rows_take_flat_draws(self):
+        # the index batch first, then one flat block of the row law's draws
+        uni = make_iid_array(Uniform(-1.0, 1.0))
+        idx = ShiftedPoisson(8.0)
+        got = sample_random_sums(uni, idx, 8, np.random.default_rng(9), 300)
+        rng = np.random.default_rng(9)
+        ks = np.asarray(idx.sample(rng, 300), dtype=np.int64)
+        flat = uni.entry(8, 1).sample(rng, int(ks.sum()))
+        starts = np.concatenate([[0], np.cumsum(ks[:-1])])
+        assert np.array_equal(got, np.add.reduceat(flat, starts))
 
     def test_empirical_delta_guards_sample_floor(self):
         rng = np.random.default_rng(1)

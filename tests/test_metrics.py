@@ -9,7 +9,12 @@ from scipy import integrate
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from randsum.arrays import make_iid_array, make_rare_jump_array, make_shiryaev_array
+from randsum.arrays import (
+    TriangularArray,
+    make_iid_array,
+    make_rare_jump_array,
+    make_shiryaev_array,
+)
 from randsum.distributions import (
     CenteredExponential,
     Deterministic,
@@ -18,6 +23,7 @@ from randsum.distributions import (
     Geometric,
     Normal,
     Rademacher,
+    ShiftedPoisson,
     Uniform,
     scale,
     shift,
@@ -402,6 +408,21 @@ class TestMixtureDistances:
         est = delta_mixture(uni, Deterministic(4), 4, rng=rng, samples_per_k=4000)
         assert est.method == "mixture"
         assert est.bound >= dkw_bound(4000, 0.01)
+
+    def test_one_law_rows_build_no_entry(self, monkeypatch):
+        built = []
+        entry = TriangularArray.entry
+        monkeypatch.setattr(TriangularArray, "entry", lambda *a: built.append(a) or entry(*a))
+        idx = ShiftedPoisson(6.0)
+        for mode in ("prefix", "rows"):
+            delta_mixture(RAD, idx, 6, mode=mode)
+            delta_randomsum(RARE, idx, 6, mode=mode)
+            rng = np.random.default_rng(2)
+            uni = make_iid_array(Uniform(-1.0, 1.0))
+            delta_mixture(uni, idx, 6, mode=mode, rng=rng, samples_per_k=200)
+            delta_randomsum(uni, idx, 6, mode=mode, rng=rng, samples=2000)
+        row_sum_law(RARE, 12)
+        assert built == []
 
     def test_estimate_serialization(self):
         est = delta_mixture(RAD, FiniteIndex([4], [1.0]), 4)
