@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, repeat
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -95,7 +95,7 @@ class RowLengths:
         return max(k, self._minimum)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RowValidation:
     """Outcome of checking one row against the array conditions."""
 
@@ -166,6 +166,7 @@ class TriangularArray:
     def __init__(self, rows: RowRule = "n", *, min_row: int = 1):
         self.row_lengths = RowLengths(rows, minimum=min_row)
         self._entry_cached = lru_cache(maxsize=None)(self._entry)
+        self._validations: Dict[int, RowValidation] = {}
 
     def row_length(self, n: int) -> int:
         return self.row_lengths(n)
@@ -211,6 +212,17 @@ class TriangularArray:
             mean_ok=max_mean <= mean_tol,
             var_ok=abs(var_sum - 1.0) <= var_tol,
         )
+
+    def validation(self, n: int) -> RowValidation:
+        """``validate(n)`` at the default tolerances, computed once per row.
+
+        Rows never change, so the result is kept; threads that race on a
+        new row each compute the same result and one of them is kept.
+        """
+        check = self._validations.get(n)
+        if check is None:
+            check = self._validations[n] = self.validate(n)
+        return check
 
 
 class _OneLawArray(TriangularArray):

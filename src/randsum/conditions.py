@@ -73,7 +73,14 @@ IMPLICATION_SLACK = 1e-9
 # Tail target when choosing the finite window of the Rotar integral.
 _ROTAR_TAIL_TARGET = 1e-12
 # Unit roundoff u of float64.
-_UNIT_ROUNDOFF = 2.0 ** -53
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def rounding_gamma(m: int) -> float:
+    """gamma_m = m u / (1 - m u): the relative error of m roundings
+    (Higham 2002, ch. 3)."""
+    return m * UNIT_ROUNDOFF / (1.0 - m * UNIT_ROUNDOFF)
+
 
 # the functional names evaluate_report emits, its keys cut at "@"; the
 # rand_ ones need an index
@@ -105,7 +112,7 @@ class InvalidRowError(ValueError):
 
 
 def _guard_row(array: TriangularArray, n: int) -> int:
-    check = array.validate(n)
+    check = array.validation(n)
     if not check.passed:
         raise InvalidRowError(
             f"row n={n} of {array.label!r} violates array conditions: "
@@ -441,12 +448,11 @@ def randomized_detailed(
         remainder = eta_actual * inner_last + extension
     # the K-term cumulative sums and the K-term dot product round by at
     # most gamma_2K * sum_k p_k |inner_k| (Higham 2002, ch. 3-4)
-    gamma = 2 * trunc_k * _UNIT_ROUNDOFF / (1.0 - 2 * trunc_k * _UNIT_ROUNDOFF)
     return RandomizedValue(
         tag=tag,
         value=value,
         remainder_bound=float(remainder),
-        rounding_bound=gamma * float(np.dot(pmf, np.abs(inner))),
+        rounding_bound=rounding_gamma(2 * trunc_k) * float(np.dot(pmf, np.abs(inner))),
         truncation_k=trunc_k,
         eta=eta,
     )
@@ -653,10 +659,15 @@ def series_implication_suite(
     ks = np.arange(1, trunc_k + 1)
     pmf = np.asarray(index.pmf(ks), dtype=float)
 
+    # the closed form reads row k as positions 1..k of the series
     series = getattr(array, "series", None)
-    if series is not None and all(
-        isinstance(member, Normal) and member.mean == 0.0
-        for member in map(series.standardized, range(1, trunc_k + 1))
+    if (
+        series is not None
+        and all(array.row_length(int(k)) == k for k in ks)
+        and all(
+            isinstance(member, Normal) and member.mean == 0.0
+            for member in map(series.standardized, range(1, trunc_k + 1))
+        )
     ):
         rows = _normal_series_row_values(series, trunc_k, epsilon_grid, delta_grid)
         value = lambda key: float(np.dot(pmf, rows[key]))

@@ -151,6 +151,10 @@ class ScalarDistribution:
         """(values, probabilities) for purely atomic laws, else None."""
         return None
 
+    def normal_params(self) -> Optional[Tuple[float, float]]:
+        """(mean, variance) for laws that are exactly normal, else None."""
+        return None
+
     def support(self) -> Tuple[float, float]:
         return (-math.inf, math.inf)
 
@@ -253,6 +257,9 @@ class Normal(ScalarDistribution):
     def pdf(self, x: ArrayLike) -> ArrayLike:
         z = (np.asarray(x, dtype=float) - self.mean) / self._sigma
         return _norm_pdf(z) / self._sigma
+
+    def normal_params(self) -> Tuple[float, float]:
+        return self.mean, self.variance
 
     def char_fn(self, t: ArrayLike) -> Union[complex, np.ndarray]:
         t = np.asarray(t, dtype=float)
@@ -1044,7 +1051,10 @@ class FiniteIndex(RandomIndex):
 
     def tail_mass(self, k: int) -> float:
         idx = np.searchsorted(self._values, k, side="right")
-        return float(1.0 - (self._cum[idx - 1] if idx > 0 else 0.0))
+        if idx == self._values.size:
+            # past the support the tail is 0, whatever the cumulative sum rounds to
+            return 0.0
+        return max(float(1.0 - (self._cum[idx - 1] if idx > 0 else 0.0)), 0.0)
 
     def _truncation_guess(self, eta: float) -> int:
         return int(self._values[0])

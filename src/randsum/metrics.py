@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .arrays import TriangularArray, expand
-from .conditions import InequalityCheck, IMPLICATION_SLACK
+from .conditions import IMPLICATION_SLACK, UNIT_ROUNDOFF, InequalityCheck, rounding_gamma
 from .distributions import (
     Normal,
     RandomIndex,
@@ -55,6 +55,13 @@ ATOM_BUDGET = 1 << 20
 # refinement passes follow
 _KOLMOGOROV_GRID = 4097
 _REFINE_TOP = 16
+# absolute error of scipy.special.ndtr assumed by the exact-normal bound;
+# tests/test_metrics.py checks it against 40-digit values (largest seen:
+# 1.7 u)
+NDTR_ABS_ERR = 4.0 * UNIT_ROUNDOFF
+# phi(1) = max_z |z| phi(z) = max_z |phi'(z)|, rounded up
+_PHI_AT_1 = math.exp(-0.5) / math.sqrt(2.0 * math.pi) * (1.0 + rounding_gamma(4))
+_LOG_2_SQRT_2PI = math.log(2.0 * math.sqrt(2.0 * math.pi))
 # base cell count of the zeta integration grid; two doublings follow
 _ZETA_CELLS = 4096
 # absolute tolerance on moment agreement required by the iterated-integral
@@ -86,6 +93,8 @@ class DistanceEstimate:
 
     * ``exact-atomic``: Kolmogorov distance with at least one purely
       atomic law, evaluated at that law's atoms; exact, bound 0;
+    * ``exact-normal``: Kolmogorov distance between two normal laws,
+      evaluated where their densities cross; the bound covers rounding;
     * ``exact-grid``: Kolmogorov distance between two laws with no atoms
       list, searched on a refined grid whose bound covers the cells and
       tails it cannot see;
@@ -211,6 +220,13 @@ class SumLaw(ScalarDistribution):
     def atoms(self):
         if self.is_atomic:
             return self._values.copy(), self._probs.copy()
+        return None
+
+    def normal_params(self) -> Optional[Tuple[float, float]]:
+        # one atom of mass 1 shifts the normal part: mean and variance are
+        # then exactly the normal law's
+        if self._values.size == 1 and self._probs[0] == 1.0 and not self.is_atomic:
+            return self.mean, self.variance
         return None
 
     def support(self) -> Tuple[float, float]:
@@ -412,6 +428,106 @@ def _gaps(f_law: ScalarDistribution, g_law: ScalarDistribution, xs: np.ndarray) 
     return np.maximum(left, right)
 
 
+def _slope_term(delta: float, x: float, mean: float, var: float, sd: float) -> float:
+    """delta^2 / 2 times the largest |density'| of N(mean, var) within delta of x."""
+    if delta == 0.0:
+        return 0.0
+    # standardized distance of [x - delta, x + delta] from the mean, rounded down
+    w = max(abs(x - mean) - delta, 0.0) * (1.0 - rounding_gamma(4)) / sd
+    if w <= 1.0:
+        return 0.5 * delta * delta * _PHI_AT_1 / var
+    # w phi(w) / var in logs, so a far point's vanishing slope meets a large
+    # delta without underflow; the factor 2 covers the exponent's rounding
+    exponent = 2.0 * math.log(delta) + math.log(w) - 0.5 * w * w - math.log(var) - _LOG_2_SQRT_2PI
+    return math.inf if exponent > 700.0 else 2.0 * math.exp(exponent)
+
+
+def _normal_kolmogorov(m1: float, v1: float, m2: float, v2: float) -> Optional[DistanceEstimate]:
+    """sup_x |F(x) - G(x)| for F = N(m1, v1) and G = N(m2, v2), or None.
+
+    *Where the supremum is.*  D = F - G vanishes at both infinities, so
+    sup |D| is reached where D' = f - g = 0: where the densities cross.
+    Let a be the narrower law (va <= vb) and y = (x - ma) / sa.  Taking
+    logs of f = g, the crossings solve
+
+        Q(y) = d y^2 + 2 b y + c = 0,    d = (vb - va) / va >= 0,
+        b = (mb - ma) / sa,   rho = vb / va,   L = log1p(d) >= 0,
+        c = -(b^2 + rho L),   disc / 4 = rho (b^2 + d L),
+
+    and disc > 0 unless the laws coincide.  The roots are q / d and c / q
+    with q = -b - sign(b) sqrt(disc / 4), free of cancellation; for d = 0
+    only c / q = b / 2 exists.  Units of the narrower law, centred on its
+    mean, keep b clear of the cancellation in vb ma - va mb, and d >= 0
+    keeps the relative error of log1p(d) at most that of d.
+
+    *Root error, certified after the fact.*  Q(y) = d (y - r1)(y - r2)
+    with |r1 - r2| = 2 sqrt(disc / 4) / d, so some root lies within
+    |Q(y)| / sqrt(disc / 4) of any y (for d = 0 too, where Q is linear
+    with slope 2 |b|).  Each coefficient of Q is at most 8 roundings from
+    its exact value (log1p counted as 2) and Horner's rule adds 4, so the
+    exact |Q(y^)| is at most the computed one plus gamma_16 (d y^2 +
+    2 |b y| - c); the computed sqrt(disc / 4) is within a factor
+    1 - gamma_8 of the exact one.  Mapping x^ = ma + sa y^ adds gamma_3
+    (|x^| + sa |y^|).  The two crossings found must lie farther apart than
+    their two error radii delta, so they sit near different roots.  Where
+    that fails, or any number is not finite, this returns None and
+    ``kolmogorov`` searches the grid.
+
+    *Value error.*  D' = 0 at a root r, so |D(r) - D(x^)| <= delta^2 / 2
+    times max |D''| on [x^ - delta, x^ + delta], and |D''| <= |f'| + |g'|
+    with |f'(x)| = |z| phi(z) / v1, z = (x - m1) / s1, at most
+    psi(w) / v1 for w the interval's standardized distance from m1 and
+    psi(w) = phi(1) for w <= 1, w phi(w) beyond (where it decreases).  At
+    the points themselves ndtr errs by at most NDTR_ABS_ERR; its argument
+    carries relative error gamma_3 (a difference, a square root and a
+    quotient), which moves Phi by at most gamma_3 |z| phi(z (1 - gamma_3))
+    <= gamma_4 phi(1); the difference of the two CDFs rounds by at most
+    u.  Hence
+
+        |sup |D| - value| <= 2 (NDTR_ABS_ERR + gamma_4 phi(1)) + u
+                             + max over points of the delta^2 terms,
+
+    which is the bound reported.  Intermediate underflow is not covered.
+    """
+    if m1 == m2 and v1 == v2:
+        return DistanceEstimate(0.0, 0.0, "exact-normal", {"grid": 0.0})
+    (ma, va), (mb, vb) = sorted(((m1, v1), (m2, v2)), key=lambda mv: mv[1])
+    sa = math.sqrt(va)
+    d = (vb - va) / va
+    b = (mb - ma) / sa
+    rho = vb / va
+    log_rho = math.log1p(d)
+    c = -(b * b + rho * log_rho)
+    root = math.sqrt(rho * (b * b + d * log_rho))
+    if root == 0.0:
+        return None  # the laws differ, but b and d underflowed
+    q = -b - math.copysign(root, b)
+    points: List[float] = []
+    deltas: List[float] = []
+    for y in (c / q,) if d == 0.0 else (c / q, q / d):
+        residual = (d * y + 2.0 * b) * y + c
+        size = (d * abs(y) + 2.0 * abs(b)) * abs(y) - c
+        dy = (abs(residual) + rounding_gamma(16) * size) / (root * (1.0 - rounding_gamma(8)))
+        x = ma + sa * y
+        points.append(x)
+        deltas.append(sa * dy * (1.0 + rounding_gamma(1))
+                      + rounding_gamma(3) * (abs(x) + sa * abs(y)))
+    if not all(map(math.isfinite, points + deltas)):
+        return None
+    if len(points) == 2 and abs(points[0] - points[1]) <= deltas[0] + deltas[1]:
+        return None
+
+    s1, s2 = math.sqrt(v1), math.sqrt(v2)
+    xs = np.array(points)
+    value = float(np.max(np.abs(ndtr((xs - m1) / s1) - ndtr((xs - m2) / s2))))
+    root_error = max(
+        _slope_term(dx, x, m1, v1, s1) + _slope_term(dx, x, m2, v2, s2)
+        for x, dx in zip(points, deltas)
+    )
+    bound = 2.0 * (NDTR_ABS_ERR + rounding_gamma(4) * _PHI_AT_1) + UNIT_ROUNDOFF + root_error
+    return DistanceEstimate(value, bound, "exact-normal", {"grid": float(len(points))})
+
+
 def kolmogorov(f_law: ScalarDistribution, g_law: ScalarDistribution) -> DistanceEstimate:
     """sup_x |F(x) - G(x)| with both one-sided limits at every candidate.
 
@@ -422,6 +538,11 @@ def kolmogorov(f_law: ScalarDistribution, g_law: ScalarDistribution) -> Distance
     the other CDF is monotone there, so the gap is largest at the one-sided
     limits, which ``cdf`` and ``prob_le`` at the atoms give exactly.
     ``params["grid"]`` is the number of atoms evaluated.
+
+    When both laws are normal (``normal_params()`` is not None for both)
+    the supremum is taken where the two densities cross, method
+    ``exact-normal``; the bound covers the rounding (``_normal_kolmogorov``)
+    and ``params["grid"]`` is the number of crossings evaluated, at most 2.
 
     Otherwise (method ``exact-grid``) the search grid has _KOLMOGOROV_GRID
     points spanning both laws' mean +- 10 standard deviations, refined
@@ -437,6 +558,11 @@ def kolmogorov(f_law: ScalarDistribution, g_law: ScalarDistribution) -> Distance
             atoms = at[0]
             value = float(np.max(_gaps(f_law, g_law, atoms)))
             return DistanceEstimate(value, 0.0, "exact-atomic", {"grid": float(atoms.size)})
+    f_params, g_params = f_law.normal_params(), g_law.normal_params()
+    if f_params is not None and g_params is not None:
+        est = _normal_kolmogorov(*f_params, *g_params)
+        if est is not None:
+            return est
 
     spread_f = 10.0 * max(f_law.std, 1e-12)
     spread_g = 10.0 * max(g_law.std, 1e-12)
@@ -580,7 +706,9 @@ def delta_mixture(
     ``mode="rows"`` takes the complete row ``k`` sum for each ``k``
     (the normalized-sequence reading, where row k carries its own
     normalizer).  Rows without an exact convolution use Monte Carlo with
-    a DKW bound and require ``rng``.
+    a DKW bound and require ``rng``.  The bound is the index-weighted
+    per-k bounds plus the neglected index tail plus the rounding of the
+    K-term sum.
     """
     if mode not in ("prefix", "rows"):
         raise ValueError("mode must be 'prefix' or 'rows'")
@@ -610,6 +738,9 @@ def delta_mixture(
             per_k_method = "empirical"
         value += w * est.value
         bound += w * est.bound
+    # the K weighted terms round by at most gamma_K * sum_k p_k |Delta_k|
+    # (Higham 2002, ch. 3); every term is nonnegative, so that sum is the value
+    bound += rounding_gamma(int(trunc_k)) * value
     return DistanceEstimate(
         float(value),
         float(bound),

@@ -329,6 +329,21 @@ class TestSeriesSuite:
         assert [(c.lhs, c.rhs) for c in checks] == expected
         assert all(c.ok for c in checks)
 
+    def test_longer_rows_take_the_generic_path(self, monkeypatch):
+        # row k of a "2n" array spans positions 1..2k, which the closed form
+        # (row k = positions 1..k) does not describe
+        eps_grid, delta_grid = [0.5], [1.0]
+        idx = Geometric(0.5)
+        arr = from_series(shiryaev_series(), rows="2n")
+        calls = count_calls(monkeypatch, cond, "_normal_series_row_values")
+        checks = series_implication_suite(arr, idx, eps_grid, delta_grid)
+        assert calls == []
+        expected = self.generic_reference(arr, idx, eps_grid, delta_grid)
+        assert [(c.lhs, c.rhs) for c in checks] == expected
+        lind, fel = checks[0].lhs, checks[1].lhs
+        assert lind == pytest.approx(0.8476149741403859, rel=1e-12)
+        assert fel == pytest.approx(0.5, abs=1e-9)
+
     def test_series_chain_holds_deep(self):
         checks = series_implication_suite(
             from_series(shiryaev_series()),
@@ -501,3 +516,51 @@ class TestEntryCalls:
         assert len(pulled) > 0
         positions = [j for _, n, j in calls]
         assert max(positions) == detail.truncation_k + len(pulled)
+
+
+class TestRowValidation:
+    """Each row is validated once per array, however many functionals read it."""
+
+    def test_one_validation_per_row(self, monkeypatch):
+        calls = count_calls(monkeypatch, TriangularArray, "validate")
+        array = make_shiryaev_array()
+        evaluate_report(array, 8, 0.5, 1.0, index=ShiftedPoisson(8.0))
+        assert [n for _, n in calls] == [8]
+        evaluate_report(array, 8, 0.3, 1.0, index=ShiftedPoisson(8.0))
+        feller(array, 8)
+        lindeberg(array, 16, 0.5)
+        assert [n for _, n in calls] == [8, 16]
+
+    def test_invalid_rows_raise_on_every_call(self, monkeypatch):
+        class HalfVariance(TriangularArray):
+            def _entry(self, n, j):
+                return Normal(0.0, 0.5 / n)
+
+        calls = count_calls(monkeypatch, TriangularArray, "validate")
+        array = HalfVariance()
+        for _ in range(2):
+            with pytest.raises(cond.InvalidRowError):
+                feller(array, 4)
+        assert len(calls) == 1
+
+    def test_threads_racing_on_new_rows_agree(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        rows = [4, 8, 16, 32] * 4
+        array = from_series(shiryaev_series())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                reports = list(pool.map(
+                    lambda n: evaluate_report(array, n, 0.5, 1.0,
+                                              functionals=("feller",)).to_json_dict(),
+                    rows, timeout=60,
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+        fresh = from_series(shiryaev_series())
+        for n, report in zip(rows, reports):
+            assert report == evaluate_report(fresh, n, 0.5, 1.0, functionals=("feller",)).to_json_dict()
+            assert array.validation(n) == fresh.validate(n)

@@ -203,6 +203,13 @@ class TestIndices:
         assert f.truncation(1e-10) == 5
         assert f.tail_mass(2) == pytest.approx(0.75)
 
+    def test_finite_index_tail_is_never_negative(self):
+        # seven masses of 1/7 add up to 1 + 2^-52
+        f = FiniteIndex(range(1, 8), [1.0 / 7.0] * 7)
+        assert f.tail_mass(7) == 0.0
+        assert f.tail_mass(100) == 0.0
+        assert all(f.tail_mass(k) >= 0.0 for k in range(0, 8))
+
     def test_fractional_tail_sampling(self):
         rng = np.random.default_rng(11)
         g = Geometric(0.2)

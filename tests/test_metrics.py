@@ -2,19 +2,25 @@
 
 import itertools
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import ndtr
 from scipy.stats import norm
 
+import randsum.metrics as metrics_module
 from randsum.arrays import (
     TriangularArray,
+    from_series,
     make_iid_array,
     make_rare_jump_array,
     make_shiryaev_array,
+    shiryaev_series,
 )
+from randsum.conditions import rounding_gamma
 from randsum.distributions import (
     CenteredExponential,
     Deterministic,
@@ -29,6 +35,7 @@ from randsum.distributions import (
     shift,
 )
 from randsum.metrics import (
+    NDTR_ABS_ERR,
     ConvolutionError,
     MixtureLaw,
     MomentMismatchError,
@@ -85,7 +92,7 @@ class TestKolmogorov:
         xs = math.sqrt(8.0 * math.log(2.0) / 3.0)
         expected = abs(norm.cdf(xs) - norm.cdf(xs / 2.0))
         assert est.value == pytest.approx(expected, abs=1e-9)
-        assert est.method == "exact-grid"
+        assert est.method == "exact-normal"
 
     def test_shiryaev_row_sum_is_standard_normal(self):
         law = row_sum_law(SHIRYAEV, 8)
@@ -99,6 +106,94 @@ class TestKolmogorov:
         # gap only on [-1, 0) and [0, 1): |0.5 - 0.25| and |0.5 - 0.75|
         assert est.value == pytest.approx(0.25, abs=1e-15)
         assert est.method == "exact-atomic"
+
+
+def normal_ks_40_digits(m1, v1, m2, v2):
+    """sup_x |Phi((x - m1)/s1) - Phi((x - m2)/s2)| to 40 digits.
+
+    The densities cross where d x^2 - 2 p x + C = 0 with d = v2 - v1,
+    p = v2 m1 - v1 m2 and C = v2 m1^2 - v1 m2^2 - v1 v2 log(v2 / v1); the
+    supremum is at a crossing, because the difference vanishes at both
+    infinities.
+    """
+    with mpmath.workdps(40):
+        m1, v1, m2, v2 = map(mpmath.mpf, (m1, v1, m2, v2))
+        if (m1, v1) == (m2, v2):
+            return mpmath.mpf(0)
+        gap = lambda x: abs(mpmath.ncdf((x - m1) / mpmath.sqrt(v1))
+                            - mpmath.ncdf((x - m2) / mpmath.sqrt(v2)))
+        d, p = v2 - v1, v2 * m1 - v1 * m2
+        if d == 0:
+            return gap((m1 + m2) / 2)
+        c = v2 * m1 ** 2 - v1 * m2 ** 2 - v1 * v2 * mpmath.log(v2 / v1)
+        root = mpmath.sqrt(p * p - d * c)
+        return max(gap((p + root) / d), gap((p - root) / d))
+
+
+def _normal_pairs():
+    rng = np.random.default_rng(20)
+    pairs = [
+        (rng.normal() * 3.0, math.exp(rng.normal() * 3.0),
+         rng.normal() * 3.0, math.exp(rng.normal() * 3.0))
+        for _ in range(60)
+    ]
+    for ratio in (1e-15, 1e-14, 1e-12, 1e-9, 1e-6):
+        for offset in (0.0, 1e-9, 0.3, 5.0):
+            pairs += [(offset, 1.0, 0.0, 1.0 + ratio), (3.0, 2.0, 3.0 + offset, 2.0 * (1.0 + ratio))]
+    pairs += [(0.0, 1.0, offset, 1.0) for offset in (1e-9, 1e-3, 1.0, 10.0, 40.0)]
+    pairs += [(5.0, 3.0, 5.0, 3.0), (0.0, 1.0, 0.0, 4.0)]
+    for scale in (1e-8, 1e8):
+        pairs += [(0.1 * scale, scale ** 2, -0.2 * scale, 1.3 * scale ** 2),
+                  (scale, scale ** 2, scale, 1.5 * scale ** 2),
+                  (0.0, scale ** 2, 1e-3 * scale, scale ** 2),
+                  (0.0, scale ** 2, 0.0, scale ** 2 * (1.0 + 1e-12))]
+    return pairs
+
+
+class TestKolmogorovNormalPair:
+    @pytest.mark.parametrize("m1,v1,m2,v2", _normal_pairs())
+    def test_against_40_digits_in_both_orders(self, m1, v1, m2, v2):
+        for f, g in ((Normal(m1, v1), Normal(m2, v2)), (Normal(m2, v2), Normal(m1, v1))):
+            est = kolmogorov(f, g)
+            assert est.method == "exact-normal"
+            assert est.params["grid"] <= 2
+            exact = normal_ks_40_digits(*f.normal_params(), *g.normal_params())
+            assert abs(est.value - exact) <= est.bound
+            assert est.bound <= 1e-14
+
+    def test_identical_laws_are_exactly_zero(self):
+        est = kolmogorov(Normal(0.3, 2.0), Normal(0.3, 2.0))
+        assert (est.value, est.bound, est.method) == (0.0, 0.0, "exact-normal")
+
+    def test_ndtr_accuracy_the_bound_assumes(self):
+        xs = np.concatenate([np.linspace(-40.0, 40.0, 1601),
+                             np.random.default_rng(4).normal(scale=2.0, size=1500)])
+        with mpmath.workdps(40):
+            worst = max(abs(mpmath.mpf(float(ndtr(x))) - mpmath.ncdf(mpmath.mpf(float(x))))
+                        for x in xs)
+        assert worst <= NDTR_ABS_ERR
+
+    def test_sum_law_with_a_normal_part_is_a_normal_pair(self):
+        law = sum_of_independent([Normal(0.5, 2.0), Normal(-0.25, 1.0)])
+        assert law.normal_params() == (0.25, 3.0)
+        est = kolmogorov(law, PHI)
+        assert est.method == "exact-normal"
+        assert est.value == kolmogorov(Normal(0.25, 3.0), PHI).value
+        shifted = sum_of_independent([FiniteDiscrete([2.0], [1.0]), Normal(0.5, 2.0)])
+        assert shifted.normal_params() == (2.5, 2.0)
+        assert sum_of_independent([Rademacher(), PHI]).normal_params() is None
+        assert RARE_SIX.normal_params() is None
+        assert MixtureLaw([PHI, Normal(1.0, 1.0)], [0.5, 0.5]).normal_params() is None
+        assert Uniform(-1.0, 1.0).normal_params() is None
+
+    def test_other_continuous_pairs_keep_the_grid(self):
+        for f, g in ((Uniform(-1.0, 1.0), PHI), (MixtureLaw([PHI, Normal(1.0, 1.0)], [0.5, 0.5]), PHI)):
+            assert kolmogorov(f, g).method == "exact-grid"
+
+    def test_pairs_past_float_resolution_fall_back_to_the_grid(self):
+        # (m2 - m1) / s1 underflows to 0 with equal variances: no crossing
+        # can be solved for, and no division by zero may escape
+        assert kolmogorov(Normal(0.0, 1e300), Normal(1e-300, 1e300)).method == "exact-grid"
 
 
 def step_cdf(values, probs):
@@ -408,6 +503,38 @@ class TestMixtureDistances:
         est = delta_mixture(uni, Deterministic(4), 4, rng=rng, samples_per_k=4000)
         assert est.method == "mixture"
         assert est.bound >= dkw_bound(4000, 0.01)
+
+    def test_normal_rows_never_search_the_grid(self, monkeypatch):
+        searched = []
+        gaps = metrics_module._gaps
+        monkeypatch.setattr(metrics_module, "_gaps", lambda *a: searched.append(a) or gaps(*a))
+        per_k = []
+        exact = metrics_module.kolmogorov
+        monkeypatch.setattr(metrics_module, "kolmogorov",
+                            lambda f, g: per_k.append(exact(f, g)) or per_k[-1])
+        idx = ShiftedPoisson(8.0)
+        est = delta_mixture(from_series(shiryaev_series()), idx, 8, mode="rows")
+        assert len(per_k) == idx.truncation(1e-10)
+        assert searched == []
+        assert all(e.method == "exact-normal" and e.params["grid"] <= 2 for e in per_k)
+        assert est.value <= 1e-14
+        assert est.bound <= 1e-10 + 1e-14
+
+    def test_mixture_rounding_is_in_the_bound(self, monkeypatch):
+        # atomic rows and a finite index: every per-k bound and the tail
+        # are 0, so only the rounding of the K-term sum is left to cover
+        per_k = []
+        exact = metrics_module.kolmogorov
+        monkeypatch.setattr(metrics_module, "kolmogorov",
+                            lambda f, g: per_k.append(exact(f, g)) or per_k[-1])
+        idx = FiniteIndex(range(1, 6), [0.2] * 5)
+        est = delta_mixture(RARE, idx, 16)
+        weights = idx.pmf(np.arange(1, 6))
+        mixed = sum(Fraction(float(w)) * Fraction(e.value) for w, e in zip(weights, per_k))
+        assert all(e.bound == 0.0 for e in per_k)
+        assert Fraction(est.value) != mixed
+        assert abs(Fraction(est.value) - mixed) <= Fraction(est.bound)
+        assert est.bound == rounding_gamma(5) * est.value
 
     def test_one_law_rows_build_no_entry(self, monkeypatch):
         built = []
