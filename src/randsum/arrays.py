@@ -61,9 +61,9 @@ class ArrayError(ValueError):
 class RowLengths:
     """Row-length rule n -> k_n; must be nondecreasing and unbounded.
 
-    Accepts the string ``"n"`` (identity, the default), ``"2n"``, a plain
-    callable, or an integer offset rule is not supported deliberately:
-    constant rules would violate unboundedness.
+    Accepts the string ``"n"`` (identity, the default), ``"2n"`` or a
+    plain callable.  Integer rules are deliberately not accepted: a
+    constant rule would violate unboundedness.
     """
 
     def __init__(self, rule: RowRule = "n", minimum: int = 1):
@@ -282,8 +282,9 @@ class SeriesForm:
     When the raw member laws themselves outgrow float64, supply explicit
     ``log_variance`` and ``standardized`` callables (the law of
     (X_j - a_j)/sd_j); by default both derive from ``base``.
-    ``series_implication_suite`` switches to closed forms when every
-    standardized member it needs is a centered ``Normal``.
+    ``series_implication_suite`` switches to closed forms when every row
+    k it mixes is positions 1..k of the series (``row_length(k) == k``)
+    and every standardized member it needs is a centered ``Normal``.
     """
 
     def __init__(

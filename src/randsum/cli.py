@@ -799,6 +799,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not hasattr(args, "plan"):
         args.plan = None
     try:
+        if getattr(args, "quad_tol", None) is not None:
+            _positive_number(args.quad_tol, "--quad-tol")
         return _DISPATCH[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -54,6 +55,7 @@ __all__ = [
     "RandomizedValue",
     "randomized_detailed",
     "RANDOMIZED_TAGS",
+    "FUNCTIONALS",
     "InequalityCheck",
     "implication_suite",
     "series_implication_suite",
@@ -82,28 +84,6 @@ def rounding_gamma(m: int) -> float:
     return m * UNIT_ROUNDOFF / (1.0 - m * UNIT_ROUNDOFF)
 
 
-# the functional names evaluate_report emits, its keys cut at "@"; the
-# rand_ ones need an index
-REPORT_FUNCTIONALS = (
-    "lindeberg",
-    "lyapunov",
-    "feller",
-    "infinitesimality",
-    "infinitesimality_ratio",
-    "cf_deviation",
-    "rotar",
-    "sigma_star",
-    "rand_lindeberg",
-    "rand_lyapunov",
-    "rand_feller",
-    "rand_infinitesimality",
-    "rand_rotar",
-    "rand_sigma_star",
-)
-
-SUM_TAGS = ("RL", "RLambda", "RR")
-MAX_TAGS = ("RF", "RI", "R-sigma-star")
-RANDOMIZED_TAGS = SUM_TAGS + MAX_TAGS
 _TAG_ALIASES = {"RΛ": "RLambda"}  # Greek capital lambda
 
 
@@ -136,18 +116,6 @@ def _eps_ok(epsilon: float) -> float:
 # ---------------------------------------------------------------------------
 # per-entry evaluations
 # ---------------------------------------------------------------------------
-
-
-def _tail_probability(dist: ScalarDistribution, eps: float) -> float:
-    """P(|X| >= eps) with exact jump handling at the threshold."""
-    high = 1.0 - float(dist.cdf(eps))
-    low = float(dist.prob_le(-eps))
-    return high + low
-
-
-def _second_moment_ratio(dist: ScalarDistribution) -> float:
-    """E[X^2 / (1 + X^2)], a bounded infinitesimality gauge."""
-    return dist.expectation(lambda x: np.square(x) / (1.0 + np.square(x)))
 
 
 def _rotar_entry(
@@ -235,66 +203,131 @@ def rotar_error_bound(row_length: int, quad_tol: float = QUAD_ABS_TOL) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _row_runs(
-    array: TriangularArray, n: int, fn: Callable[[ScalarDistribution], float]
-) -> List[Tuple[float, int]]:
-    """(fn(law), count) for the runs of validated row n, fn once per run."""
+def _library_bound(row_length: int, quad_tol: float) -> float:
+    """Moments fall back to quadrature at the library tolerance when no
+    closed form applies; this a priori bound covers that case."""
+    return row_length * QUAD_ABS_TOL
+
+
+@dataclass(frozen=True)
+class Functional:
+    """One condition functional, declared once.
+
+    ``entry(law, parameter, quad_tol)`` is one entry's contribution, and
+    ``reduce`` (``"sum"`` or ``"max"``) folds a row's in position order.
+    ``parameter`` is ``"epsilon"``, ``"delta"``, ``"t"`` or None; ``tag``
+    names the randomized form (the index mixture of the same prefix
+    functional), if any.  ``bound(row_length, quad_tol)`` is the a priori
+    evaluation error of a row.  With ``takes_quad_tol`` the entry is a
+    quadrature at the caller's tolerance: the function takes it, and the
+    randomized form carries the bound over its K positions too.
+    """
+
+    entry: Callable[[ScalarDistribution, Optional[float], float], float]
+    reduce: str
+    parameter: Optional[str]
+    tag: Optional[str]
+    bound: Optional[Callable[[int, float], float]] = None
+    takes_quad_tol: bool = False
+
+
+FUNCTIONALS: Dict[str, Functional] = {
+    "lindeberg": Functional(
+        lambda d, eps, tol: d.truncated_second_moment(eps), "sum", "epsilon", "RL",
+        _library_bound,
+    ),
+    "lyapunov": Functional(
+        lambda d, delta, tol: d.abs_moment(2.0 + delta), "sum", "delta", "RLambda",
+        _library_bound,
+    ),
+    "feller": Functional(lambda d, _, tol: d.variance, "max", None, "RF"),
+    # P(|X| >= eps), exact at a jump on the threshold
+    "infinitesimality": Functional(
+        lambda d, eps, tol: 1.0 - float(d.cdf(eps)) + float(d.prob_le(-eps)),
+        "max", "epsilon", "RI",
+    ),
+    # E[X^2 / (1 + X^2)], a bounded infinitesimality gauge
+    "infinitesimality_ratio": Functional(
+        lambda d, _, tol: d.expectation(lambda x: np.square(x) / (1.0 + np.square(x))),
+        "max", None, None, _library_bound,
+    ),
+    "cf_deviation": Functional(lambda d, t, tol: abs(d.char_fn(t) - 1.0), "max", "t", None),
+    "rotar": Functional(
+        lambda d, eps, tol: _rotar_entry(d, eps, quad_tol=tol), "sum", "epsilon", "RR",
+        rotar_error_bound, takes_quad_tol=True,
+    ),
+    "sigma_star": Functional(lambda d, _, tol: d.std, "max", None, "R-sigma-star"),
+}
+
+_BY_TAG = {spec.tag: name for name, spec in FUNCTIONALS.items() if spec.tag}
+RANDOMIZED_TAGS = tuple(_BY_TAG)
+# the functional names evaluate_report emits, its keys cut at "@"; the
+# rand_ ones need an index
+REPORT_FUNCTIONALS = (*FUNCTIONALS, *(f"rand_{name}" for name in _BY_TAG.values()))
+
+# parameter kind -> its validation
+_PARAMETER_OK = {"epsilon": _eps_ok, "delta": _delta_ok, "t": float, None: lambda _: None}
+
+
+def _row_value(
+    name: str,
+    array: TriangularArray,
+    n: int,
+    param: Optional[float] = None,
+    quad_tol: float = QUAD_ABS_TOL,
+) -> float:
+    """Functional ``name`` of validated row n: each run's law evaluated
+    once, then summed left to right or maximized in position order."""
+    spec = FUNCTIONALS[name]
+    param = _PARAMETER_OK[spec.parameter](param)
     k = _guard_row(array, n)
-    return [(float(fn(law)), size) for law, size in array.prefix_runs(n, k)]
-
-
-def _row_sum(array: TriangularArray, n: int, fn: Callable[[ScalarDistribution], float]) -> float:
-    return run_sum(_row_runs(array, n, fn))
-
-
-def _row_max(array: TriangularArray, n: int, fn: Callable[[ScalarDistribution], float]) -> float:
-    return max(value for value, _ in _row_runs(array, n, fn))
+    runs = [
+        (float(spec.entry(law, param, quad_tol)), size)
+        for law, size in array.prefix_runs(n, k)
+    ]
+    return run_sum(runs) if spec.reduce == "sum" else max(value for value, _ in runs)
 
 
 def lindeberg(array: TriangularArray, n: int, epsilon: float) -> float:
     """Lindeberg sum over row n at threshold ``epsilon``."""
-    eps = _eps_ok(epsilon)
-    return _row_sum(array, n, lambda d: d.truncated_second_moment(eps))
+    return _row_value("lindeberg", array, n, epsilon)
 
 
 def lyapunov(array: TriangularArray, n: int, delta: float) -> float:
     """Lyapunov sum of absolute moments of order 2 + delta over row n."""
-    d = _delta_ok(delta)
-    return _row_sum(array, n, lambda dist: dist.abs_moment(2.0 + d))
+    return _row_value("lyapunov", array, n, delta)
 
 
 def feller(array: TriangularArray, n: int) -> float:
     """Largest entry variance in row n."""
-    return _row_max(array, n, lambda d: d.variance)
+    return _row_value("feller", array, n)
 
 
 def infinitesimality(array: TriangularArray, n: int, epsilon: float) -> float:
     """max_j P(|X_{nj}| >= epsilon) over row n."""
-    eps = _eps_ok(epsilon)
-    return _row_max(array, n, lambda d: _tail_probability(d, eps))
+    return _row_value("infinitesimality", array, n, epsilon)
 
 
 def infinitesimality_ratio(array: TriangularArray, n: int) -> float:
     """max_j E[X^2 / (1 + X^2)] over row n."""
-    return _row_max(array, n, _second_moment_ratio)
+    return _row_value("infinitesimality_ratio", array, n)
 
 
 def cf_deviation(array: TriangularArray, n: int, t: float) -> float:
     """max_j |phi_{nj}(t) - 1| over row n."""
-    return _row_max(array, n, lambda d: abs(d.char_fn(t) - 1.0))
+    return _row_value("cf_deviation", array, n, t)
 
 
 def rotar(
     array: TriangularArray, n: int, epsilon: float, *, quad_tol: float = QUAD_ABS_TOL
 ) -> float:
     """Rotar sum over row n: normal-deviation weighted tail integrals."""
-    eps = _eps_ok(epsilon)
-    return _row_sum(array, n, lambda d: _rotar_entry(d, eps, quad_tol=quad_tol))
+    return _row_value("rotar", array, n, epsilon, quad_tol)
 
 
 def sigma_star(array: TriangularArray, n: int) -> float:
     """Largest entry standard deviation in row n."""
-    return _row_max(array, n, lambda d: d.std)
+    return _row_value("sigma_star", array, n)
 
 
 # ---------------------------------------------------------------------------
@@ -323,28 +356,6 @@ class RandomizedValue:
     @property
     def error_bound(self) -> float:
         return self.remainder_bound + self.rounding_bound
-
-
-def _entry_value_fn(
-    tag: str, epsilon: Optional[float], delta: Optional[float], quad_tol: float
-) -> Callable[[ScalarDistribution], float]:
-    if tag == "RL":
-        eps = _eps_ok(epsilon)
-        return lambda d: d.truncated_second_moment(eps)
-    if tag == "RLambda":
-        dd = _delta_ok(delta)
-        return lambda d: d.abs_moment(2.0 + dd)
-    if tag == "RR":
-        eps = _eps_ok(epsilon)
-        return lambda d: _rotar_entry(d, eps, quad_tol=quad_tol)
-    if tag == "RF":
-        return lambda d: d.variance
-    if tag == "RI":
-        eps = _eps_ok(epsilon)
-        return lambda d: _tail_probability(d, eps)
-    if tag == "R-sigma-star":
-        return lambda d: d.std
-    raise ValueError(f"unknown randomized tag {tag!r}; expected one of {RANDOMIZED_TAGS}")
 
 
 def _tail_extension(
@@ -413,26 +424,30 @@ def randomized_detailed(
 ) -> RandomizedValue:
     """Truncated-mixture evaluation of a randomized condition functional.
 
-    ``tag`` is one of ``RL``, ``RLambda``, ``RF``, ``RI``, ``RR``,
-    ``R-sigma-star``.  The mixture runs over ``k = 1..K`` with ``K`` the
-    smallest index satisfying ``P(nu > K) <= eta``.
+    ``tag`` is the tag of a ``FUNCTIONALS`` entry (``RANDOMIZED_TAGS``),
+    which fixes the per-law value, the reduction and whether ``epsilon``
+    or ``delta`` is read.  The mixture runs over ``k = 1..K`` with ``K``
+    the smallest index satisfying ``P(nu > K) <= eta``.
     """
     tag = _TAG_ALIASES.get(tag, tag)
     if not 0.0 < eta <= MAX_ETA:
         raise ValueError(f"eta must lie in (0, {MAX_ETA}]")
     _guard_row(array, n)
-    fn = _entry_value_fn(tag, epsilon, delta, quad_tol)
-    # one lazy stream of per-position values, fn run once per run, shared
-    # by the prefix and the tail walk
-    values = expand((float(fn(law)), size) for law, size in array.runs(n))
+    if tag not in _BY_TAG:
+        raise ValueError(f"unknown randomized tag {tag!r}; expected one of {RANDOMIZED_TAGS}")
+    spec = FUNCTIONALS[_BY_TAG[tag]]
+    param = _PARAMETER_OK[spec.parameter]({"epsilon": epsilon, "delta": delta}.get(spec.parameter))
+    is_max = spec.reduce == "max"
+    # one lazy stream of per-position values, each run's law evaluated
+    # once, shared by the prefix and the tail walk
+    values = expand(
+        (float(spec.entry(law, param, quad_tol)), size) for law, size in array.runs(n)
+    )
     trunc_k = index.truncation(eta)
     entry_vals = np.fromiter(islice(values, trunc_k), float, trunc_k)
     # divergent mixtures saturate to inf, which is the honest limit here
     with np.errstate(over="ignore"):
-        if tag in SUM_TAGS:
-            inner = np.cumsum(entry_vals)
-        else:
-            inner = np.maximum.accumulate(entry_vals)
+        inner = np.maximum.accumulate(entry_vals) if is_max else np.cumsum(entry_vals)
     ks = np.arange(1, trunc_k + 1)
     pmf = np.asarray(index.pmf(ks), dtype=float)
     value = float(np.dot(pmf, inner))
@@ -444,7 +459,7 @@ def randomized_detailed(
     elif eta_actual == 0.0:
         remainder = 0.0
     else:
-        extension = _tail_extension(values, trunc_k, index, inner_last, tag in MAX_TAGS)
+        extension = _tail_extension(values, trunc_k, index, inner_last, is_max)
         remainder = eta_actual * inner_last + extension
     # the K-term cumulative sums and the K-term dot product round by at
     # most gamma_2K * sum_k p_k |inner_k| (Higham 2002, ch. 3-4)
@@ -505,28 +520,44 @@ class InequalityCheck:
         return self.lhs <= self.rhs + self.tolerance
 
 
-def _chain_checks(
-    values: Dict[str, float],
+def _param_kwargs(name: str, param: Optional[float]) -> Dict[str, float]:
+    """``randomized_detailed`` keyword for functional ``name``'s parameter."""
+    kind = FUNCTIONALS[name].parameter
+    return {kind: param} if kind else {}
+
+
+def _chain(
+    value: Callable[[str, Optional[float]], float],
     label: str,
     idx_desc: Optional[tuple],
     n: int,
-    epsilon: float,
-    delta: float,
+    epsilon_grid: Sequence[float],
+    delta_grid: Sequence[float],
     prefix: str,
     tol: float,
 ) -> List[InequalityCheck]:
-    lind = values["lindeberg"]
-    lyap = values["lyapunov"]
-    fel = values["feller"]
-    infi = values["infinitesimality"]
-    mk = lambda name, lhs, rhs, eps=epsilon, dlt=delta: InequalityCheck(
-        name, label, idx_desc, n, eps, dlt, lhs, rhs, tol
-    )
-    return [
-        mk(f"{prefix}lindeberg<=eps^-delta*lyapunov", lind, epsilon ** (-delta) * lyap),
-        mk(f"{prefix}feller<=eps^2+lindeberg", fel, epsilon * epsilon + lind, dlt=None),
-        mk(f"{prefix}infinitesimality<=feller/eps^2", infi, fel / (epsilon * epsilon), dlt=None),
-    ]
+    """The implication chain Lyapunov => Lindeberg => Feller =>
+    infinitesimality over the grids.
+
+    ``value(name, param)`` is one functional's value, read once per pair.
+    """
+    value = lru_cache(maxsize=None)(value)
+    checks: List[InequalityCheck] = []
+    fel = value("feller", None)
+    for epsilon in epsilon_grid:
+        lind = value("lindeberg", epsilon)
+        infi = value("infinitesimality", epsilon)
+        for delta in delta_grid:
+            lyap = value("lyapunov", delta)
+            mk = lambda name, lhs, rhs, dlt=delta: InequalityCheck(
+                prefix + name, label, idx_desc, n, epsilon, dlt, lhs, rhs, tol
+            )
+            checks += [
+                mk("lindeberg<=eps^-delta*lyapunov", lind, epsilon ** (-delta) * lyap),
+                mk("feller<=eps^2+lindeberg", fel, epsilon * epsilon + lind, dlt=None),
+                mk("infinitesimality<=feller/eps^2", infi, fel / (epsilon * epsilon), dlt=None),
+            ]
+    return checks
 
 
 def implication_suite(
@@ -545,59 +576,24 @@ def implication_suite(
     Checked per (n, epsilon, delta): the Lyapunov domination of Lindeberg,
     the Feller bound by the Lindeberg sum, and the Chebyshev bound of
     infinitesimality; the same three with the random index when one is
-    supplied.  Returns one record per inequality instance.
+    supplied.  Returns one record per inequality instance: for each n the
+    classical ones, then the randomized ones.
     """
     checks: List[InequalityCheck] = []
     for n in n_grid:
-        idx = None
-        if index_factory is not None:
-            idx = index_factory(n) if callable(index_factory) else index_factory
-        fel = feller(array, n)
-        for epsilon in epsilon_grid:
-            lind = lindeberg(array, n, epsilon)
-            infi = infinitesimality(array, n, epsilon)
-            if idx is not None:
-                r_lind = randomized("RL", array, idx, n, epsilon=epsilon, eta=eta)
-                r_fel = randomized("RF", array, idx, n, eta=eta)
-                r_inf = randomized("RI", array, idx, n, epsilon=epsilon, eta=eta)
-            for delta in delta_grid:
-                lyap = lyapunov(array, n, delta)
-                checks.extend(
-                    _chain_checks(
-                        {
-                            "lindeberg": lind,
-                            "lyapunov": lyap,
-                            "feller": fel,
-                            "infinitesimality": infi,
-                        },
-                        array.label,
-                        None,
-                        n,
-                        epsilon,
-                        delta,
-                        "",
-                        tolerance,
-                    )
-                )
-                if idx is not None:
-                    r_lyap = randomized("RLambda", array, idx, n, delta=delta, eta=eta)
-                    checks.extend(
-                        _chain_checks(
-                            {
-                                "lindeberg": r_lind,
-                                "lyapunov": r_lyap,
-                                "feller": r_fel,
-                                "infinitesimality": r_inf,
-                            },
-                            array.label,
-                            idx.descriptor(),
-                            n,
-                            epsilon,
-                            delta,
-                            "rand_",
-                            tolerance,
-                        )
-                    )
+        checks += _chain(
+            lambda name, param: _row_value(name, array, n, param),
+            array.label, None, n, epsilon_grid, delta_grid, "", tolerance,
+        )
+        if index_factory is None:
+            continue
+        idx = index_factory(n) if callable(index_factory) else index_factory
+        checks += _chain(
+            lambda name, param: randomized(
+                FUNCTIONALS[name].tag, array, idx, n, eta=eta, **_param_kwargs(name, param)
+            ),
+            array.label, idx.descriptor(), n, epsilon_grid, delta_grid, "rand_", tolerance,
+        )
     return checks
 
 
@@ -670,48 +666,13 @@ def series_implication_suite(
         )
     ):
         rows = _normal_series_row_values(series, trunc_k, epsilon_grid, delta_grid)
-        value = lambda key: float(np.dot(pmf, rows[key]))
+        per_k = lambda name, param: rows[name if param is None else (name, param)]
     else:
-        memo: Dict[object, float] = {}
-
-        def value(key) -> float:
-            if key not in memo:
-                if key == "feller":
-                    per_k = [feller(array, int(k)) for k in ks]
-                elif key[0] == "lindeberg":
-                    per_k = [lindeberg(array, int(k), key[1]) for k in ks]
-                elif key[0] == "infinitesimality":
-                    per_k = [infinitesimality(array, int(k), key[1]) for k in ks]
-                else:
-                    per_k = [lyapunov(array, int(k), key[1]) for k in ks]
-                memo[key] = float(np.dot(pmf, per_k))
-            return memo[key]
-
-    checks: List[InequalityCheck] = []
-    fel = value("feller")
-    for epsilon in epsilon_grid:
-        lind = value(("lindeberg", epsilon))
-        infi = value(("infinitesimality", epsilon))
-        for delta in delta_grid:
-            lyap = value(("lyapunov", delta))
-            checks.extend(
-                _chain_checks(
-                    {
-                        "lindeberg": lind,
-                        "lyapunov": lyap,
-                        "feller": fel,
-                        "infinitesimality": infi,
-                    },
-                    array.label,
-                    index.descriptor(),
-                    trunc_k,
-                    epsilon,
-                    delta,
-                    "series_",
-                    tolerance,
-                )
-            )
-    return checks
+        per_k = lambda name, param: [_row_value(name, array, int(k), param) for k in ks]
+    return _chain(
+        lambda name, param: float(np.dot(pmf, per_k(name, param))),
+        array.label, index.descriptor(), trunc_k, epsilon_grid, delta_grid, "series_", tolerance,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -902,48 +863,32 @@ def evaluate_report(
     )
     vals = report.values
     errs = report.error_bounds
-    # moment evaluations fall back to quadrature at the library tolerance
-    # when no closed form applies; the a priori bound covers that case
-    if "lindeberg" in wanted:
-        vals["lindeberg"] = lindeberg(array, n, eps)
-        errs["lindeberg"] = k * QUAD_ABS_TOL
-    if "lyapunov" in wanted:
-        vals["lyapunov"] = lyapunov(array, n, dlt)
-        errs["lyapunov"] = k * QUAD_ABS_TOL
-    if "feller" in wanted:
-        vals["feller"] = feller(array, n)
-    if "infinitesimality" in wanted:
-        vals["infinitesimality"] = infinitesimality(array, n, eps)
-    if "infinitesimality_ratio" in wanted:
-        vals["infinitesimality_ratio"] = infinitesimality_ratio(array, n)
-        errs["infinitesimality_ratio"] = k * QUAD_ABS_TOL
-    if "cf_deviation" in wanted:
-        for t in report.t_grid:
-            vals[f"cf_deviation@t={t:g}"] = cf_deviation(array, n, t)
-    if "rotar" in wanted:
-        vals["rotar"] = rotar(array, n, eps, quad_tol=quad_tol)
-        errs["rotar"] = rotar_error_bound(k, quad_tol)
-    if "sigma_star" in wanted:
-        vals["sigma_star"] = sigma_star(array, n)
+    params = {"epsilon": (eps,), "delta": (dlt,), "t": report.t_grid, None: (None,)}
+    for name, spec in FUNCTIONALS.items():
+        if name not in wanted:
+            continue
+        # the public function, looked up when called, so a wrapper set on
+        # this module sees the call
+        fn = globals()[name]
+        opts = {"quad_tol": quad_tol} if spec.takes_quad_tol else {}
+        for param in params[spec.parameter]:
+            key = f"{name}@t={param:g}" if spec.parameter == "t" else name
+            vals[key] = fn(array, n, *([] if param is None else [param]), **opts)
+            if spec.bound is not None:
+                errs[key] = spec.bound(k, quad_tol)
 
-    if index is not None:
-        spec = [
-            ("rand_lindeberg", "RL", {"epsilon": eps}),
-            ("rand_lyapunov", "RLambda", {"delta": dlt}),
-            ("rand_feller", "RF", {}),
-            ("rand_infinitesimality", "RI", {"epsilon": eps}),
-            ("rand_rotar", "RR", {"epsilon": eps}),
-            ("rand_sigma_star", "R-sigma-star", {}),
-        ]
-        for name, tag, kwargs in spec:
-            if name not in wanted:
-                continue
-            detail = randomized_detailed(
-                tag, array, index, n, eta=eta, quad_tol=quad_tol, **kwargs
-            )
-            vals[name] = detail.value
-            err = detail.error_bound
-            if tag == "RR":
-                err += rotar_error_bound(detail.truncation_k, quad_tol)
-            errs[name] = err
+    if index is None:
+        return report
+    for name, spec in FUNCTIONALS.items():
+        if spec.tag is None or f"rand_{name}" not in wanted:
+            continue
+        detail = randomized_detailed(
+            spec.tag, array, index, n, eta=eta, quad_tol=quad_tol,
+            **_param_kwargs(name, params[spec.parameter][0]),
+        )
+        err = detail.error_bound
+        if spec.takes_quad_tol:
+            err += spec.bound(detail.truncation_k, quad_tol)
+        vals[f"rand_{name}"] = detail.value
+        errs[f"rand_{name}"] = err
     return report

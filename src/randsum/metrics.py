@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import groupby, islice
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -384,6 +384,22 @@ def _extend_sum(
     return new_values[keep], new_probs[keep], n_mean, n_var
 
 
+def _partial_sum_laws(
+    laws: Iterable[ScalarDistribution], lengths: Iterable[int]
+) -> Iterator[SumLaw]:
+    """Exact laws of the partial sums of ``laws`` at the increasing
+    ``lengths``: one running convolution folds each law in once and reads
+    none past the last length."""
+    laws = iter(laws)
+    state = (np.array([0.0]), np.array([1.0]), 0.0, 0.0)
+    done = 0
+    for length in lengths:
+        for dist in islice(laws, int(length) - done):
+            state = _extend_sum(*state, dist)
+        done = int(length)
+        yield SumLaw(*state)
+
+
 def sum_of_independent(entries: Sequence[ScalarDistribution]) -> SumLaw:
     """Exact law of the sum of independent atomic/normal entries.
 
@@ -392,13 +408,7 @@ def sum_of_independent(entries: Sequence[ScalarDistribution]) -> SumLaw:
     """
     if len(entries) == 0:
         raise ValueError("need at least one entry")
-    values = np.array([0.0])
-    probs = np.array([1.0])
-    n_mean = 0.0
-    n_var = 0.0
-    for dist in entries:
-        values, probs, n_mean, n_var = _extend_sum(values, probs, n_mean, n_var, dist)
-    return SumLaw(values, probs, n_mean, n_var)
+    return next(_partial_sum_laws(entries, (len(entries),)))
 
 
 def row_sum_law(array: TriangularArray, n: int, k: Optional[int] = None) -> SumLaw:
@@ -410,7 +420,7 @@ def row_sum_law(array: TriangularArray, n: int, k: Optional[int] = None) -> SumL
         k = array.row_length(n)
     if k < 1:
         raise ValueError("k must be >= 1")
-    return sum_of_independent(list(expand(array.prefix_runs(n, k))))
+    return next(_partial_sum_laws(expand(array.runs(n)), (k,)))
 
 
 # ---------------------------------------------------------------------------
@@ -631,45 +641,36 @@ def empirical_kolmogorov(
 # ---------------------------------------------------------------------------
 
 
+def _prefix_of(array: TriangularArray, n: int, k: int, mode: str) -> Tuple[int, int]:
+    """(row, length) of the partial sum that index value k selects:
+    positions 1..k of row n in prefix mode, all of row k in rows mode."""
+    return (n, k) if mode == "prefix" else (k, array.row_length(k))
+
+
 def _per_k_laws(
     array: TriangularArray,
     ks: np.ndarray,
     n: int,
     mode: str,
 ) -> List[Optional[SumLaw]]:
-    """Exact prefix-sum laws where available, None where not.
+    """Exact partial-sum laws where available, None where not.
 
-    Prefix mode extends a single running convolution entry by entry, so
-    the whole family costs one pass over the row; rows mode has nothing
-    to share and builds each complete row from scratch.
+    Index values that read the same row share one running convolution:
+    prefix mode folds row n once for all of them, while rows mode has
+    nothing to share and folds each complete row from scratch.  Past an
+    entry that cannot be folded in, a row has no exact law.
     """
     laws: List[Optional[SumLaw]] = []
-    if mode == "prefix":
-        laws_at = expand(array.runs(n))
-        values = np.array([0.0])
-        probs = np.array([1.0])
-        n_mean = 0.0
-        n_var = 0.0
-        prev = 0
-        dead = False
-        for k in ks:
-            k = int(k)
-            if not dead:
-                try:
-                    for law in islice(laws_at, k - prev):
-                        values, probs, n_mean, n_var = _extend_sum(
-                            values, probs, n_mean, n_var, law
-                        )
-                except ConvolutionError:
-                    dead = True
-            prev = k
-            laws.append(None if dead else SumLaw(values, probs, n_mean, n_var))
-        return laws
-    for k in ks:
+    prefixes = [_prefix_of(array, n, int(k), mode) for k in ks]
+    for row, group in groupby(prefixes, key=lambda prefix: prefix[0]):
+        lengths = [length for _, length in group]
+        made: List[Optional[SumLaw]] = []
         try:
-            laws.append(row_sum_law(array, int(k)))
+            for law in _partial_sum_laws(expand(array.runs(row)), lengths):
+                made.append(law)
         except ConvolutionError:
-            laws.append(None)
+            pass
+        laws += made + [None] * (len(lengths) - len(made))
     return laws
 
 
@@ -731,9 +732,9 @@ def delta_mixture(
                 raise ConvolutionError(
                     "row has no exact sum law; pass rng= for the Monte Carlo path"
                 )
-            row = n if mode == "prefix" else int(k)
-            upto = int(k) if mode == "prefix" else array.row_length(int(k))
-            draws = _empirical_prefix(array, row, upto, rng, samples_per_k)
+            draws = _empirical_prefix(
+                array, *_prefix_of(array, n, int(k), mode), rng, samples_per_k
+            )
             est = empirical_kolmogorov(draws, target, alpha)
             per_k_method = "empirical"
         value += w * est.value
@@ -798,9 +799,9 @@ def delta_randomsum(
     for k, m in zip(ks, counts):
         if m == 0:
             continue
-        row = n if mode == "prefix" else int(k)
-        upto = int(k) if mode == "prefix" else array.row_length(int(k))
-        draws[pos : pos + m] = _empirical_prefix(array, row, upto, rng, int(m))
+        draws[pos : pos + m] = _empirical_prefix(
+            array, *_prefix_of(array, n, int(k), mode), rng, int(m)
+        )
         pos += m
     est = empirical_kolmogorov(draws[:pos], target, alpha)
     return DistanceEstimate(
@@ -1058,13 +1059,13 @@ def semi_additivity_check(
     k_max = len(x_entries)
     per_entry = {}
     checks: List[InequalityCheck] = []
+    x_sum = sum_of_independent(x_entries)
+    y_sum = sum_of_independent(y_entries)
     for s in s_values:
         per_entry[s] = [
             zeta(x, y, s).value for x, y in zip(x_entries, y_entries)
         ]
-        lhs = zeta(
-            sum_of_independent(x_entries), sum_of_independent(y_entries), s
-        ).value
+        lhs = zeta(x_sum, y_sum, s).value
         rhs = float(np.sum(per_entry[s]))
         checks.append(
             InequalityCheck(
@@ -1092,9 +1093,9 @@ def semi_additivity_check(
     weights = pmf / float(np.sum(pmf))
     x_iid = all(d.descriptor() == x_entries[0].descriptor() for d in x_entries)
     y_iid = all(d.descriptor() == y_entries[0].descriptor() for d in y_entries)
+    x_laws = list(_partial_sum_laws(x_entries, ks))
+    y_laws = list(_partial_sum_laws(y_entries, ks))
     for s in s_values:
-        x_laws = [sum_of_independent(x_entries[:k]) for k in ks]
-        y_laws = [sum_of_independent(y_entries[:k]) for k in ks]
         lhs = zeta(MixtureLaw(x_laws, weights), MixtureLaw(y_laws, weights), s).value
         prefix_sums = np.cumsum(per_entry[s])
         rhs = float(np.dot(pmf, prefix_sums))

@@ -441,6 +441,15 @@ class TestSelfcheckCommand:
         capsys.readouterr()
         assert code == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("command", ["selfcheck", "counterexample"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_quad_tol_is_a_config_error(self, capsys, command, tol):
+        code = main([command, "--quad-tol", tol])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert "--quad-tol: must be a positive finite number" in captured.err
+        assert captured.out == ""
+
 
 class TestExitCodes:
     def test_missing_config_file(self, capsys):

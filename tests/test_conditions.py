@@ -564,3 +564,43 @@ class TestRowValidation:
         for n, report in zip(rows, reports):
             assert report == evaluate_report(fresh, n, 0.5, 1.0, functionals=("feller",)).to_json_dict()
             assert array.validation(n) == fresh.validate(n)
+
+
+class TestFunctionalTable:
+    """Each functional is declared once; the report and the chain read it."""
+
+    def test_tags_and_report_names_come_from_the_table(self):
+        tagged = [name for name, spec in cond.FUNCTIONALS.items() if spec.tag]
+        assert cond.RANDOMIZED_TAGS == tuple(cond.FUNCTIONALS[n].tag for n in tagged)
+        assert REPORT_FUNCTIONALS == (
+            *cond.FUNCTIONALS, *(f"rand_{name}" for name in tagged)
+        )
+
+    def test_error_bound_keys(self):
+        rep = evaluate_report(UNI4, 4, 0.5, 1.0, index=ShiftedPoisson(4.0))
+        rand = {name for name in rep.values if name.startswith("rand_")}
+        assert set(rep.error_bounds) == {
+            "lindeberg", "lyapunov", "infinitesimality_ratio", "rotar", *rand
+        }
+        assert rep.error_bounds["lindeberg"] == 4 * cond.QUAD_ABS_TOL
+        detail = randomized_detailed("RR", UNI4, ShiftedPoisson(4.0), 4, epsilon=0.5)
+        assert rep.error_bounds["rand_rotar"] == detail.error_bound + rotar_error_bound(
+            detail.truncation_k, rep.quad_tol
+        )
+        detail = randomized_detailed("RL", UNI4, ShiftedPoisson(4.0), 4, epsilon=0.5)
+        assert rep.error_bounds["rand_lindeberg"] == detail.error_bound
+
+    def test_chain_reads_each_pair_once(self, monkeypatch):
+        # the implication chain of the selfcheck: two thresholds of each kind
+        arr = make_iid_array(Rademacher())
+        law_type = type(next(arr.runs(2))[0])
+        rand_calls = count_calls(monkeypatch, cond, "randomized_detailed")
+        moment_calls = count_calls(monkeypatch, law_type, "abs_moment")
+        for n in (2, 6):
+            del rand_calls[:], moment_calls[:]
+            checks = implication_suite(arr, Geometric(0.5), [n], (0.25, 1.0), (0.5, 1.0))
+            assert len(checks) == 2 * 2 * 2 * 3 and all(c.ok for c in checks)
+            # RF once, RL and RI per epsilon, RLambda per delta
+            assert len(rand_calls) == 7
+            # lyapunov and RLambda per delta, not per (epsilon, delta)
+            assert len(moment_calls) == 4

@@ -474,6 +474,33 @@ class TestSemiAdditivity:
         with pytest.raises(ValueError):
             semi_additivity_check([Rademacher()], [])
 
+    def test_prefix_laws_fold_each_entry_once(self, monkeypatch):
+        calls = []
+        real = metrics_module._extend_sum
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(metrics_module, "_extend_sum", counted)
+        checks = semi_additivity_check(
+            [Rademacher()] * 12, [Normal(0.0, 1.0)] * 12, s_values=(1,),
+            index=FiniteIndex(list(range(1, 13)), [1.0 / 12.0] * 12),
+        )
+        assert all(c.ok for c in checks)
+        # the two full sums and the two prefix families, one fold each
+        assert len(calls) == 4 * 12
+
+    def test_prefix_fold_matches_sums_from_scratch(self):
+        entries = [Rademacher(), FiniteDiscrete([-0.3, 0.1, 0.7], [0.2, 0.5, 0.3]),
+                   Normal(0.0, 0.5), Rademacher()]
+        ks = [1, 2, 4]
+        for k, law in zip(ks, metrics_module._partial_sum_laws(entries, ks)):
+            scratch = sum_of_independent(entries[:k])
+            assert np.array_equal(law._values, scratch._values)
+            assert np.array_equal(law._probs, scratch._probs)
+            assert law.descriptor() == scratch.descriptor()
+
 
 class TestMixtureDistances:
     def test_delta_mixture_weights_per_length_distances(self):
