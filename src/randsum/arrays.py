@@ -16,7 +16,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -28,6 +28,7 @@ from .distributions import (
     TwoPoint,
     distribution_from_config,
     scale,
+    scaled_normal_variance,
     shift,
 )
 
@@ -152,13 +153,19 @@ def run_sum(runs: Sequence[Tuple[float, int]]) -> float:
     return float(np.cumsum(np.repeat(values, counts))[-1])
 
 
+def _centered_normal(law: ScalarDistribution) -> bool:
+    return isinstance(law, Normal) and law.mean == 0.0
+
+
 class TriangularArray:
     """Base class: rows of independent zero-mean entries.
 
     Subclasses implement ``_entry(n, j)`` for every ``j >= 1`` and expose a
     row-length rule; ``entry`` caches its results per array.  Row
     consumers read a row through ``runs``, which by default makes each
-    position a run of its own; a row of one law overrides it.
+    position a run of its own; a row of one law overrides it.  Rows of
+    centered normals are also read as one variance vector through
+    ``normal_variances``, which arrays with a closed form override.
     """
 
     label: str = "array"
@@ -192,6 +199,17 @@ class TriangularArray:
     def prefix_runs(self, n: int, k: Optional[int] = None) -> List[Tuple[ScalarDistribution, int]]:
         """The runs of row n covering positions 1..k (default k_n)."""
         return take(self.runs(n), self.row_length(n) if k is None else k)
+
+    def normal_variances(self, n: int, k: Optional[int] = None) -> Optional[np.ndarray]:
+        """Variances of positions 1..k of row n (default k_n) when every one
+        of those entries is a centered ``Normal``, else None.
+
+        The values are bit for bit those of ``entry(n, j).variance``.
+        """
+        runs = self.prefix_runs(n, k)
+        if not all(_centered_normal(law) for law, _ in runs):
+            return None
+        return np.repeat([law.variance for law, _ in runs], [size for _, size in runs])
 
     def prefix_variance(self, n: int, k: Optional[int] = None) -> float:
         """sum_{j<=k} var(n, j); defaults to the full row k = k_n."""
@@ -282,9 +300,9 @@ class SeriesForm:
     When the raw member laws themselves outgrow float64, supply explicit
     ``log_variance`` and ``standardized`` callables (the law of
     (X_j - a_j)/sd_j); by default both derive from ``base``.
-    ``series_implication_suite`` switches to closed forms when every row
-    k it mixes is positions 1..k of the series (``row_length(k) == k``)
-    and every standardized member it needs is a centered ``Normal``.
+    ``standardized_variances`` tells whether the standardized members are
+    centered normals; the series array's ``normal_variances`` and
+    ``series_implication_suite`` switch to closed forms when they are.
     """
 
     def __init__(
@@ -303,8 +321,13 @@ class SeriesForm:
         self._logbsq: List[float] = []
         self._bsq_linear: List[float] = [0.0]
         self._linear_alive = True
-        # run_study shares one array, and so one series, across its threads
-        self._extend_lock = threading.Lock()
+        # variances of the leading standardized members that are centered
+        # normals; closed once a member is not one
+        self._normal_vars: List[float] = []
+        self._normals_open = True
+        # run_study shares one array, and so one series, across its threads;
+        # reentrant, since a standardized callable may read the series
+        self._extend_lock = threading.RLock()
 
     def base(self, j: int) -> ScalarDistribution:
         if j < 1:
@@ -339,6 +362,22 @@ class SeriesForm:
             return self._standardized_fn(int(j))
         sd = math.exp(0.5 * self.log_variance(j))
         return scale(shift(self.base(j), -self.center(j)), 1.0 / sd)
+
+    def standardized_variances(self, k: int) -> Optional[List[float]]:
+        """Variances of the standardized members 1..k when every one of
+        them is a centered ``Normal``, else None.
+
+        Each member is read once: the answers are kept per position.
+        """
+        if len(self._normal_vars) < k and self._normals_open:
+            with self._extend_lock:
+                while len(self._normal_vars) < k and self._normals_open:
+                    member = self.standardized(len(self._normal_vars) + 1)
+                    if _centered_normal(member):
+                        self._normal_vars.append(member.variance)
+                    else:
+                        self._normals_open = False
+        return self._normal_vars[:k] if len(self._normal_vars) >= k else None
 
     def _extend(self, n: int) -> None:
         # _logbsq is appended last, so once it holds n terms the other lists
@@ -401,9 +440,10 @@ class _SeriesArray(TriangularArray):
         self.series = series
         self.label = f"series-{series.label}"
 
-    def _entry(self, n: int, j: int) -> ScalarDistribution:
-        k = self.row_length(n)
-        half_log = 0.5 * (self.series.log_variance(j) - self.series.log_b_squared(k))
+    @staticmethod
+    def _factor(n: int, j: int, log_var: float, log_bsq: float) -> float:
+        """sd_j / B_{k_n} for entry (n, j) from the two logs."""
+        half_log = 0.5 * (log_var - log_bsq)
         # positions far past the row: the ratio leaves float range, and the
         # saturated law keeps the divergence honest instead of crashing
         factor = math.exp(half_log) if half_log <= _LOG_MAX else math.inf
@@ -412,7 +452,32 @@ class _SeriesArray(TriangularArray):
                 f"series entry ({n}, {j}) underflows to zero scale; "
                 "rows this deep are outside the numeric envelope"
             )
+        return factor
+
+    def _entry(self, n: int, j: int) -> ScalarDistribution:
+        k = self.row_length(n)
+        factor = self._factor(n, j, self.series.log_variance(j), self.series.log_b_squared(k))
         return scale(self.series.standardized(j), factor)
+
+    def normal_variances(self, n: int, k: Optional[int] = None) -> Optional[np.ndarray]:
+        # _entry's arithmetic with math.exp, position by position, with no
+        # law built: np.exp need not round as libm does
+        row = self.row_length(n)
+        k = row if k is None else int(k)
+        member_vars = self.series.standardized_variances(k)
+        if member_vars is None:
+            return None
+        log_bsq = self.series.log_b_squared(row)
+        # the profile's log variances are the ones log_variance returns;
+        # past the row they are read one by one, as _entry reads them
+        log_vars = chain(
+            self.series.log_variance_profile(min(k, row)).tolist(),
+            map(self.series.log_variance, range(row + 1, k + 1)),
+        )
+        out = np.empty(k)
+        for j, (log_var, var) in enumerate(zip(log_vars, member_vars), start=1):
+            out[j - 1] = scaled_normal_variance(var, self._factor(n, j, log_var, log_bsq))
+        return out
 
 
 class _NormalTwinArray(TriangularArray):

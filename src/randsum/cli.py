@@ -647,7 +647,7 @@ def _counterexample_findings(seed: int, quad_tol: float, mc_draws: int) -> List[
     for k, rng in zip(_CE_N_GRID, streams):
         exact = _conditions.lindeberg(array, k, 0.5)
         values.append(exact)
-        sigmas = np.sqrt([law.variance for law in _arrays.expand(array.prefix_runs(k))])
+        sigmas = np.sqrt(array.normal_variances(k))
         z = rng.standard_normal((mc_draws, sigmas.size))
         x = z * sigmas
         stat = np.sum(np.square(x) * (np.abs(x) >= 0.5), axis=1)

@@ -218,9 +218,9 @@ class Functional:
     ``parameter`` is ``"epsilon"``, ``"delta"``, ``"t"`` or None; ``tag``
     names the randomized form (the index mixture of the same prefix
     functional), if any.  ``bound(row_length, quad_tol)`` is the a priori
-    evaluation error of a row.  With ``takes_quad_tol`` the entry is a
-    quadrature at the caller's tolerance: the function takes it, and the
-    randomized form carries the bound over its K positions too.
+    evaluation error of a row, and the randomized form carries it over
+    its K positions.  With ``takes_quad_tol`` the entry is a quadrature
+    at the caller's tolerance, and the function takes it.
     """
 
     entry: Callable[[ScalarDistribution, Optional[float], float], float]
@@ -660,10 +660,7 @@ def series_implication_suite(
     if (
         series is not None
         and all(array.row_length(int(k)) == k for k in ks)
-        and all(
-            isinstance(member, Normal) and member.mean == 0.0
-            for member in map(series.standardized, range(1, trunc_k + 1))
-        )
+        and series.standardized_variances(trunc_k) is not None
     ):
         rows = _normal_series_row_values(series, trunc_k, epsilon_grid, delta_grid)
         per_k = lambda name, param: rows[name if param is None else (name, param)]
@@ -749,10 +746,10 @@ def rl_normal_bound(
     eps = _eps_ok(epsilon)
     _guard_row(array, n)
     trunc_k = index.truncation(eta)
-    runs = array.prefix_runs(n, trunc_k)
-    if not all(isinstance(law, Normal) and law.mean == 0.0 for law, _ in runs):
+    variances = array.normal_variances(n, trunc_k)
+    if variances is None:
         raise InvalidRowError("rl_normal_bound requires centered normal entries")
-    s_star = max(law.std for law, _ in runs)
+    s_star = math.sqrt(float(np.max(variances)))
     lhs = randomized("RL", array, index, n, epsilon=eps, eta=eta)
     rhs = Normal(0.0, 1.0).truncated_second_moment(eps / s_star)
     return InequalityCheck(
@@ -887,7 +884,8 @@ def evaluate_report(
             **_param_kwargs(name, params[spec.parameter][0]),
         )
         err = detail.error_bound
-        if spec.takes_quad_tol:
+        if spec.bound is not None:
+            # the mixture reads the same per-law values over K positions
             err += spec.bound(detail.truncation_k, quad_tol)
         vals[f"rand_{name}"] = detail.value
         errs[f"rand_{name}"] = err

@@ -38,6 +38,7 @@ __all__ = [
     "Scaled",
     "Shifted",
     "scale",
+    "scaled_normal_variance",
     "shift",
     "merge_atoms",
     "ConfigEntry",
@@ -233,16 +234,28 @@ class ScalarDistribution:
         return v
 
 
+def _positive_variance(var: float) -> float:
+    if var <= 0:
+        raise DistributionError("normal variance must be positive")
+    return float(var)
+
+
+def scaled_normal_variance(variance: float, factor: float) -> float:
+    """Variance of factor * N(m, variance), formed as ``scale`` forms it.
+
+    Raises DistributionError when the product underflows to zero.
+    """
+    return _positive_variance(factor * factor * variance)
+
+
 class Normal(ScalarDistribution):
     """Gaussian law N(mean, var)."""
 
     family = "normal"
 
     def __init__(self, mean: float = 0.0, var: float = 1.0):
-        if var <= 0:
-            raise DistributionError("normal variance must be positive")
         self.mean = float(mean)
-        self.variance = float(var)
+        self.variance = _positive_variance(var)
         self._sigma = math.sqrt(self.variance)
 
     def descriptor(self) -> tuple:
@@ -713,7 +726,7 @@ def scale(dist: ScalarDistribution, factor: float) -> ScalarDistribution:
     if isinstance(dist, Normal):
         # keep an exact zero mean: inf * 0.0 would poison it with nan
         new_mean = factor * dist.mean if dist.mean != 0.0 else 0.0
-        return Normal(new_mean, factor * factor * dist.variance)
+        return Normal(new_mean, scaled_normal_variance(dist.variance, factor))
     if isinstance(dist, Uniform):
         a, b = factor * dist.low, factor * dist.high
         return Uniform(min(a, b), max(a, b))

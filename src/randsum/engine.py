@@ -116,9 +116,14 @@ def _normal_row_sums(sigmas: np.ndarray, ks: np.ndarray, rng: np.random.Generato
         part = ks[a:b]
         total = int(np.sum(part))
         starts = np.concatenate([[0], np.cumsum(part[:-1])]).astype(np.int64)
-        # per-position column index j-1 = global position - own row start
-        pos = np.arange(total, dtype=np.int64) - np.repeat(starts, part)
-        flat = rng.standard_normal(total) * sigmas[pos]
+        k = int(part[0])
+        if np.all(part == k):
+            # equal lengths: the block is rows of k, scaled column by column
+            flat = (rng.standard_normal(total).reshape(-1, k) * sigmas[:k]).ravel()
+        else:
+            # per-position column index j-1 = global position - own row start
+            pos = np.arange(total, dtype=np.int64) - np.repeat(starts, part)
+            flat = rng.standard_normal(total) * sigmas[pos]
         out[a:b] = np.add.reduceat(flat, starts)
     return out
 
@@ -150,16 +155,17 @@ def _prefix_sums(
     first, size = next(runs)
     if size is None:
         return _iid_row_sums(first, ks, rng)
-    row = take(chain([(first, size)], runs), int(np.max(ks)))
-    if all(isinstance(law, Normal) and law.mean == 0.0 for law, _ in row):
-        sigmas = np.repeat([law.std for law, _ in row], [size for _, size in row])
+    upto = int(np.max(ks))
+    variances = array.normal_variances(n, upto)
+    if variances is not None:
+        sigmas = np.sqrt(variances)
         if not np.all(np.isfinite(sigmas)):
             raise ArithmeticError(
                 f"entry scales of row {n} overflow beyond position {sigmas.size}; "
                 "shrink the index range or eta"
             )
         return _normal_row_sums(sigmas, ks, rng)
-    return _columnwise_row_sums(row, ks, rng)
+    return _columnwise_row_sums(take(chain([(first, size)], runs), upto), ks, rng)
 
 
 def sample_random_sums(

@@ -400,6 +400,20 @@ def _partial_sum_laws(
         yield SumLaw(*state)
 
 
+def _row_sum_laws(array: TriangularArray, n: int, lengths: Sequence[int]) -> Iterator[SumLaw]:
+    """Exact laws of the sums of row n up to the increasing ``lengths``.
+
+    A row of centered normals up to the last length sums to N(0, prefix
+    variance), the variances added left to right as the running
+    convolution adds them; any other row is folded entry by entry.
+    """
+    variances = array.normal_variances(n, int(lengths[-1]))
+    if variances is None:
+        return _partial_sum_laws(expand(array.runs(n)), lengths)
+    totals = np.cumsum(variances)
+    return (SumLaw([0.0], [1.0], 0.0, totals[int(length) - 1]) for length in lengths)
+
+
 def sum_of_independent(entries: Sequence[ScalarDistribution]) -> SumLaw:
     """Exact law of the sum of independent atomic/normal entries.
 
@@ -420,7 +434,7 @@ def row_sum_law(array: TriangularArray, n: int, k: Optional[int] = None) -> SumL
         k = array.row_length(n)
     if k < 1:
         raise ValueError("k must be >= 1")
-    return next(_partial_sum_laws(expand(array.runs(n)), (k,)))
+    return next(_row_sum_laws(array, n, (k,)))
 
 
 # ---------------------------------------------------------------------------
@@ -655,10 +669,12 @@ def _per_k_laws(
 ) -> List[Optional[SumLaw]]:
     """Exact partial-sum laws where available, None where not.
 
-    Index values that read the same row share one running convolution:
-    prefix mode folds row n once for all of them, while rows mode has
-    nothing to share and folds each complete row from scratch.  Past an
-    entry that cannot be folded in, a row has no exact law.
+    Index values that read the same row share one pass over it: prefix
+    mode reads row n once for all of them, while rows mode reads each
+    complete row.  A row of centered normals is one variance vector, so
+    its laws take a cumulative sum and no fold; other rows run one
+    convolution, and past an entry that cannot be folded in a row has no
+    exact law.
     """
     laws: List[Optional[SumLaw]] = []
     prefixes = [_prefix_of(array, n, int(k), mode) for k in ks]
@@ -666,7 +682,7 @@ def _per_k_laws(
         lengths = [length for _, length in group]
         made: List[Optional[SumLaw]] = []
         try:
-            for law in _partial_sum_laws(expand(array.runs(row)), lengths):
+            for law in _row_sum_laws(array, row, lengths):
                 made.append(law)
         except ConvolutionError:
             pass

@@ -12,7 +12,9 @@ from randsum.arrays import (
     ArrayError,
     RowLengths,
     SeriesForm,
+    TriangularArray,
     array_from_config,
+    expand,
     from_series,
     make_iid_array,
     make_rare_jump_array,
@@ -257,6 +259,111 @@ class TestSeriesArray:
         arr = from_series(shiryaev_series())
         with pytest.raises(ArrayError):
             arr.entry(3000, 1)
+
+
+def entry_variances(array, n, k=None):
+    """The variances ``entry`` gives positions 1..k of row n, law by law."""
+    return [law.variance for law in expand(array.prefix_runs(n, k))]
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the test compares what is raised
+        return type(exc), str(exc)
+    return None
+
+
+class TestNormalVariances:
+    """Rows of centered normals read as one vector, equal to the entries'."""
+
+    @pytest.mark.parametrize("rows", ["n", "2n"])
+    def test_series_rows_match_the_entries(self, rows):
+        arr = from_series(shiryaev_series(), rows)
+        for n, k in [(1, None), (7, None), (64, None), (300, None), (5, 3), (9, 40), (3, 700)]:
+            got = from_series(shiryaev_series(), rows).normal_variances(n, k)
+            assert np.array_equal(got, entry_variances(arr, n, k))
+
+    def test_generic_normal_series_matches_the_entries(self):
+        # no explicit log variances: standardized members are scaled laws
+        # whose variances are 1 only up to rounding
+        series = lambda: SeriesForm(lambda j: Normal(0.5 * j, 0.3 * j + 0.1), label="ramp")
+        arr = from_series(series())
+        for n, k in [(6, None), (11, None), (4, 9)]:
+            got = from_series(series()).normal_variances(n, k)
+            assert np.array_equal(got, entry_variances(arr, n, k))
+
+    def test_shiryaev_matches_the_entries_past_the_row(self):
+        arr = make_shiryaev_array()
+        for n, k in [(1, None), (2, None), (9, None), (4, 12), (2, 1100)]:
+            got = make_shiryaev_array().normal_variances(n, k)
+            assert np.array_equal(got, entry_variances(arr, n, k))
+        assert math.isinf(arr.normal_variances(2, 1100)[-1])
+
+    def test_twin_and_iid_normal_rows_match_the_entries(self):
+        for arr in (
+            normal_twin(make_rare_jump_array()),
+            normal_twin(make_iid_array(Uniform(-1.0, 1.0), rows="2n")),
+            normal_twin(make_shiryaev_array()),
+            make_iid_array(Normal(1.0, 3.0)),
+        ):
+            for n, k in [(5, None), (8, 30)]:
+                assert np.array_equal(arr.normal_variances(n, k), entry_variances(arr, n, k))
+
+    def test_other_rows_have_none(self, monkeypatch):
+        ramp = from_series(SeriesForm(lambda j: Uniform(0.0, float(j)), label="ramp"))
+        built = []
+        entry = TriangularArray.entry
+        monkeypatch.setattr(TriangularArray, "entry", lambda *a: built.append(a) or entry(*a))
+        for arr in (make_iid_array(Uniform(-1.0, 1.0)), make_rare_jump_array(), ramp):
+            assert arr.normal_variances(6) is None
+            assert arr.normal_variances(6, 20) is None
+        # the series answers from its members and builds no entry
+        assert [a for a in built if a[0] is ramp] == []
+
+    def test_mixed_series_is_normal_only_up_to_its_first_other_member(self):
+        s = SeriesForm(lambda j: Normal(0.0, 1.0) if j < 4 else Uniform(-1.0, 1.0))
+        assert s.standardized_variances(3) == [1.0, 1.0, 1.0]
+        assert s.standardized_variances(4) is None
+        assert s.standardized_variances(2) == [1.0, 1.0]
+        arr = from_series(s)
+        assert np.array_equal(arr.normal_variances(3), entry_variances(arr, 3))
+        assert arr.normal_variances(4) is None
+
+    @pytest.mark.parametrize(
+        "array, n",
+        [
+            (from_series(shiryaev_series()), 3000),  # the scale underflows: ArrayError
+            (from_series(shiryaev_series()), 1100),  # the variance underflows
+            (make_shiryaev_array(), 1100),
+        ],
+    )
+    def test_deep_rows_raise_what_the_entries_raise(self, array, n):
+        expected = raised(array.entry, n, 1)
+        assert expected is not None
+        assert raised(array.normal_variances, n) == expected
+
+    def test_threads_sharing_one_series_array_agree(self):
+        expected = from_series(shiryaev_series()).normal_variances(900)
+        shared = from_series(shiryaev_series())
+        results = [None] * 8
+
+        def worker(i):
+            results[i] = shared.normal_variances(900)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            assert np.array_equal(got, expected)
 
 
 class TestConfig:

@@ -587,8 +587,14 @@ class TestFunctionalTable:
         assert rep.error_bounds["rand_rotar"] == detail.error_bound + rotar_error_bound(
             detail.truncation_k, rep.quad_tol
         )
-        detail = randomized_detailed("RL", UNI4, ShiftedPoisson(4.0), 4, epsilon=0.5)
-        assert rep.error_bounds["rand_lindeberg"] == detail.error_bound
+        # the moment mixtures carry the quadrature allowance of their K
+        # per-law moments, as the classical keys carry it over the row
+        for key, tag, param in (("rand_lindeberg", "RL", {"epsilon": 0.5}),
+                                ("rand_lyapunov", "RLambda", {"delta": 1.0})):
+            detail = randomized_detailed(tag, UNI4, ShiftedPoisson(4.0), 4, **param)
+            assert rep.error_bounds[key] == (
+                detail.error_bound + detail.truncation_k * cond.QUAD_ABS_TOL
+            )
 
     def test_chain_reads_each_pair_once(self, monkeypatch):
         # the implication chain of the selfcheck: two thresholds of each kind

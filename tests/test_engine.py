@@ -10,10 +10,12 @@ import pytest
 
 from randsum.arrays import (
     TriangularArray,
+    from_series,
     make_iid_array,
     make_rare_jump_array,
     make_shiryaev_array,
     normal_twin,
+    shiryaev_series,
 )
 from randsum.distributions import FiniteIndex, Geometric, Normal, Rademacher, ShiftedPoisson, Uniform
 from randsum.engine import (
@@ -22,6 +24,7 @@ from randsum.engine import (
     StudyPlan,
     _chunk_boundaries,
     _evaluate_check,
+    _normal_row_sums,
     builtin_plan,
     empirical_delta,
     run_study,
@@ -121,6 +124,39 @@ class TestSampling:
         flat = uni.entry(8, 1).sample(rng, int(ks.sum()))
         starts = np.concatenate([[0], np.cumsum(ks[:-1])])
         assert np.array_equal(got, np.add.reduceat(flat, starts))
+
+    @staticmethod
+    def gathered_row_sums(sigmas, ks, rng):
+        """Row sums scaling each draw by its position's sigma, one block."""
+        starts = np.concatenate([[0], np.cumsum(ks[:-1])]).astype(np.int64)
+        pos = np.arange(int(ks.sum()), dtype=np.int64) - np.repeat(starts, ks)
+        return np.add.reduceat(rng.standard_normal(int(ks.sum())) * sigmas[pos], starts)
+
+    @pytest.mark.parametrize("ks", [[7] * 50, [1] * 9, [3, 7, 1, 7, 2]])
+    def test_normal_row_sums_equal_the_gathered_sums(self, ks):
+        # the equal-length block and the position gather draw and add the
+        # same numbers in the same order
+        ks = np.asarray(ks, dtype=np.int64)
+        sigmas = np.sqrt(np.linspace(0.1, 2.0, 7))
+        got = _normal_row_sums(sigmas, ks, np.random.default_rng(17))
+        assert np.array_equal(got, self.gathered_row_sums(sigmas, ks, np.random.default_rng(17)))
+
+    def test_overflowing_scales_are_an_arithmetic_error(self):
+        # shiryaev row 2 read to position 1,100: variances past 2^1023
+        with pytest.raises(ArithmeticError):
+            sample_random_sums(
+                SHIRYAEV, FiniteIndex([1100], [1.0]), 2, np.random.default_rng(0), 10
+            )
+
+    def test_rows_mode_normal_rows_build_few_entries(self, monkeypatch):
+        built = []
+        entry = TriangularArray.entry
+        monkeypatch.setattr(TriangularArray, "entry", lambda *a: built.append(a) or entry(*a))
+        idx = ShiftedPoisson(256.0)
+        sample_random_sums(
+            from_series(shiryaev_series()), idx, 256, np.random.default_rng(4), 2000, mode="rows"
+        )
+        assert 0 < len(built) <= 2 * idx.truncation(1e-10)
 
     def test_empirical_delta_guards_sample_floor(self):
         rng = np.random.default_rng(1)

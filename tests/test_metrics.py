@@ -578,6 +578,37 @@ class TestMixtureDistances:
         row_sum_law(RARE, 12)
         assert built == []
 
+    def test_rows_mode_normal_rows_fold_nothing(self, monkeypatch):
+        built = []
+        entry = TriangularArray.entry
+        monkeypatch.setattr(TriangularArray, "entry", lambda *a: built.append(a) or entry(*a))
+        folds = []
+        extend = metrics_module._extend_sum
+        monkeypatch.setattr(metrics_module, "_extend_sum", lambda *a: folds.append(1) or extend(*a))
+        idx = ShiftedPoisson(256.0)
+        est = delta_mixture(from_series(shiryaev_series()), idx, 256, mode="rows")
+        assert est.value <= 1e-14
+        assert len(built) <= 2 * idx.truncation(1e-10)
+        assert folds == []
+
+    @pytest.mark.parametrize(
+        "array", [SHIRYAEV, from_series(shiryaev_series()), from_series(shiryaev_series(), "2n")]
+    )
+    def test_normal_row_laws_equal_the_fold(self, array):
+        # N(0, prefix variance) with the variances added as the fold adds them
+        for n, k in [(5, None), (40, None), (6, 25)]:
+            folded = sum_of_independent(
+                [array.entry(n, j) for j in range(1, (k or array.row_length(n)) + 1)]
+            )
+            assert row_sum_law(array, n, k).descriptor() == folded.descriptor()
+        idx = ShiftedPoisson(12.0)
+        lengths = np.arange(1, idx.truncation(1e-10) + 1)
+        laws = metrics_module._per_k_laws(array, lengths, 12, "prefix")
+        folded = metrics_module._partial_sum_laws(
+            (array.entry(12, j) for j in lengths), lengths
+        )
+        assert [law.descriptor() for law in laws] == [law.descriptor() for law in folded]
+
     def test_estimate_serialization(self):
         est = delta_mixture(RAD, FiniteIndex([4], [1.0]), 4)
         d = est.to_json_dict()
