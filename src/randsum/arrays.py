@@ -441,23 +441,27 @@ class _SeriesArray(TriangularArray):
         self.label = f"series-{series.label}"
 
     @staticmethod
-    def _factor(n: int, j: int, log_var: float, log_bsq: float) -> float:
-        """sd_j / B_{k_n} for entry (n, j) from the two logs."""
+    def _factor(n: int, j: int, log_var: float, log_bsq: float, variance: float) -> float:
+        """sd_j / B_{k_n} for entry (n, j) from the two logs, checked so
+        that the entry's variance, factor**2 times the standardized
+        member's ``variance``, stays positive."""
         half_log = 0.5 * (log_var - log_bsq)
         # positions far past the row: the ratio leaves float range, and the
         # saturated law keeps the divergence honest instead of crashing
         factor = math.exp(half_log) if half_log <= _LOG_MAX else math.inf
-        if factor == 0.0:
+        # the square underflows long before the factor itself does
+        if factor * factor * variance == 0.0:
             raise ArrayError(
-                f"series entry ({n}, {j}) underflows to zero scale; "
+                f"series entry ({n}, {j}) underflows to zero variance; "
                 "rows this deep are outside the numeric envelope"
             )
         return factor
 
     def _entry(self, n: int, j: int) -> ScalarDistribution:
         k = self.row_length(n)
-        factor = self._factor(n, j, self.series.log_variance(j), self.series.log_b_squared(k))
-        return scale(self.series.standardized(j), factor)
+        member = self.series.standardized(j)
+        log_var, log_bsq = self.series.log_variance(j), self.series.log_b_squared(k)
+        return scale(member, self._factor(n, j, log_var, log_bsq, member.variance))
 
     def normal_variances(self, n: int, k: Optional[int] = None) -> Optional[np.ndarray]:
         # _entry's arithmetic with math.exp, position by position, with no
@@ -476,7 +480,7 @@ class _SeriesArray(TriangularArray):
         )
         out = np.empty(k)
         for j, (log_var, var) in enumerate(zip(log_vars, member_vars), start=1):
-            out[j - 1] = scaled_normal_variance(var, self._factor(n, j, log_var, log_bsq))
+            out[j - 1] = scaled_normal_variance(var, self._factor(n, j, log_var, log_bsq, var))
         return out
 
 

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammaln, ndtr
+from scipy.special import gammaln, ndtr, pdtr, pdtrc, pdtrik
 
 __all__ = [
     "DistributionError",
@@ -916,16 +916,23 @@ class ShiftedPoisson(RandomIndex):
         return float(out) if out.ndim == 0 else out
 
     def tail_mass(self, k: int) -> float:
-        from scipy.stats import poisson
-
+        # the bits of scipy's poisson.sf(k - 1, lam), without importing its
+        # stats package: that import costs more than most commands' work
         if k < 1:
             return 1.0
-        return float(poisson.sf(k - 1, self.lam))
+        return float(pdtrc(k - 1, self.lam))
 
     def _truncation_guess(self, eta: float) -> int:
-        from scipy.stats import poisson
-
-        return int(poisson.ppf(1.0 - eta, self.lam)) + 1
+        q = 1.0 - eta
+        if q == 1.0:
+            # eta below half an ulp of 1: the quantile of 1 is infinite, so
+            # the walk in truncation starts from the mean instead
+            return math.ceil(self.mean)
+        # the bits of scipy's poisson.ppf(q, lam): the ceiling of pdtrik,
+        # one lower when the CDF there already reaches q
+        m = math.ceil(pdtrik(q, self.lam))
+        below = max(m - 1, 0)
+        return (below if pdtr(below, self.lam) >= q else m) + 1
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         return rng.poisson(self.lam, size=size) + 1
@@ -1018,7 +1025,10 @@ class ShiftedNegativeBinomial(RandomIndex):
     def _truncation_guess(self, eta: float) -> int:
         from scipy.stats import nbinom
 
-        return int(nbinom.ppf(1.0 - eta, self.r, self.p)) + 1
+        q = 1.0 - eta
+        if q == 1.0:
+            return math.ceil(self.mean)
+        return int(nbinom.ppf(q, self.r, self.p)) + 1
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         return rng.negative_binomial(self.r, self.p, size=size) + 1

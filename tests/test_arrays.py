@@ -253,12 +253,17 @@ class TestSeriesArray:
                 direct.entry(8, j).variance, rel=1e-12
             )
 
-    def test_underflow_is_an_error(self):
+    @pytest.mark.parametrize("n", [1100, 2000, 3000])
+    def test_underflow_is_an_error(self, n):
         # an early member of a very deep row scales below the float floor;
-        # silently returning a zero-variance law would corrupt functionals
+        # silently returning a zero-variance law would corrupt functionals.
+        # Rows 1100 and 2000 keep a positive scale whose square underflows.
         arr = from_series(shiryaev_series())
-        with pytest.raises(ArrayError):
-            arr.entry(3000, 1)
+        named = rf"series entry \({n}, 1\) underflows"
+        with pytest.raises(ArrayError, match=named):
+            arr.entry(n, 1)
+        with pytest.raises(ArrayError, match=named):
+            arr.normal_variances(n)
 
 
 def entry_variances(array, n, k=None):
@@ -333,8 +338,8 @@ class TestNormalVariances:
     @pytest.mark.parametrize(
         "array, n",
         [
-            (from_series(shiryaev_series()), 3000),  # the scale underflows: ArrayError
-            (from_series(shiryaev_series()), 1100),  # the variance underflows
+            (from_series(shiryaev_series()), 3000),  # the scale underflows
+            (from_series(shiryaev_series()), 1100),  # only the variance underflows
             (make_shiryaev_array(), 1100),
         ],
     )

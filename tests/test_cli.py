@@ -3,11 +3,13 @@
 import copy
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import randsum
 from randsum.arrays import ARRAY_KINDS, array_from_config
 
 from randsum.cli import (
@@ -198,6 +200,35 @@ class TestConditionsCommand:
         assert code == EXIT_OK
         assert any(",rand_lindeberg," in ln for ln in out.splitlines())
 
+    def test_poisson_index_does_not_import_scipy_stats(self, tmp_path):
+        # scipy.stats takes longer to import than most commands take to
+        # run; a fresh interpreter shows whether anything pulled it in
+        cfg = write_config(
+            tmp_path,
+            {
+                "array": {"array": "rare-jump"},
+                "index": {"family": "poisson", "mean": "n"},
+                "grids": {"n": [4, 8], "epsilon": [0.5], "delta": [1.0]},
+            },
+        )
+        script = (
+            "import json, sys\n"
+            "from randsum.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('scipy.stats'))]))\n"
+        )
+        package_root = os.path.dirname(os.path.dirname(randsum.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "conditions", "--config", cfg, "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK, []]
+        table = (tmp_path / "conditions.csv").read_text()
+        assert ",rand_lindeberg," in table
+
     def test_dry_run_echoes_effective_config(self, capsys):
         code = main(["conditions", "--dry-run"])
         out = capsys.readouterr().out
@@ -260,6 +291,20 @@ class TestDistancesCommand:
         capsys.readouterr()
         assert code == EXIT_NUMERIC
 
+    def test_underflowing_series_row_names_the_entry(self, tmp_path, capsys):
+        # rows mode at n = 1200 reaches series rows whose first entry
+        # variance underflows: a numeric failure of that cell, exit 3
+        doc = {
+            "array": {"array": "series"},
+            "index": {"family": "poisson"},
+            "grids": {"n": [1200]},
+            "distances": {"metrics": ["delta_mixture"], "mode": "rows"},
+        }
+        code = main(["distances", "--config", write_config(tmp_path, doc)])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert "ArrayError: series entry (1077, 1) underflows to zero variance" in err
+
 
 class TestStudyCommand:
     def study_config(self, tmp_path, **extra):
@@ -300,6 +345,22 @@ class TestStudyCommand:
         assert "PASS final_above:rand_lindeberg@eps=0.5" in captured.out
         header = target.read_text().splitlines()[0]
         assert header == "label,n,epsilon,delta,metric,value,error_bound"
+
+    def test_eta_below_half_an_ulp_of_one(self, tmp_path, capsys):
+        # 1 - eta rounds to 1: the Poisson truncation walks up from the
+        # mean instead of failing every conditions cell
+        doc = {
+            "tasks": ["study"],
+            "study": {"plan": "lyapunov_exponential_poisson", "eta": 1e-17,
+                      "distances": [], "checks": []},
+            "grids": {"n": [16]},
+            "monte_carlo": {"M": 1000},
+        }
+        code = main(["study", "--config", write_config(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert "cell failed" not in captured.err
+        assert any(",rand_lyapunov," in ln for ln in captured.out.splitlines())
 
     def test_failed_verdict_exits_4(self, tmp_path, capsys):
         cfg = self.study_config(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import nbinom, poisson
 
 from randsum.distributions import (
     CenteredExponential,
@@ -216,6 +217,63 @@ class TestIndices:
         draws = g.sample(rng, 200_000)
         assert draws.min() >= 1
         assert float(draws.mean()) == pytest.approx(5.0, abs=0.05)
+
+
+class TestPoissonAndNegativeBinomialTails:
+    """Index tails and truncation points against scipy.stats."""
+
+    LAMS = np.geomspace(0.01, 8000.0, 37)
+    ETAS = np.geomspace(1e-16, 1e-3, 14)
+
+    @staticmethod
+    def window(lam):
+        # from the bulk far into the tail, at most 400 points
+        sd = math.sqrt(lam)
+        lo, hi = max(int(lam - 8 * sd), 0), int(lam + 12 * sd) + 40
+        return np.unique(np.linspace(lo, hi, min(hi - lo + 1, 400)).astype(int))
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_poisson_tail_is_scipy_stats_bit_for_bit(self, lam):
+        idx = ShiftedPoisson(lam + 1.0)
+        ks = self.window(idx.lam)
+        ks = ks[ks >= 1]
+        expected = poisson.sf(ks - 1, idx.lam)
+        assert [idx.tail_mass(int(k)) for k in ks] == expected.tolist()
+        assert idx.tail_mass(0) == 1.0
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_poisson_truncation_is_the_smallest_k_scipy_stats_gives(self, lam):
+        idx = ShiftedPoisson(lam + 1.0)
+        ks = np.arange(1, int(idx.lam + 12 * math.sqrt(idx.lam)) + 60)
+        sf = poisson.sf(ks - 1, idx.lam)
+        for eta in self.ETAS:
+            eta = float(eta)
+            k = idx.truncation(eta)
+            # the walk starts at scipy's own quantile
+            assert idx._truncation_guess(eta) == int(poisson.ppf(1.0 - eta, idx.lam)) + 1
+            assert k == int(ks[np.argmax(sf <= eta)])
+            assert idx.tail_mass(k) <= eta < idx.tail_mass(k - 1)
+
+    @pytest.mark.parametrize(
+        "idx",
+        [ShiftedPoisson(5.0), ShiftedPoisson(8001.0), ShiftedNegativeBinomial.from_mean(10.0, r=2)],
+    )
+    @pytest.mark.parametrize("eta", [1e-17, 5e-17, 2.0 ** -54])
+    def test_truncation_below_half_an_ulp_of_one(self, idx, eta):
+        # 1 - eta rounds to 1, where the quantile is infinite
+        assert 1.0 - eta == 1.0
+        k = idx.truncation(eta)
+        assert idx.tail_mass(k) <= eta < idx.tail_mass(k - 1)
+
+    def test_negative_binomial_through_the_lazy_import(self):
+        nb = ShiftedNegativeBinomial(2.5, 0.2)
+        ks = np.arange(0, 120)
+        assert np.array_equal(nb.pmf(ks), np.where(ks >= 1, nbinom.pmf(ks - 1, 2.5, 0.2), 0.0))
+        assert [nb.tail_mass(int(k)) for k in ks[1:]] == nbinom.sf(ks[1:] - 1, 2.5, 0.2).tolist()
+        ks = np.arange(1, 600)
+        sf = nbinom.sf(ks - 1, 2.5, 0.2)
+        for eta in (1e-3, 1e-10, 1e-16):
+            assert nb.truncation(eta) == int(ks[np.argmax(sf <= eta)])
 
 
 class TestMergeAtoms:
