@@ -282,7 +282,13 @@ class _ShiryaevArray(TriangularArray):
         # variance ratio 2^(j-1-k) formed without the overflowing raw terms;
         # positions far past the row saturate at inf (the honest divergence)
         expo = (1 - k) if j == 1 else (j - 1 - k)
-        return Normal(0.0, 2.0 ** expo if expo <= 1023 else math.inf)
+        variance = 2.0 ** expo if expo <= 1023 else math.inf
+        if variance == 0.0:
+            raise ArrayError(
+                f"shiryaev entry ({n}, {j}) underflows to zero variance; "
+                "rows this deep are outside the numeric envelope"
+            )
+        return Normal(0.0, variance)
 
 
 _LOG_MAX = math.log(sys.float_info.max)

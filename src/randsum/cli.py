@@ -43,13 +43,6 @@ COMMANDS = ("conditions", "distances", "study", "counterexample", "selfcheck")
 DISTANCES_CSV_HEADER = ("label", "n", "metric", "value", "error_bound", "method")
 COUNTEREXAMPLE_CSV_HEADER = ("finding", "passed", "value", "threshold", "detail")
 
-_DISTANCE_METRICS = (
-    "kolmogorov_row",
-    "empirical_delta",
-    "delta_mixture",
-    "delta_randomsum",
-)
-
 
 class ConfigError(Exception):
     """Rejected configuration; the message names the offending location."""
@@ -132,9 +125,6 @@ def _validate_array(cfg, path: str) -> dict:
     return cfg
 
 
-_GRID_DEFAULTS = {"n": [4, 16, 64], "epsilon": [0.1, 0.5, 1.0], "delta": [1.0]}
-
-
 def _validate_grids(cfg, path: str, defaults: dict) -> dict:
     cfg = _expect_mapping(cfg, path)
     _check_keys(cfg, ("n", "epsilon", "delta"), path)
@@ -194,28 +184,15 @@ _STUDY_FIELDS = (
     "normal_twin_feller",
 )
 
-def _study_section_defaults(plan: Optional[_engine.StudyPlan]) -> dict:
-    if plan is None:
-        return {
-            "plan": None,
-            "label": "study",
-            "mode": "prefix",
-            "eta": 1e-10,
-            "functionals": ["lindeberg", "feller", "rand_lindeberg", "rand_feller"],
-            "distances": ["empirical_delta"],
-            "checks": [],
-            "normal_twin_feller": False,
-        }
-    return {
-        "plan": None,  # filled by the caller
-        "label": plan.label,
-        "mode": plan.mode,
-        "eta": plan.eta,
-        "functionals": list(plan.functionals),
-        "distances": list(plan.distances),
-        "checks": [dict(c) for c in plan.checks],
-        "normal_twin_feller": plan.normal_twin_feller,
-    }
+# the defaults of a config that names no bundled plan
+_DEFAULT_PLAN = _engine.StudyPlan(
+    label="study",
+    array={"array": "shiryaev"},
+    index=None,
+    n_grid=(4, 16, 64),
+    epsilon_grid=(0.1, 0.5, 1.0),
+    functionals=("lindeberg", "feller", "rand_lindeberg", "rand_feller"),
+)
 
 
 def _validate_study_section(cfg, path: str, defaults: dict) -> dict:
@@ -242,10 +219,10 @@ def _validate_distances_section(cfg, path: str) -> dict:
     metrics = cfg.get("metrics", ["kolmogorov_row", "empirical_delta", "delta_mixture"])
     metrics = _expect_list(metrics, f"{path}.metrics")
     for i, name in enumerate(metrics):
-        if name not in _DISTANCE_METRICS:
+        if name not in _engine.DISTANCES:
             raise ConfigError(
                 f"{path}.metrics[{i}]: unknown metric {name!r}; "
-                f"available: {', '.join(_DISTANCE_METRICS)}"
+                f"available: {', '.join(_engine.DISTANCES)}"
             )
     mode = cfg.get("mode", "prefix")
     if mode not in ("prefix", "rows"):
@@ -261,9 +238,9 @@ def effective_config(raw: dict, command: str) -> dict:
     """Validate a scenario document and materialize every default.
 
     When a study section names a bundled plan, that plan supplies the
-    defaults for any section the document leaves out.  The result
-    re-validates to itself, so the echoed effective config reproduces
-    the run exactly.
+    defaults for any section the document leaves out, and otherwise
+    ``_DEFAULT_PLAN`` does.  The result re-validates to itself, so the
+    echoed effective config reproduces the run exactly.
     """
     raw = _expect_mapping(raw, "$")
     _check_keys(raw, _TOP_KEYS, "$")
@@ -289,21 +266,15 @@ def effective_config(raw: dict, command: str) -> dict:
                 )
             plan = _engine.builtin_plan(plan_name)
 
-    array_default = plan.array if plan else {"array": "shiryaev", "rows": "n"}
-    index_default = plan.index if plan else None
-    grid_defaults = (
-        {"n": list(plan.n_grid), "epsilon": list(plan.epsilon_grid), "delta": [plan.delta]}
-        if plan
-        else _GRID_DEFAULTS
-    )
-    mc_defaults = (
-        {"M": plan.samples, "alpha": plan.alpha, "seed": plan.seed}
-        if plan
-        else {"M": 100_000, "alpha": 0.01, "seed": 0}
-    )
+    defaults = (plan or _DEFAULT_PLAN).to_json_dict()
+    grid_defaults = {
+        "n": defaults["n_grid"], "epsilon": defaults["epsilon_grid"],
+        "delta": [defaults["delta"]],
+    }
+    mc_defaults = {"M": defaults["samples"], "alpha": defaults["alpha"], "seed": defaults["seed"]}
 
     cfg: Dict[str, object] = {
-        "array": _validate_array(copy.deepcopy(raw.get("array", array_default)), "$.array"),
+        "array": _validate_array(copy.deepcopy(raw.get("array", defaults["array"])), "$.array"),
         "grids": _validate_grids(copy.deepcopy(raw.get("grids", {})), "$.grids", grid_defaults),
         "monte_carlo": _validate_monte_carlo(
             copy.deepcopy(raw.get("monte_carlo", {})), "$.monte_carlo", mc_defaults
@@ -311,7 +282,7 @@ def effective_config(raw: dict, command: str) -> dict:
         "outputs": _validate_outputs(copy.deepcopy(raw.get("outputs", {})), "$.outputs"),
         "tasks": list(tasks),
     }
-    index_raw = raw.get("index", index_default)
+    index_raw = raw.get("index", defaults["index"])
     cfg["index"] = (
         _validate_entry(
             copy.deepcopy(index_raw), "$.index", INDEX_FAMILIES, "family", "index family"
@@ -331,9 +302,8 @@ def effective_config(raw: dict, command: str) -> dict:
 
     if command == "study" or "study" in raw:
         study = _validate_study_section(
-            copy.deepcopy(raw.get("study", {})), "$.study", _study_section_defaults(plan)
+            copy.deepcopy(raw.get("study", {})), "$.study", {**defaults, "plan": plan_name}
         )
-        study["plan"] = plan_name
         if command == "study":
             if cfg["index"] is None:
                 raise ConfigError("$.index: required for the study task")
@@ -523,24 +493,11 @@ def cmd_distances(args) -> int:
         index = index_from_config(cfg["index"], n)
         for metric in section["metrics"]:
             try:
-                if metric == "kolmogorov_row":
-                    law = _metrics.row_sum_law(array, n)
-                    est = _metrics.kolmogorov(law, Normal(0.0, 1.0))
-                elif metric == "empirical_delta":
-                    est = _engine.empirical_delta(
-                        array, index, n, rng, mc["M"], mc["alpha"],
-                        mode=section["mode"],
-                    )
-                elif metric == "delta_mixture":
-                    est = _metrics.delta_mixture(
-                        array, index, n, mode=section["mode"], rng=rng,
-                        alpha=mc["alpha"],
-                    )
-                else:
-                    est = _metrics.delta_randomsum(
-                        array, index, n, mode=section["mode"], rng=rng,
-                        alpha=mc["alpha"],
-                    )
+                # the section sets no eta: the plan-less default applies
+                est = _engine.DISTANCES[metric](
+                    array, index, n, rng, mc["M"], mc["alpha"], _DEFAULT_PLAN.eta,
+                    section["mode"],
+                )
             except Exception as exc:
                 errors.append({"n": n, "metric": metric,
                                "error": f"{type(exc).__name__}: {exc}"})

@@ -822,10 +822,6 @@ class RandomIndex:
     def pmf(self, k: ArrayLike) -> ArrayLike:
         raise NotImplementedError
 
-    def support_max(self) -> float:
-        """Largest support point (may be inf)."""
-        return math.inf
-
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         raise NotImplementedError
 
@@ -834,16 +830,33 @@ class RandomIndex:
         raise NotImplementedError
 
     def truncation(self, eta: float) -> int:
-        """Smallest K >= 1 with P(index > K) <= eta."""
+        """Smallest K >= 1 with P(index > K) <= eta.
+
+        Gallops from ``_truncation_guess`` in steps 1, 2, 4, ... until the
+        tail crosses eta, then bisects the last step, so a guess off by d
+        costs about 2 log2(d) tail evaluations and an exact one two.
+        """
         if not 0.0 < eta < 1.0:
             raise DistributionError("eta must lie in (0, 1)")
-        k = self._truncation_guess(eta)
-        k = max(k, 1)
-        while self.tail_mass(k) > eta:
-            k += 1
-        while k > 1 and self.tail_mass(k - 1) <= eta:
-            k -= 1
-        return k
+        start = max(self._truncation_guess(eta), 1)
+        # invariant: P(index > lo) > eta >= P(index > hi); P(index > 0) = 1
+        if self.tail_mass(start) > eta:
+            lo, hi, step = start, start + 1, 1
+            while self.tail_mass(hi) > eta:
+                lo, step = hi, 2 * step
+                hi = start + step
+        else:
+            lo, hi, step = start - 1, start, 1
+            while lo > 0 and self.tail_mass(lo) <= eta:
+                hi, step = lo, 2 * step
+                lo = max(start - step, 0)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.tail_mass(mid) > eta:
+                lo = mid
+            else:
+                hi = mid
+        return hi
 
     def _truncation_guess(self, eta: float) -> int:
         return 1
@@ -873,9 +886,6 @@ class Deterministic(RandomIndex):
         k = np.asarray(k)
         out = np.where(k == self.k, 1.0, 0.0)
         return float(out) if out.ndim == 0 else out
-
-    def support_max(self) -> float:
-        return float(self.k)
 
     def tail_mass(self, k: int) -> float:
         return 0.0 if k >= self.k else 1.0
@@ -1068,9 +1078,6 @@ class FiniteIndex(RandomIndex):
         idx = np.clip(idx, 0, len(self._values) - 1)
         out = np.where(self._values[idx] == k, self._probs[idx], 0.0)
         return float(out) if out.ndim == 0 else out
-
-    def support_max(self) -> float:
-        return float(self._values[-1])
 
     def tail_mass(self, k: int) -> float:
         idx = np.searchsorted(self._values, k, side="right")

@@ -45,6 +45,7 @@ __all__ = [
     "sample_random_sum",
     "sample_random_sums",
     "empirical_delta",
+    "DISTANCES",
     "StudyPlan",
     "StudyResult",
     "run_study",
@@ -233,12 +234,27 @@ def empirical_delta(
     return _metrics.empirical_kolmogorov(draws, target, alpha)
 
 
+# Each distance to the standard normal at grid point n, called as
+# fn(array, index, n, rng, samples, alpha, eta, mode); the study and the
+# distances command both read this table.  The functions are looked up
+# when called, so a wrapper set on the module sees every call.
+DISTANCES = {
+    # the fixed-length row sum, index aside
+    "kolmogorov_row": lambda array, index, n, rng, samples, alpha, eta, mode:
+        _metrics.kolmogorov(_metrics.row_sum_law(array, n), Normal(0.0, 1.0)),
+    "empirical_delta": lambda array, index, n, rng, samples, alpha, eta, mode:
+        empirical_delta(array, index, n, rng, samples, alpha, mode=mode),
+    "delta_mixture": lambda array, index, n, rng, samples, alpha, eta, mode:
+        _metrics.delta_mixture(array, index, n, eta, mode=mode, rng=rng, alpha=alpha),
+    "delta_randomsum": lambda array, index, n, rng, samples, alpha, eta, mode:
+        _metrics.delta_randomsum(array, index, n, eta, mode=mode, rng=rng, alpha=alpha),
+}
+
+
 # ---------------------------------------------------------------------------
 # study plans
 # ---------------------------------------------------------------------------
 
-
-_KNOWN_DISTANCES = ("empirical_delta", "delta_mixture", "delta_randomsum")
 
 # each check kind's required fields (see _evaluate_check); any kind may
 # also carry the optional ones
@@ -259,14 +275,15 @@ class StudyPlan:
 
     ``index`` is a config mapping whose numeric fields may hold the
     literal string ``"n"``, resolved per grid point (e.g. geometric with
-    ``p = 1/n`` is ``{"family": "geometric", "mean": "n"}``).  ``checks``
-    are trend verdicts evaluated on the finished table; see
-    ``_evaluate_check`` for the kinds.
+    ``p = 1/n`` is ``{"family": "geometric", "mean": "n"}``).
+    ``distances`` are names in ``DISTANCES``.  ``checks`` are trend
+    verdicts evaluated on the finished table; see ``_evaluate_check`` for
+    the kinds.
     """
 
     label: str
     array: dict
-    index: dict
+    index: Optional[dict]
     n_grid: Tuple[int, ...]
     epsilon_grid: Tuple[float, ...] = (0.1, 0.5)
     delta: float = 1.0
@@ -291,7 +308,7 @@ class StudyPlan:
             raise ValueError("delta must lie in (0, 1]")
         if self.mode not in ("prefix", "rows"):
             raise ValueError("mode must be 'prefix' or 'rows'")
-        unknown = set(self.distances) - set(_KNOWN_DISTANCES)
+        unknown = set(self.distances) - set(DISTANCES)
         if unknown:
             raise ValueError(f"unknown distances: {sorted(unknown)}")
         unknown = set(self.functionals) - set(_conditions.REPORT_FUNCTIONALS)
@@ -453,18 +470,9 @@ def _study_cell(
 
     for dist_name in plan.distances:
         try:
-            if dist_name == "empirical_delta":
-                est = empirical_delta(
-                    array, index, n, rng, plan.samples, plan.alpha, mode=plan.mode
-                )
-            elif dist_name == "delta_mixture":
-                est = _metrics.delta_mixture(
-                    array, index, n, plan.eta, mode=plan.mode, rng=rng
-                )
-            else:
-                est = _metrics.delta_randomsum(
-                    array, index, n, plan.eta, mode=plan.mode, rng=rng
-                )
+            est = DISTANCES[dist_name](
+                array, index, n, rng, plan.samples, plan.alpha, plan.eta, plan.mode
+            )
             emit(dist_name, est.value, est.bound)
         except Exception as exc:
             errors.append({"n": int(n), "stage": dist_name,

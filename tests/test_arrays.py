@@ -99,6 +99,14 @@ class TestShiryaevArray:
         arr = make_shiryaev_array()
         assert math.isinf(arr.entry(4, 2000).variance)
 
+    def test_underflow_is_an_error(self):
+        # entry (n, 1) has variance 2^(1-n): 2^-1074 at row 1075 is the
+        # smallest double, and from row 1076 on it rounds to zero
+        arr = make_shiryaev_array()
+        assert arr.entry(1075, 1).variance == 2.0 ** -1074
+        with pytest.raises(ArrayError, match=r"shiryaev entry \(1100, 1\) underflows"):
+            arr.entry(1100, 1)
+
 
 class TestRareJumpArray:
     def test_entry_law(self):

@@ -1,6 +1,7 @@
 """Command-line surface: config materialization, outputs, exit codes."""
 
 import copy
+import itertools
 import json
 import os
 import subprocess
@@ -31,7 +32,7 @@ from randsum.distributions import (
     distribution_from_config,
     index_from_config,
 )
-from randsum.engine import BUILTIN_PLAN_NAMES
+from randsum.engine import BUILTIN_PLAN_NAMES, DISTANCES
 from randsum.metrics import zeta
 
 
@@ -110,6 +111,19 @@ class TestEffectiveConfig:
             effective_config({"study": {"plan": "nope"}}, "study")
         with pytest.raises(ConfigError, match=r"\$\.index: required for the study task"):
             effective_config({"tasks": ["study"], "study": {"label": "x"}}, "study")
+
+    def test_plan_less_study_defaults(self):
+        cfg = effective_config({"index": {"family": "poisson"}}, "study")
+        assert cfg["study"] == {
+            "plan": None,
+            "label": "study",
+            "mode": "prefix",
+            "eta": 1e-10,
+            "functionals": ["lindeberg", "feller", "rand_lindeberg", "rand_feller"],
+            "distances": ["empirical_delta"],
+            "checks": [],
+            "normal_twin_feller": False,
+        }
 
     def test_distances_requires_index(self):
         with pytest.raises(ConfigError, match=r"\$\.index: required"):
@@ -229,6 +243,21 @@ class TestConditionsCommand:
         table = (tmp_path / "conditions.csv").read_text()
         assert ",rand_lindeberg," in table
 
+    def test_underflowing_shiryaev_row_names_the_entry(self, tmp_path, capsys):
+        # entry (1100, 1) has variance 2^-1099, below the smallest double
+        doc = {
+            "array": {"array": "shiryaev"},
+            "grids": {"n": [1100], "epsilon": [0.5], "delta": [1.0]},
+            "outputs": {"format": "json"},
+        }
+        code = main(["conditions", "--config", write_config(tmp_path, doc)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == EXIT_NUMERIC
+        assert [err["error"] for err in doc["errors"]] == [
+            "ArrayError: shiryaev entry (1100, 1) underflows to zero variance; "
+            "rows this deep are outside the numeric envelope"
+        ]
+
     def test_dry_run_echoes_effective_config(self, capsys):
         code = main(["conditions", "--dry-run"])
         out = capsys.readouterr().out
@@ -304,6 +333,49 @@ class TestDistancesCommand:
         err = capsys.readouterr().err
         assert code == EXIT_NUMERIC
         assert "ArrayError: series entry (1077, 1) underflows to zero variance" in err
+
+
+class TestDistanceTable:
+    """The study and the distances command read one table, ``DISTANCES``."""
+
+    ARRAYS = {
+        # no exact law: the two mixture distances fall back to Monte Carlo,
+        # whose DKW bound is taken at alpha
+        "uniform": {"array": "iid", "base": {"family": "uniform", "low": -1.0, "high": 1.0}},
+        "rare-jump": {"array": "rare-jump"},
+    }
+    # the uniform row sum has no exact law, so kolmogorov_row fails there
+    CASES = [case for case in itertools.product(DISTANCES, ARRAYS)
+             if case != ("kolmogorov_row", "uniform")]
+
+    @pytest.mark.parametrize("mode", ["prefix", "rows"])
+    @pytest.mark.parametrize("name,array", CASES)
+    def test_study_and_distances_command_give_the_same_bits(
+        self, tmp_path, capsys, name, array, mode
+    ):
+        shared = {
+            "array": self.ARRAYS[array],
+            "index": {"family": "poisson", "mean": "n"},
+            "grids": {"n": [4], "epsilon": [0.5]},
+            "monte_carlo": {"M": 2000, "alpha": 1e-6, "seed": 5},
+            "outputs": {"format": "json"},
+        }
+        study = {**shared, "tasks": ["study"],
+                 "study": {"label": "one", "mode": mode, "functionals": ["feller"],
+                           "distances": [name]}}
+        distances = {**shared, "distances": {"metrics": [name], "mode": mode}}
+        assert main(["study", "--config", write_config(tmp_path, study, "study.json"),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        assert main(["distances", "--config", write_config(tmp_path, distances, "d.json"),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        docs = [json.loads((tmp_path / f).read_text())
+                for f in ("study-one.json", "distances.json")]
+        assert [doc["errors"] for doc in docs] == [[], []]
+        picked = [[(r["value"], r["error_bound"]) for r in doc["rows"] if r["metric"] == name]
+                  for doc in docs]
+        assert picked[0] == picked[1] and len(picked[0]) == 1
+        assert picked[0][0][0] is not None
 
 
 class TestStudyCommand:
@@ -623,6 +695,9 @@ class TestBenchmarkTracer:
         sys.modules.pop("tracing", None)
 
         assert traced == plain
+        # the distances table looks its functions up when called, so the
+        # module wrappers see the calls
+        assert "metrics.delta_mixture" in {span[0] for span in tracer.spans[since[0]:]}
         declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
         assert set(metrics) == {m["name"] for m in declared if not m["name"].startswith("bench.")}
         assert set(tracing.SELF_TIME) | set(tracing.SPAN_COUNT) <= set(metrics)

@@ -276,6 +276,70 @@ class TestPoissonAndNegativeBinomialTails:
             assert nb.truncation(eta) == int(ks[np.argmax(sf <= eta)])
 
 
+def linear_walk(idx, eta):
+    """K by the one-step walk from the guess: the reference for the search."""
+    k = max(idx._truncation_guess(eta), 1)
+    while idx.tail_mass(k) > eta:
+        k += 1
+    while k > 1 and idx.tail_mass(k - 1) <= eta:
+        k -= 1
+    return k
+
+
+def count_tail_calls(monkeypatch, idx):
+    """Count the index's tail_mass calls from now on."""
+    calls = []
+    tail = type(idx).tail_mass
+
+    def counted(self, k):
+        calls.append(k)
+        return tail(self, k)
+
+    monkeypatch.setattr(type(idx), "tail_mass", counted)
+    return calls
+
+
+class TestTruncationSearch:
+    INDICES = [
+        Deterministic(5),
+        ShiftedPoisson(2.0),
+        ShiftedPoisson(64.0),
+        Geometric(0.5),
+        Geometric(1.0 / 16.0),
+        ShiftedNegativeBinomial.from_mean(4.0, r=2.0),
+        ShiftedNegativeBinomial.from_mean(4.0, r=0.5),
+        FiniteIndex([3, 7, 50], [0.5, 0.4999, 0.0001]),
+    ]
+
+    @pytest.mark.parametrize("idx", INDICES, ids=repr)
+    def test_same_k_as_the_linear_walk(self, idx):
+        for eta in (1e-3, 1e-10, 1e-17, 1e-30, 1e-100, 1e-300):
+            k = idx.truncation(eta)
+            assert k == linear_walk(idx, eta), eta
+            assert idx.tail_mass(k) <= eta
+
+    @pytest.mark.parametrize("mean", [2.0, 17.0, 1000.0])
+    def test_an_exact_poisson_guess_costs_two_tails(self, monkeypatch, mean):
+        idx = ShiftedPoisson(mean)
+        calls = count_tail_calls(monkeypatch, idx)
+        # near 1e-16, 1 - eta keeps too few digits for the quantile to be exact
+        for eta in (1e-3, 1e-10, 1e-15):
+            guess = idx._truncation_guess(eta)
+            calls.clear()
+            assert idx.truncation(eta) == guess
+            assert calls == [guess, guess - 1]
+
+    def test_a_far_guess_costs_logarithmically_many_tails(self, monkeypatch):
+        # below half an ulp of one the negative binomial starts at its mean,
+        # 14,447 short of K: the one-step walk made 14,449 tail calls
+        idx = ShiftedNegativeBinomial.from_mean(200.0, r=0.5)
+        start = idx._truncation_guess(1e-17)
+        calls = count_tail_calls(monkeypatch, idx)
+        k = idx.truncation(1e-17)
+        assert (start, k) == (201, 14_648)
+        assert len(calls) <= 2 * math.ceil(math.log2(k - start)) + 2
+
+
 class TestMergeAtoms:
     @staticmethod
     def loop_merge(values, probs, tol):
