@@ -4,9 +4,11 @@ Commands: ``conditions``, ``distances``, ``study``, ``counterexample``,
 ``selfcheck``.  Scenario files are JSON; unknown and missing keys are
 rejected with the offending location spelled out ("$.array.famly: unknown
 key"), and every default is materialized into the effective config echoed
-back, so the echo re-parses to the same run.  Output files are written once,
-atomically.  Exit codes: 0 ok, 2 config error, 3 numeric failure,
-4 finding violated.
+back, so the echo re-parses to the same run.  ``main`` checks the flags,
+loads the config and answers ``--dry-run`` for every command, then hands
+the config to the command, which writes through ``_write``.  Output files
+are written once, atomically.  Exit codes: 0 ok, 2 config error,
+3 numeric failure, 4 finding violated.
 """
 
 from __future__ import annotations
@@ -210,6 +212,8 @@ def _validate_study_section(cfg, path: str, defaults: dict) -> dict:
     checks = _expect_list(out["checks"], f"{path}.checks")
     for i, chk in enumerate(checks):
         _expect_mapping(chk, f"{path}.checks[{i}]")
+    if not isinstance(out["normal_twin_feller"], bool):
+        raise ConfigError(f"{path}.normal_twin_feller: expected true or false")
     return out
 
 
@@ -341,7 +345,7 @@ def _plan_from_config(cfg: dict) -> _engine.StudyPlan:
         functionals=tuple(study["functionals"]),
         distances=tuple(study["distances"]),
         checks=tuple(dict(c) for c in study["checks"]),
-        normal_twin_feller=bool(study["normal_twin_feller"]),
+        normal_twin_feller=study["normal_twin_feller"],
     )
 
 
@@ -376,36 +380,43 @@ def _emit(args, cfg_outputs: dict, default_name: str, text: str) -> Optional[str
     target = _resolve_output_path(args, cfg_outputs, default_name)
     if target is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return None
     _atomic_write(target, text)
     print(f"wrote {target}", file=sys.stderr)
     return target
 
 
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _write(args, cfg: dict, stem: str, doc: dict, csv_text: str) -> Optional[str]:
+    """Write a command's JSON document, with its command and config, or its CSV table."""
+    if cfg["outputs"]["format"] == "json":
+        text = _engine.json_text({"command": args.command, "config": cfg, **doc})
+        return _emit(args, cfg["outputs"], f"{stem}.json", text)
+    return _emit(args, cfg["outputs"], f"{stem}.csv", csv_text)
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _csv_text(header: Sequence[str], rows: List[dict]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row.get(col)) for col in header))
-    return "\n".join(lines) + "\n"
+def _cells_failed(args, errors: List[dict], any_success: bool) -> bool:
+    """Whether the failed cells fail the command; if so, print them to stderr."""
+    failed = bool(errors) and (args.strict or not any_success)
+    if failed:
+        for err in errors:
+            print(f"cell failed: {err}", file=sys.stderr)
+    return failed
 
 
 def _load_config(args, command: str) -> dict:
-    if args.config is None:
-        raw: dict = {}
+    """The effective config of a command, with its --seed and --format applied.
+
+    ``selfcheck`` reads no config file: its config is its seed and
+    quadrature tolerance.
+    """
+    if command == "selfcheck":
+        return {"seed": 42 if args.seed is None else args.seed, "quad_tol": args.quad_tol}
+    if args.plan is not None:
+        if args.config is not None:
+            raise ConfigError("--plan and --config are mutually exclusive")
+        raw = {"tasks": ["study"], "study": {"plan": args.plan}}
+    elif args.config is None:
+        raw = {}
     else:
         try:
             with open(args.config) as handle:
@@ -427,12 +438,7 @@ def _load_config(args, command: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_conditions(args) -> int:
-    cfg = _load_config(args, "conditions")
-    if args.dry_run:
-        sys.stdout.write(_json_text(cfg))
-        return EXIT_OK
-
+def cmd_conditions(args, cfg: dict) -> int:
     array = _arrays.array_from_config(cfg["array"])
     grids = cfg["grids"]
     rows: List[dict] = []
@@ -461,27 +467,12 @@ def cmd_conditions(args) -> int:
              "value": None, "error_bound": None}
         )
 
-    if cfg["outputs"]["format"] == "json":
-        doc = {"command": "conditions", "config": cfg, "rows": rows, "errors": errors}
-        _emit(args, cfg["outputs"], "conditions.json", _json_text(doc))
-    else:
-        _emit(args, cfg["outputs"], "conditions.csv",
-              _csv_text(_conditions.CSV_HEADER, rows))
-
-    any_success = len(rows) > len(errors)
-    if errors and (args.strict or not any_success):
-        for err in errors:
-            print(f"cell failed: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    _write(args, cfg, "conditions", {"rows": rows, "errors": errors},
+           _engine.csv_text(_conditions.CSV_HEADER, rows))
+    return EXIT_NUMERIC if _cells_failed(args, errors, len(rows) > len(errors)) else EXIT_OK
 
 
-def cmd_distances(args) -> int:
-    cfg = _load_config(args, "distances")
-    if args.dry_run:
-        sys.stdout.write(_json_text(cfg))
-        return EXIT_OK
-
+def cmd_distances(args, cfg: dict) -> int:
     array = _arrays.array_from_config(cfg["array"])
     section = cfg["distances"]
     mc = cfg["monte_carlo"]
@@ -508,46 +499,18 @@ def cmd_distances(args) -> int:
                          "value": est.value, "error_bound": est.bound,
                          "method": est.method})
 
-    if cfg["outputs"]["format"] == "json":
-        doc = {"command": "distances", "config": cfg, "rows": rows, "errors": errors}
-        _emit(args, cfg["outputs"], "distances.json", _json_text(doc))
-    else:
-        _emit(args, cfg["outputs"], "distances.csv",
-              _csv_text(DISTANCES_CSV_HEADER, rows))
-
+    _write(args, cfg, "distances", {"rows": rows, "errors": errors},
+           _engine.csv_text(DISTANCES_CSV_HEADER, rows))
     any_success = any(r["value"] is not None for r in rows)
-    if errors and (args.strict or not any_success):
-        for err in errors:
-            print(f"cell failed: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return EXIT_NUMERIC if _cells_failed(args, errors, any_success) else EXIT_OK
 
 
-def cmd_study(args) -> int:
-    if args.plan is not None:
-        if args.config is not None:
-            raise ConfigError("--plan and --config are mutually exclusive")
-        cfg = effective_config({"tasks": ["study"], "study": {"plan": args.plan}}, "study")
-        if args.seed is not None:
-            cfg["monte_carlo"]["seed"] = args.seed
-        if args.format is not None:
-            cfg["outputs"]["format"] = args.format
-    else:
-        cfg = _load_config(args, "study")
-
+def cmd_study(args, cfg: dict) -> int:
     plan = _plan_from_config(cfg)
-    if args.dry_run:
-        sys.stdout.write(_json_text(cfg))
-        return EXIT_OK
-
     result = _engine.run_study(plan)
-    if cfg["outputs"]["format"] == "json":
-        doc = {"command": "study", "config": cfg,
-               **result.to_json_dict(include_runtime=False)}
-        doc.pop("plan", None)  # the config echo already carries the plan
-        wrote = _emit(args, cfg["outputs"], f"study-{plan.label}.json", _json_text(doc))
-    else:
-        wrote = _emit(args, cfg["outputs"], f"study-{plan.label}.csv", result.csv_text())
+    doc = result.to_json_dict(include_runtime=False)
+    del doc["plan"]  # the config echo already carries the plan
+    wrote = _write(args, cfg, f"study-{plan.label}", doc, result.csv_text())
 
     verdict_stream = sys.stdout if wrote else sys.stderr
     for verdict in result.verdicts:
@@ -650,24 +613,14 @@ def _counterexample_findings(seed: int, quad_tol: float, mc_draws: int) -> List[
     return findings
 
 
-def cmd_counterexample(args) -> int:
-    cfg = _load_config(args, "counterexample")
-    if args.dry_run:
-        sys.stdout.write(_json_text(cfg))
-        return EXIT_OK
-
+def cmd_counterexample(args, cfg: dict) -> int:
     mc = cfg["monte_carlo"]
     findings = _counterexample_findings(
         mc["seed"], args.quad_tol, min(mc["M"], 200_000)
     )
-
-    if cfg["outputs"]["format"] == "json":
-        doc = {"command": "counterexample", "config": cfg, "findings": findings,
-               "passed": all(f["passed"] for f in findings)}
-        _emit(args, cfg["outputs"], "counterexample.json", _json_text(doc))
-    else:
-        _emit(args, cfg["outputs"], "counterexample.csv",
-              _csv_text(COUNTEREXAMPLE_CSV_HEADER, findings))
+    doc = {"findings": findings, "passed": all(f["passed"] for f in findings)}
+    _write(args, cfg, "counterexample", doc,
+           _engine.csv_text(COUNTEREXAMPLE_CSV_HEADER, findings))
 
     failed = [f for f in findings if not f["passed"]]
     for f in findings:
@@ -679,19 +632,9 @@ def cmd_counterexample(args) -> int:
     return EXIT_OK
 
 
-def cmd_selfcheck(args) -> int:
-    seed = args.seed if args.seed is not None else 42
-    if args.dry_run:
-        sys.stdout.write(_json_text({"seed": seed, "quad_tol": args.quad_tol}))
-        return EXIT_OK
-    text = _engine.selfcheck_json(seed, args.quad_tol)
-    if args.out is not None:
-        target = os.path.join(args.out, "selfcheck.json")
-        _atomic_write(target, text)
-        print(f"wrote {target}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-    report = json.loads(text)
+def cmd_selfcheck(args, cfg: dict) -> int:
+    report = _engine.selfcheck(cfg["seed"], cfg["quad_tol"])
+    _emit(args, {}, "selfcheck.json", _engine.json_text(report))
     return EXIT_OK if report["passed"] else EXIT_NUMERIC
 
 
@@ -707,35 +650,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, config: bool = True) -> None:
+    def command(name: str, help: str, *, config: bool = True, fmt: bool = True,
+                strict: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         if config:
             p.add_argument("--config", metavar="PATH", help="scenario JSON file")
         p.add_argument("--seed", type=int, metavar="U64",
                        help="override the Monte Carlo seed")
         p.add_argument("--out", metavar="DIR", help="directory for output files")
-        p.add_argument("--format", choices=("csv", "json"),
-                       help="override the output format")
-        p.add_argument("--strict", action="store_true",
-                       help="any failed cell is fatal (exit 3)")
+        if fmt:
+            p.add_argument("--format", choices=("csv", "json"),
+                           help="override the output format")
+        if strict:
+            p.add_argument("--strict", action="store_true",
+                           help="any failed cell is fatal (exit 3)")
         p.add_argument("--dry-run", action="store_true",
                        help="validate, echo the effective config, run nothing")
+        return p
 
-    p = sub.add_parser("conditions", help="condition functionals over a grid")
-    common(p)
-    p = sub.add_parser("distances", help="distances to the standard normal over a grid")
-    common(p)
-    p = sub.add_parser("study", help="run a convergence study plan")
-    common(p)
+    command("conditions", "condition functionals over a grid")
+    command("distances", "distances to the standard normal over a grid")
+    p = command("study", "run a convergence study plan")
     p.add_argument("--plan", choices=_engine.BUILTIN_PLAN_NAMES,
                    help="bundled study plan (instead of --config)")
-    p = sub.add_parser("counterexample", help="the all-normal row-mixing findings")
-    common(p)
+    p = command("counterexample", "the all-normal row-mixing findings", strict=False)
     p.add_argument("--quad-tol", type=float, default=1e-12,
                    help="quadrature tolerance for the Rotar finding")
-    p = sub.add_parser("selfcheck", help="deterministic invariant suite")
-    common(p, config=False)
+    p = command("selfcheck", "deterministic invariant suite",
+                config=False, fmt=False, strict=False)
     p.add_argument("--quad-tol", type=float, default=1e-12,
                    help="quadrature tolerance fed to the Rotar check")
+    # flags a command does not take read as unset
+    parser.set_defaults(config=None, plan=None, quad_tol=None)
     return parser
 
 
@@ -749,16 +695,17 @@ _DISPATCH = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "config"):
-        args.config = None
-    if not hasattr(args, "plan"):
-        args.plan = None
+    args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "quad_tol", None) is not None:
+        if args.quad_tol is not None:
             _positive_number(args.quad_tol, "--quad-tol")
-        return _DISPATCH[args.command](args)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed: expected a nonnegative integer")
+        cfg = _load_config(args, args.command)
+        if args.dry_run:
+            sys.stdout.write(_engine.json_text(cfg))
+            return EXIT_OK
+        return _DISPATCH[args.command](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

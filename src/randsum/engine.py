@@ -23,7 +23,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +52,8 @@ __all__ = [
     "builtin_plan",
     "BUILTIN_PLAN_NAMES",
     "selfcheck",
+    "json_text",
+    "csv_text",
 ]
 
 # cap on scalar draws materialized at once (~128 MB of float64)
@@ -308,6 +310,8 @@ class StudyPlan:
             raise ValueError("delta must lie in (0, 1]")
         if self.mode not in ("prefix", "rows"):
             raise ValueError("mode must be 'prefix' or 'rows'")
+        if not 0.0 < self.eta <= _conditions.MAX_ETA:
+            raise ValueError(f"eta must lie in (0, {_conditions.MAX_ETA}]")
         unknown = set(self.distances) - set(DISTANCES)
         if unknown:
             raise ValueError(f"unknown distances: {sorted(unknown)}")
@@ -363,6 +367,31 @@ class StudyPlan:
         }
 
 
+def json_text(doc: dict) -> str:
+    """Canonical JSON: sorted keys, two-space indent, a final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def csv_text(header: Sequence[str], rows: Sequence[dict]) -> str:
+    """The header line, then one line per row mapping, read in header order.
+
+    A missing or ``None`` field is empty and a float prints as its repr,
+    so the table is bit-deterministic for fixed values.
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_csv_cell(row.get(col)) for col in header))
+    return "\n".join(lines) + "\n"
+
+
 STUDY_CSV_HEADER = ("label", "n", "epsilon", "delta", "metric", "value", "error_bound")
 
 
@@ -386,18 +415,7 @@ class StudyResult:
         return all(v["passed"] for v in self.verdicts) and not self.errors
 
     def csv_text(self) -> str:
-        lines = [",".join(STUDY_CSV_HEADER)]
-        for row in self.rows:
-            lines.append(
-                "{label},{n},{epsilon},{delta},{metric},{value!r},{error_bound!r}".format(
-                    **{
-                        **row,
-                        "epsilon": "" if row["epsilon"] is None else repr(row["epsilon"]),
-                        "delta": "" if row["delta"] is None else repr(row["delta"]),
-                    }
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(STUDY_CSV_HEADER, self.rows)
 
     def to_json_dict(self, *, include_runtime: bool = True) -> dict:
         doc = {
@@ -994,4 +1012,4 @@ def selfcheck(seed: int = 42, quad_tol: float = QUAD_ABS_TOL) -> dict:
 
 def selfcheck_json(seed: int = 42, quad_tol: float = QUAD_ABS_TOL) -> str:
     """Canonical JSON rendering of ``selfcheck`` (byte-stable per seed)."""
-    return json.dumps(selfcheck(seed, quad_tol), sort_keys=True, indent=2) + "\n"
+    return json_text(selfcheck(seed, quad_tol))

@@ -512,14 +512,19 @@ class TestStudyCommand:
              "$.study: checks[0].metric: the study emits no metric 'rotar'"),
             ({"checks": [{"kind": "all_below", "metric": "rand_feller", "threshold": [1]}]},
              "$.study: checks[0].threshold: expected a number"),
+            ({"eta": 1.5}, "$.study: eta must lie in (0, 0.001]"),
+            ({"normal_twin_feller": "no"},
+             "$.study.normal_twin_feller: expected true or false"),
         ],
     )
     def test_study_section_faults_exit_2(self, tmp_path, capsys, study, message):
         cfg = self.study_config(tmp_path, study={"label": "tiny", **study})
-        code = main(["study", "--config", cfg])
-        err = capsys.readouterr().err
-        assert code == EXIT_CONFIG
-        assert message in err
+        for dry_run in ([], ["--dry-run"]):
+            code = main(["study", "--config", cfg, *dry_run])
+            captured = capsys.readouterr()
+            assert code == EXIT_CONFIG
+            assert message in captured.err
+            assert captured.out == ""
 
 
 class TestCounterexampleCommand:
@@ -582,6 +587,63 @@ class TestSelfcheckCommand:
         assert code == EXIT_CONFIG
         assert "--quad-tol: must be a positive finite number" in captured.err
         assert captured.out == ""
+
+
+class TestFlags:
+    """Flags every command shares go through one load, echo and check."""
+
+    DISTANCES = {"array": {"array": "rare-jump"}, "index": {"family": "poisson", "mean": "n"},
+                 "grids": {"n": [4]}, "monte_carlo": {"M": 2000}}
+    STUDY = {"tasks": ["study"], "array": {"array": "rare-jump"},
+             "index": {"family": "poisson", "mean": "n"},
+             "grids": {"n": [4], "epsilon": [0.5]}, "monte_carlo": {"M": 2000},
+             "study": {"label": "tiny", "functionals": ["rand_feller"]}}
+
+    def argv(self, tmp_path, command):
+        """A command line that runs ``command`` successfully."""
+        if command == "distances":
+            return ["distances", "--config", write_config(tmp_path, self.DISTANCES)]
+        if command == "study-config":
+            return ["study", "--config", write_config(tmp_path, self.STUDY)]
+        if command == "study-plan":
+            return ["study", "--plan", "feller_necessity_rare_jump"]
+        return [command]
+
+    @pytest.mark.parametrize(
+        "command", ["conditions", "distances", "study-plan", "counterexample", "selfcheck"]
+    )
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command, dry_run):
+        argv = self.argv(tmp_path, command) + ["--seed", "-5"]
+        code = main(argv + (["--dry-run"] if dry_run else []))
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert "config error: --seed: expected a nonnegative integer" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["selfcheck", "--strict"], ["selfcheck", "--format", "csv"],
+         ["counterexample", "--strict"]],
+    )
+    def test_flags_a_command_ignores_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["conditions", "distances", "study-config", "study-plan", "counterexample"]
+    )
+    def test_dry_run_echo_round_trips(self, tmp_path, capsys, command):
+        argv = self.argv(tmp_path, command)
+        assert main(argv + ["--seed", "3", "--format", "json", "--dry-run"]) == EXIT_OK
+        echo = capsys.readouterr().out
+        cfg = json.loads(echo)
+        assert cfg["monte_carlo"]["seed"] == 3 and cfg["outputs"]["format"] == "json"
+        again = write_config(tmp_path, cfg, "echo.json")
+        assert main([argv[0], "--config", again, "--dry-run"]) == EXIT_OK
+        assert capsys.readouterr().out == echo
 
 
 class TestExitCodes:

@@ -205,6 +205,9 @@ class TestStudyPlan:
             builtin_plan("feller_necessity_rare_jump", delta=1.5).validated()
         with pytest.raises(ValueError):
             builtin_plan("feller_necessity_rare_jump", mode="sideways").validated()
+        for eta in (0.0, 1.5):
+            with pytest.raises(ValueError, match=r"eta must lie in \(0, 0\.001\]"):
+                builtin_plan("feller_necessity_rare_jump", eta=eta).validated()
         with pytest.raises(ValueError):
             builtin_plan(
                 "feller_necessity_rare_jump", distances=("delta_quantum",)
