@@ -30,14 +30,17 @@ from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import ndtr
 
 from .arrays import TriangularArray, expand, run_sum
 from .distributions import (
+    _SQRT_2PI,
     QUAD_ABS_TOL,
+    CdfPiece,
     Normal,
     RandomIndex,
     ScalarDistribution,
+    _norm_pdf,
     _quad,
 )
 
@@ -118,15 +121,78 @@ def _eps_ok(epsilon: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _x_cdf_primitive(x: float, sigma: float) -> float:
+    """G(x) = (x^2 - sigma^2) Phi(x/sigma)/2 + sigma x phi(x/sigma)/2, a
+    primitive of x Phi(x/sigma) that vanishes at -inf."""
+    z = x / sigma
+    return 0.5 * ((x * x - sigma * sigma) * float(ndtr(z)) + sigma * x * float(_norm_pdf(z)))
+
+
+def _rotar_left(pieces: Sequence[CdfPiece], sigma: float, eps: float) -> float:
+    """int_{-inf}^{-eps} |x| |F(x) - Phi(x/sigma)| dx in closed form.
+
+    F is ``alpha x + beta`` on each piece ``(a, b, alpha, beta)``, 0 below
+    the first and 1 above the last.  On x <= 0 Phi is convex, so on a
+    piece g = F - Phi is concave: monotone on either side of the one point
+    where g' = alpha - phi(x/sigma)/sigma vanishes, with at most one root
+    on each side, which ``brentq`` brackets.  Between roots x g(x) keeps
+    one sign, so a part [u, v] contributes |P(v) - P(u)| with the
+    primitive P(x) = alpha x^3/3 + beta x^2/2 - G(x).  Below the first
+    piece F = 0, and the integral up to c there is -G(c).
+    """
+    from scipy.optimize import brentq
+
+    lo, hi = pieces[0][0], pieces[-1][1]
+    total = -_x_cdf_primitive(min(lo, -eps), sigma)
+    for a, b, alpha, beta in (*pieces, (hi, math.inf, 0.0, 1.0)):
+        b = min(b, -eps)
+        if a >= b:
+            continue
+
+        def gap(x: float) -> float:
+            return alpha * x + beta - float(ndtr(x / sigma))
+
+        def primitive(x: float) -> float:
+            return alpha * x ** 3 / 3.0 + beta * x * x / 2.0 - _x_cdf_primitive(x, sigma)
+
+        cuts = [a, b]
+        peak = alpha * sigma * _SQRT_2PI
+        if 0.0 < peak < 1.0:
+            # phi(x/sigma)/sigma = alpha at x = -sigma sqrt(-2 log peak)
+            top = -sigma * math.sqrt(-2.0 * math.log(peak))
+            if a < top < b:
+                cuts.insert(1, top)
+        parts = [a]
+        for u, v in zip(cuts[:-1], cuts[1:]):
+            if gap(u) * gap(v) < 0.0:
+                parts.append(brentq(gap, u, v))
+            parts.append(v)
+        total += sum(abs(primitive(v) - primitive(u)) for u, v in zip(parts[:-1], parts[1:]))
+    return total
+
+
 def _rotar_entry(
     dist: ScalarDistribution, eps: float, *, quad_tol: float = QUAD_ABS_TOL
 ) -> float:
     """int_{|x| >= eps} |x| |F(x) - Phi_{0, sigma}(x)| dx for one entry.
 
-    The comparison normal shares the entry's variance.  For a centered
-    normal entry the integrand is identically zero.  The infinite tails
-    are cut at T where the truncated second moments of both laws certify
-    a remainder below _ROTAR_TAIL_TARGET.
+    The comparison normal is N(0, Var X), whatever the entry's mean.  For
+    a centered normal entry the integrand is identically zero.
+
+    Closed form, for laws with ``cdf_pieces`` (uniform and atomic laws):
+    the left half-line is ``_rotar_left`` of the law's pieces, and the
+    right one ``_rotar_left`` of the law of -X, whose pieces are
+    ``(-b, -a, alpha, 1 - beta)``, so every primitive is read where Phi is
+    small.  Each part's value rounds by a few ulps of max |P| at its ends,
+    about 1e-15 for entries of unit-scale support.  A root that
+    ``brentq`` places off by d (at most 2e-12 + 4u|x|) changes the sum by
+    at most |x g'(x)| d^2, some 1e-23.  Both sit far below the per-entry
+    quad_tol + _ROTAR_TAIL_TARGET of ``rotar_error_bound``.
+
+    Quadrature, for every other law: the infinite tails are cut at T where
+    the truncated second moments of both laws certify a remainder below
+    _ROTAR_TAIL_TARGET, and ``_quad`` integrates to ``quad_tol`` between
+    the sign changes of F - Phi that a 65-point probe and ``brentq`` find.
     """
     if isinstance(dist, Normal) and dist.mean == 0.0:
         return 0.0
@@ -136,6 +202,13 @@ def _rotar_entry(
         if at is not None and np.allclose(at[0], 0.0):
             return 0.0
         raise InvalidRowError("Rotar functional needs entries with positive variance")
+    pieces = dist.cdf_pieces()
+    if pieces is not None:
+        mirrored = [(-b, -a, alpha, 1.0 - beta) for a, b, alpha, beta in reversed(pieces)]
+        return _rotar_left(pieces, sigma, eps) + _rotar_left(mirrored, sigma, eps)
+
+    from scipy.optimize import brentq
+
     comparison = Normal(0.0, dist.variance)
 
     lo_sup, hi_sup = dist.support()
@@ -155,35 +228,29 @@ def _rotar_entry(
     def integrand(x: float) -> float:
         return abs(x) * abs(diff(x))
 
-    at = dist.atoms()
-    atom_vals = at[0] if at is not None else np.empty(0)
-
     total = 0.0
     for a, b in ((eps, t_cut), (-t_cut, -eps)):
         if b <= a:
             continue
-        # split at atoms, then at sign changes of F - Phi inside each piece
-        cuts = [a, b]
-        cuts.extend(float(v) for v in atom_vals if a < v < b)
-        cuts = sorted(set(cuts))
-        refined = [cuts[0]]
-        for lo_piece, hi_piece in zip(cuts[:-1], cuts[1:]):
-            grid = np.linspace(lo_piece, hi_piece, 65)[1:-1]
-            # left-continuous F is constant past an atom, so probe interior
-            signs = np.array([diff(float(x)) for x in grid])
-            prev = lo_piece
-            for g, s_prev, s_next in zip(grid[1:], signs[:-1], signs[1:]):
-                if s_prev == 0.0 or s_prev * s_next < 0.0:
-                    lo_b = prev if prev > lo_piece else float(grid[0])
-                    try:
-                        root = brentq(diff, lo_b, float(g))
-                        if refined[-1] < root < hi_piece:
-                            refined.append(float(root))
-                            prev = root
-                    except ValueError:
-                        pass
-            refined.append(hi_piece)
-        piece_val, _ = _quad(integrand, a, b, epsabs=quad_tol, points=refined)
+        # split at the sign changes of F - Phi that an interior probe shows
+        grid = np.linspace(a, b, 65)[1:-1]
+        signs = np.array([diff(float(x)) for x in grid])
+        refined = [a]
+        prev = a
+        for g, s_prev, s_next in zip(grid[1:], signs[:-1], signs[1:]):
+            if s_prev == 0.0 or s_prev * s_next < 0.0:
+                lo_b = prev if prev > a else float(grid[0])
+                try:
+                    root = brentq(diff, lo_b, float(g))
+                    if refined[-1] < root < b:
+                        refined.append(float(root))
+                        prev = root
+                except ValueError:
+                    pass
+        refined.append(b)
+        # F has kinks at the support's ends, which adaptive quadrature can
+        # misjudge by far more than quad_tol when they fall inside a piece
+        piece_val, _ = _quad(integrand, a, b, epsabs=quad_tol, points=[*refined, lo_sup, hi_sup])
         total += piece_val
     return total
 
@@ -248,8 +315,7 @@ FUNCTIONALS: Dict[str, Functional] = {
     ),
     # E[X^2 / (1 + X^2)], a bounded infinitesimality gauge
     "infinitesimality_ratio": Functional(
-        lambda d, _, tol: d.expectation(lambda x: np.square(x) / (1.0 + np.square(x))),
-        "max", None, None, _library_bound,
+        lambda d, _, tol: d.ratio_moment(), "max", None, None, _library_bound,
     ),
     "cf_deviation": Functional(lambda d, t, tol: abs(d.char_fn(t) - 1.0), "max", "t", None),
     "rotar": Functional(

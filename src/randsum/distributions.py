@@ -19,11 +19,11 @@ threads; sampling takes an explicit ``numpy.random.Generator``.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
+from itertools import count
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln, ndtr, pdtr, pdtrc, pdtrik
+from scipy.special import erfcx, gammaln, ndtr, pdtr, pdtrc, pdtrik
 
 __all__ = [
     "DistributionError",
@@ -66,6 +66,15 @@ _QUAD_SLACK = 50.0
 _TAIL_NEGLIGIBLE = 1e-14
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Largest variance of a centered normal, and largest |x| on the support of
+# a uniform law, whose E[X^2/(1+X^2)] is summed as a moment series: there
+# the terms fall below half an ulp of the sum within 30 terms, while the
+# closed forms lose digits to the cancellation in 1 - E[1/(1+X^2)].
+_RATIO_SERIES_NORMAL_VAR = 2.0 ** -7
+_RATIO_SERIES_UNIFORM_REACH = 0.5
+
+# (a, b, alpha, beta): the CDF equals alpha x + beta on [a, b]
+CdfPiece = Tuple[float, float, float, float]
 
 
 class DistributionError(ValueError):
@@ -103,6 +112,11 @@ def _quad(
     total = 0.0
     err = 0.0
     per_piece = epsabs / max(len(cuts) - 1, 1)
+    # imported here, not at start-up, where it would cost most commands more
+    # than their work; quad is looked up per call, so a wrapper set on the
+    # module sees every call
+    from scipy import integrate
+
     for a, b in zip(cuts[:-1], cuts[1:]):
         val, est = integrate.quad(fn, a, b, epsabs=per_piece, epsrel=1e-12, limit=200)
         total += val
@@ -158,6 +172,24 @@ class ScalarDistribution:
 
     def support(self) -> Tuple[float, float]:
         return (-math.inf, math.inf)
+
+    def cdf_pieces(self) -> Optional[List[CdfPiece]]:
+        """Pieces ``(a, b, alpha, beta)``, in increasing order and tiling
+        the support, on whose interiors the CDF is ``alpha x + beta``;
+        None unless the CDF is piecewise linear.
+
+        A law with atoms has one flat piece per gap between neighbouring
+        atoms, ``beta`` the mass below the gap.
+        """
+        at = self.atoms()
+        if at is None:
+            return None
+        vals, probs = at
+        below = np.cumsum(probs)
+        return [
+            (float(a), float(b), 0.0, float(c))
+            for a, b, c in zip(vals[:-1], vals[1:], below[:-1])
+        ]
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         raise NotImplementedError
@@ -232,6 +264,28 @@ class ScalarDistribution:
         lo, hi = self._quad_cut()
         v, _ = _quad(lambda x: float(fn(x)) * self.pdf(x), lo, hi, epsabs=epsabs, points=list(breakpoints))
         return v
+
+    def ratio_moment(self) -> float:
+        """E[X^2 / (1 + X^2)], a bounded gauge of the law's spread."""
+        return self.expectation(lambda x: np.square(x) / (1.0 + np.square(x)))
+
+
+def _ratio_series(moments: Iterable[float]) -> float:
+    """E[X^2 / (1 + X^2)] from the even moments m_k = E X^(2k), k = 1, 2, ...
+
+    x^2/(1+x^2) = sum_{k<=m} (-1)^(k+1) x^(2k) + (-1)^m x^(2m+2)/(1+x^2),
+    so the m-th partial sum is off by at most m_(m+1).  The sum stops once
+    that is below half an ulp of it; the callers pass laws whose moments
+    get there.
+    """
+    total = 0.0
+    sign = 1.0
+    for m in moments:
+        if m <= 2.0 ** -54 * total:
+            break
+        total += sign * m
+        sign = -sign
+    return total
 
 
 def _positive_variance(var: float) -> float:
@@ -309,6 +363,23 @@ class Normal(ScalarDistribution):
             return math.exp(log_val) if log_val <= _LOG_MAX else math.inf
         return super().abs_moment(order, epsabs=epsabs)
 
+    def ratio_moment(self) -> float:
+        if self.mean != 0.0:
+            return super().ratio_moment()
+        v = self.variance
+        if v <= _RATIO_SERIES_NORMAL_VAR:
+            # E Z^(2k) = (2k - 1)!!, so m_(k+1) = (2k + 1) v m_k
+            def moments():
+                m = v
+                for k in count(1):
+                    yield m
+                    m *= (2 * k + 1) * v
+
+            return _ratio_series(moments())
+        # E[1/(1 + X^2)] = sqrt(pi/2)/sigma erfcx(1/(sqrt(2) sigma))
+        sigma = self._sigma
+        return 1.0 - math.sqrt(0.5 * math.pi) / sigma * float(erfcx(1.0 / (math.sqrt(2.0) * sigma)))
+
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         return rng.normal(self.mean, self._sigma, size=size)
 
@@ -351,6 +422,19 @@ class Uniform(ScalarDistribution):
 
     def support(self) -> Tuple[float, float]:
         return (self.low, self.high)
+
+    def cdf_pieces(self) -> List[CdfPiece]:
+        width = self.high - self.low
+        return [(self.low, self.high, 1.0 / width, -self.low / width)]
+
+    def ratio_moment(self) -> float:
+        lo, hi = self.low, self.high
+        width = hi - lo
+        if max(-lo, hi) <= _RATIO_SERIES_UNIFORM_REACH:
+            return _ratio_series(
+                (hi ** (2 * k + 1) - lo ** (2 * k + 1)) / ((2 * k + 1) * width) for k in count(1)
+            )
+        return 1.0 - (math.atan(hi) - math.atan(lo)) / width
 
     def truncated_second_moment(self, threshold: float, *, epsabs: float = QUAD_ABS_TOL) -> float:
         if threshold < 0:

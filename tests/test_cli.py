@@ -42,6 +42,29 @@ def write_config(tmp_path, doc, name="cfg.json"):
     return str(path)
 
 
+def run_fresh(tmp_path, command, doc, prefixes):
+    """(exit code, loaded modules under ``prefixes``) of one command run in
+    a fresh interpreter, which shows whether anything pulled them in."""
+    cfg = write_config(tmp_path, doc)
+    script = (
+        "import json, sys\n"
+        "from randsum.cli import main\n"
+        "code = main(sys.argv[2:])\n"
+        "prefixes = tuple(sys.argv[1].split(','))\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(prefixes))]))\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(randsum.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, ",".join(prefixes),
+         command, "--config", cfg, "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestEffectiveConfig:
     def test_empty_document_materializes_defaults(self):
         cfg = effective_config({}, "conditions")
@@ -215,31 +238,13 @@ class TestConditionsCommand:
         assert any(",rand_lindeberg," in ln for ln in out.splitlines())
 
     def test_poisson_index_does_not_import_scipy_stats(self, tmp_path):
-        # scipy.stats takes longer to import than most commands take to
-        # run; a fresh interpreter shows whether anything pulled it in
-        cfg = write_config(
-            tmp_path,
-            {
-                "array": {"array": "rare-jump"},
-                "index": {"family": "poisson", "mean": "n"},
-                "grids": {"n": [4, 8], "epsilon": [0.5], "delta": [1.0]},
-            },
-        )
-        script = (
-            "import json, sys\n"
-            "from randsum.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('scipy.stats'))]))\n"
-        )
-        package_root = os.path.dirname(os.path.dirname(randsum.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "conditions", "--config", cfg, "--out", str(tmp_path)],
-            capture_output=True, text=True, timeout=120, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_OK, []]
+        # scipy.stats takes longer to import than most commands take to run
+        doc = {
+            "array": {"array": "rare-jump"},
+            "index": {"family": "poisson", "mean": "n"},
+            "grids": {"n": [4, 8], "epsilon": [0.5], "delta": [1.0]},
+        }
+        assert run_fresh(tmp_path, "conditions", doc, ("scipy.stats",)) == [EXIT_OK, []]
         table = (tmp_path / "conditions.csv").read_text()
         assert ",rand_lindeberg," in table
 
@@ -333,6 +338,19 @@ class TestDistancesCommand:
         err = capsys.readouterr().err
         assert code == EXIT_NUMERIC
         assert "ArrayError: series entry (1077, 1) underflows to zero variance" in err
+
+    def test_exact_distances_import_no_quadrature_or_root_finder(self, tmp_path):
+        # scipy.integrate pulls in scipy.optimize, scipy.sparse.linalg and
+        # scipy.fft; atomic rows need none of them
+        doc = {
+            "array": {"array": "rare-jump"},
+            "index": {"family": "poisson", "mean": "n"},
+            "grids": {"n": [4, 8]},
+            "distances": {"metrics": ["kolmogorov_row", "delta_mixture"]},
+        }
+        got = run_fresh(tmp_path, "distances", doc, ("scipy.integrate", "scipy.optimize"))
+        assert got == [EXIT_OK, []]
+        assert ",delta_mixture," in (tmp_path / "distances.csv").read_text()
 
 
 class TestDistanceTable:
@@ -716,8 +734,9 @@ class TestBenchmarkTracer:
     """The benchmark's tracer patches names of the program; they must stay."""
 
     CONFIGS = {
+        # a law with no closed-form Rotar integral, so the run reaches quadrature
         "conditions": {
-            "array": {"array": "iid", "base": {"family": "uniform", "low": -1.0, "high": 1.0}},
+            "array": {"array": "iid", "base": {"family": "exponential-centered"}},
             "index": {"family": "poisson", "mean": "n"},
             "grids": {"n": [4, 8], "epsilon": [0.5], "delta": [1.0]},
             "outputs": {"format": "json"},

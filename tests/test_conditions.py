@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -43,8 +44,10 @@ from randsum.distributions import (
     FiniteIndex,
     Geometric,
     Normal,
+    FiniteDiscrete,
     Rademacher,
     ShiftedPoisson,
+    TwoPoint,
     Uniform,
 )
 
@@ -123,6 +126,75 @@ class TestRotar:
     def test_error_bound_scales_with_row(self):
         assert rotar_error_bound(4, 1e-12) == pytest.approx(4.0 * rotar_error_bound(1, 1e-12))
         assert rotar_error_bound(10, 1e-6) >= 1e-5
+
+    H = math.sqrt(3.0) / 2.0
+    ORACLE_CASES = [
+        (Uniform(-1.0, 1.0), 0.3),
+        (Uniform(-1.0, 1.0), 0.5),
+        (Uniform(-H, H), 0.3),
+        (Uniform(-H, H), 0.5),
+        (Uniform(-0.5, 2.0), 0.3),  # off centre: the comparison law stays N(0, 0.52)
+        (Uniform(-5.0, 4.0), 0.5),  # F - Phi has two roots on the right half-line
+        (TwoPoint(-1.0, 2.0, 2.0 / 3.0), 0.5),
+        (TwoPoint(-1.0, 2.0, 2.0 / 3.0), 1.0),  # an atom on -eps
+        (FiniteDiscrete([-0.5, 0.5], [0.5, 0.5]), 0.5),  # atoms on both of +-eps
+        *((RARE.entry(n, 1), 0.5) for n in (4, 16, 64)),
+    ]
+
+    @pytest.mark.parametrize("law,eps", ORACLE_CASES, ids=lambda v: repr(v))
+    def test_closed_form_against_mpmath(self, law, eps):
+        got = cond._rotar_entry(law, eps)
+        oracle = rotar_mpmath(law, eps)
+        assert abs(got - oracle) <= rotar_error_bound(1)
+        assert got == pytest.approx(oracle, rel=1e-13)
+
+    @pytest.mark.parametrize("rate,eps", [(1.0, 0.3), (2.0, 0.3), (2.0, 0.5)])
+    def test_quadrature_fallback_against_mpmath(self, rate, eps):
+        # at rate 2 the support's end -1/2 lies inside the left piece
+        law = CenteredExponential(rate)
+        assert abs(cond._rotar_entry(law, eps) - rotar_mpmath(law, eps)) <= rotar_error_bound(1)
+
+
+def rotar_mpmath(law, eps):
+    """Rotar's integral of one uniform, atomic or centered exponential law
+    by 30-digit quadrature, split at the atoms, at the support's ends, at
+    +-eps and at every sign change of F - Phi."""
+    with mpmath.workdps(30):
+        if isinstance(law, Uniform):
+            lo, hi = mpmath.mpf(law.low), mpmath.mpf(law.high)
+            breaks = [lo, hi]
+            cdf = lambda x: min(mpmath.mpf(1), max(mpmath.mpf(0), (x - lo) / (hi - lo)))
+        elif isinstance(law, CenteredExponential):
+            rate = mpmath.mpf(law.rate)
+            # F - Phi keeps its sign past 40 standard deviations
+            breaks = [-1 / rate, 40 / rate]
+            cdf = lambda x: -mpmath.expm1(-rate * x - 1) if x > -1 / rate else mpmath.mpf(0)
+        else:
+            vals, probs = law.atoms()
+            breaks = [mpmath.mpf(float(v)) for v in vals]
+            masses = [mpmath.mpf(float(p)) for p in probs]
+            masses = [m / sum(masses) for m in masses]
+            # exactly 1 past the last atom, or the right tail diverges
+            cdf = lambda x: mpmath.mpf(1) if x > breaks[-1] else sum(
+                (m for v, m in zip(breaks, masses) if v < x), mpmath.mpf(0))
+        sigma = mpmath.sqrt(mpmath.mpf(law.variance))
+        gap = lambda x: cdf(x) - mpmath.ncdf(x / sigma)
+        oracle = mpmath.mpf(0)
+        for side in (1, -1):
+            # the half-line side * [eps, inf), walked outward
+            ends = sorted({b * side for b in breaks if b * side > eps} | {mpmath.mpf(eps)})
+            cuts = [ends[0]]
+            for u, v in zip(ends[:-1], ends[1:]):
+                # F jumps at atoms, so probe just inside the ends
+                xs = [u + (v - u) * t for t in (1e-20, *(i / 200 for i in range(1, 200)),
+                                                 1 - mpmath.mpf(1e-20))]
+                signs = [gap(side * x) for x in xs]
+                cuts += [mpmath.findroot(lambda x: gap(side * x), (a, b), solver="anderson")
+                         for a, b, ga, gb in zip(xs[:-1], xs[1:], signs[:-1], signs[1:])
+                         if ga * gb < 0]
+                cuts.append(v)
+            oracle += mpmath.quad(lambda x: x * abs(gap(side * x)), cuts + [mpmath.inf])
+        return float(oracle)
 
 
 class TestShiryaevRow:
@@ -445,6 +517,23 @@ class TestRowKernel:
             counts.append(len(calls))
         assert counts[0] > 0
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize(
+        "array,quadrature",
+        [
+            (UNI4, False),
+            (make_iid_array(TwoPoint(-1.0, 2.0, 2.0 / 3.0)), False),
+            (RARE, False),
+            (SHIRYAEV, False),
+            (EXP, True),  # no closed form: the quadrature fallback stays covered
+        ],
+        ids=lambda v: getattr(v, "label", v),
+    )
+    def test_quadrature_only_without_a_closed_form(self, monkeypatch, array, quadrature):
+        calls = count_calls(monkeypatch, integrate, "quad")
+        rep = evaluate_report(array, 16, 0.3, 1.0, index=ShiftedPoisson(16.0))
+        assert {"rotar", "rand_rotar", "infinitesimality_ratio"} <= set(rep.values)
+        assert bool(calls) == quadrature
 
     def test_unreported_functionals_are_not_evaluated(self, monkeypatch):
         calls = count_calls(monkeypatch, cond, "_rotar_entry")

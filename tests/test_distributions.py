@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -76,6 +77,39 @@ class TestNormal:
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(DistributionError):
             Normal(0.0, 0.0)
+
+
+class TestRatioMoment:
+    """E[X^2 / (1 + X^2)] against 30-digit quadrature, within the 1e-10
+    the condition report allows a per-entry value and 1e-13 relative."""
+
+    @staticmethod
+    def check(law, oracle):
+        got = law.ratio_moment()
+        assert abs(got - float(oracle)) <= 1e-10
+        assert got == pytest.approx(float(oracle), rel=1e-13)
+
+    @pytest.mark.parametrize("log2_var", [-40, -31, -10, -2, 0, 4])
+    def test_centered_normal(self, log2_var):
+        # the moment series below 2^-7, the erfcx form above
+        with mpmath.workdps(30):
+            v = mpmath.mpf(2) ** log2_var
+            f = lambda z: v * z * z / (1 + v * z * z) * mpmath.npdf(z)
+            self.check(Normal(0.0, 2.0 ** log2_var), mpmath.quad(f, [-mpmath.inf, 0, mpmath.inf]))
+
+    @pytest.mark.parametrize("low,high", [(-1e-4, 1e-4), (-0.3, 0.3), (-1.0, 1.0),
+                                          (-50.0, 50.0), (-0.5, 2.0)])
+    def test_uniform(self, low, high):
+        # the moment series on [-1/2, 1/2], the arctangent form beyond
+        with mpmath.workdps(30):
+            lo, hi = mpmath.mpf(low), mpmath.mpf(high)
+            f = lambda x: x * x / (1 + x * x)
+            self.check(Uniform(low, high), mpmath.quad(f, [lo, 0, hi]) / (hi - lo))
+
+    def test_other_laws_keep_the_generic_expectation(self):
+        for law in (Normal(0.5, 2.0), CenteredExponential(2.0), TwoPoint(-1.0, 2.0, 2.0 / 3.0)):
+            assert law.ratio_moment() == law.expectation(
+                lambda x: np.square(x) / (1.0 + np.square(x)))
 
 
 class TestUniform:
