@@ -423,10 +423,6 @@ class SeriesForm:
             return self._bsq_linear[n]
         return math.exp(lb) if lb <= _LOG_MAX else math.inf
 
-    def normalizer(self, n: int) -> float:
-        half = 0.5 * self.log_b_squared(n)
-        return math.exp(half) if half <= _LOG_MAX else math.inf
-
     def log_variance_profile(self, n: int) -> np.ndarray:
         """Member log variances for j = 1..n."""
         self._extend(int(n))

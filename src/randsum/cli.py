@@ -406,11 +406,10 @@ def _cells_failed(args, errors: List[dict], any_success: bool) -> bool:
 def _load_config(args, command: str) -> dict:
     """The effective config of a command, with its --seed and --format applied.
 
-    ``selfcheck`` reads no config file: its config is its seed and
-    quadrature tolerance.
+    ``selfcheck`` reads no config file: its config is its seed.
     """
     if command == "selfcheck":
-        return {"seed": 42 if args.seed is None else args.seed, "quad_tol": args.quad_tol}
+        return {"seed": 42 if args.seed is None else args.seed}
     if args.plan is not None:
         if args.config is not None:
             raise ConfigError("--plan and --config are mutually exclusive")
@@ -530,7 +529,7 @@ _CE_N_GRID = (4, 8, 16, 32)
 _CE_EPSILONS = (0.1, 0.5, 1.0)
 
 
-def _counterexample_findings(seed: int, quad_tol: float, mc_draws: int) -> List[dict]:
+def _counterexample_findings(seed: int, mc_draws: int) -> List[dict]:
     """The five findings on the all-normal row-mixing array."""
     array = _arrays.make_shiryaev_array()
     findings: List[dict] = []
@@ -601,8 +600,8 @@ def _counterexample_findings(seed: int, quad_tol: float, mc_draws: int) -> List[
     apriori = 0.0
     for k in _CE_N_GRID:
         for eps in _CE_EPSILONS:
-            worst = max(worst, _conditions.rotar(array, k, eps, quad_tol=quad_tol))
-        apriori = max(apriori, _conditions.rotar_error_bound(array.row_length(k), quad_tol))
+            worst = max(worst, _conditions.rotar(array, k, eps))
+        apriori = max(apriori, _conditions.rotar_error_bound(array.row_length(k)))
     findings.append({
         "finding": "rotar_within_tolerance",
         "passed": worst <= 1e-8 and worst <= max(apriori, 1e-12),
@@ -615,9 +614,7 @@ def _counterexample_findings(seed: int, quad_tol: float, mc_draws: int) -> List[
 
 def cmd_counterexample(args, cfg: dict) -> int:
     mc = cfg["monte_carlo"]
-    findings = _counterexample_findings(
-        mc["seed"], args.quad_tol, min(mc["M"], 200_000)
-    )
+    findings = _counterexample_findings(mc["seed"], min(mc["M"], 200_000))
     doc = {"findings": findings, "passed": all(f["passed"] for f in findings)}
     _write(args, cfg, "counterexample", doc,
            _engine.csv_text(COUNTEREXAMPLE_CSV_HEADER, findings))
@@ -633,7 +630,7 @@ def cmd_counterexample(args, cfg: dict) -> int:
 
 
 def cmd_selfcheck(args, cfg: dict) -> int:
-    report = _engine.selfcheck(cfg["seed"], cfg["quad_tol"])
+    report = _engine.selfcheck(cfg["seed"])
     _emit(args, {}, "selfcheck.json", _engine.json_text(report))
     return EXIT_OK if report["passed"] else EXIT_NUMERIC
 
@@ -673,15 +670,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("study", "run a convergence study plan")
     p.add_argument("--plan", choices=_engine.BUILTIN_PLAN_NAMES,
                    help="bundled study plan (instead of --config)")
-    p = command("counterexample", "the all-normal row-mixing findings", strict=False)
-    p.add_argument("--quad-tol", type=float, default=1e-12,
-                   help="quadrature tolerance for the Rotar finding")
-    p = command("selfcheck", "deterministic invariant suite",
-                config=False, fmt=False, strict=False)
-    p.add_argument("--quad-tol", type=float, default=1e-12,
-                   help="quadrature tolerance fed to the Rotar check")
+    command("counterexample", "the all-normal row-mixing findings", strict=False)
+    command("selfcheck", "deterministic invariant suite", config=False, fmt=False, strict=False)
     # flags a command does not take read as unset
-    parser.set_defaults(config=None, plan=None, quad_tol=None)
+    parser.set_defaults(config=None, plan=None)
     return parser
 
 
@@ -697,8 +689,6 @@ _DISPATCH = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.quad_tol is not None:
-            _positive_number(args.quad_tol, "--quad-tol")
         if args.seed is not None and args.seed < 0:
             raise ConfigError("--seed: expected a nonnegative integer")
         cfg = _load_config(args, args.command)

@@ -77,6 +77,9 @@ MAX_ETA = 1e-3
 IMPLICATION_SLACK = 1e-9
 # Tail target when choosing the finite window of the Rotar integral.
 _ROTAR_TAIL_TARGET = 1e-12
+# A priori error of one entry's Rotar integral: the quadrature tolerance
+# plus the certified tail remainder.
+_ROTAR_ALLOWANCE = QUAD_ABS_TOL + _ROTAR_TAIL_TARGET
 # Unit roundoff u of float64.
 UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -171,9 +174,7 @@ def _rotar_left(pieces: Sequence[CdfPiece], sigma: float, eps: float) -> float:
     return total
 
 
-def _rotar_entry(
-    dist: ScalarDistribution, eps: float, *, quad_tol: float = QUAD_ABS_TOL
-) -> float:
+def _rotar_entry(dist: ScalarDistribution, eps: float) -> float:
     """int_{|x| >= eps} |x| |F(x) - Phi_{0, sigma}(x)| dx for one entry.
 
     The comparison normal is N(0, Var X), whatever the entry's mean.  For
@@ -187,11 +188,11 @@ def _rotar_entry(
     about 1e-15 for entries of unit-scale support.  A root that
     ``brentq`` places off by d (at most 2e-12 + 4u|x|) changes the sum by
     at most |x g'(x)| d^2, some 1e-23.  Both sit far below the per-entry
-    quad_tol + _ROTAR_TAIL_TARGET of ``rotar_error_bound``.
+    _ROTAR_ALLOWANCE of ``rotar_error_bound``.
 
     Quadrature, for every other law: the infinite tails are cut at T where
     the truncated second moments of both laws certify a remainder below
-    _ROTAR_TAIL_TARGET, and ``_quad`` integrates to ``quad_tol`` between
+    _ROTAR_TAIL_TARGET, and ``_quad`` integrates to QUAD_ABS_TOL between
     the sign changes of F - Phi that a 65-point probe and ``brentq`` find.
     """
     if isinstance(dist, Normal) and dist.mean == 0.0:
@@ -249,20 +250,20 @@ def _rotar_entry(
                     pass
         refined.append(b)
         # F has kinks at the support's ends, which adaptive quadrature can
-        # misjudge by far more than quad_tol when they fall inside a piece
-        piece_val, _ = _quad(integrand, a, b, epsabs=quad_tol, points=[*refined, lo_sup, hi_sup])
+        # misjudge by far more than the tolerance when they fall inside a piece
+        piece_val, _ = _quad(integrand, a, b, points=[*refined, lo_sup, hi_sup])
         total += piece_val
     return total
 
 
-def rotar_error_bound(row_length: int, quad_tol: float = QUAD_ABS_TOL) -> float:
+def rotar_error_bound(row_length: int) -> float:
     """A priori error guarantee for a Rotar sum over ``row_length`` entries.
 
-    Each entry contributes its requested quadrature tolerance plus the
-    certified tail remainder; the guarantee cannot be tighter than what
-    the integrator was asked to deliver.
+    Each entry contributes the quadrature tolerance plus the certified
+    tail remainder; the guarantee cannot be tighter than what the
+    integrator was asked to deliver.
     """
-    return row_length * (quad_tol + _ROTAR_TAIL_TARGET)
+    return row_length * _ROTAR_ALLOWANCE
 
 
 # ---------------------------------------------------------------------------
@@ -270,59 +271,51 @@ def rotar_error_bound(row_length: int, quad_tol: float = QUAD_ABS_TOL) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _library_bound(row_length: int, quad_tol: float) -> float:
-    """Moments fall back to quadrature at the library tolerance when no
-    closed form applies; this a priori bound covers that case."""
-    return row_length * QUAD_ABS_TOL
-
-
 @dataclass(frozen=True)
 class Functional:
     """One condition functional, declared once.
 
-    ``entry(law, parameter, quad_tol)`` is one entry's contribution, and
-    ``reduce`` (``"sum"`` or ``"max"``) folds a row's in position order.
+    ``entry(law, parameter)`` is one entry's contribution, and ``reduce``
+    (``"sum"`` or ``"max"``) folds a row's in position order.
     ``parameter`` is ``"epsilon"``, ``"delta"``, ``"t"`` or None; ``tag``
     names the randomized form (the index mixture of the same prefix
-    functional), if any.  ``bound(row_length, quad_tol)`` is the a priori
-    evaluation error of a row, and the randomized form carries it over
-    its K positions.  With ``takes_quad_tol`` the entry is a quadrature
-    at the caller's tolerance, and the function takes it.
+    functional), if any.  ``bound`` is the a priori evaluation error of
+    one entry, where the entry may fall back to quadrature: a row of K
+    positions carries K times it, and so does the randomized form over
+    its K positions.
     """
 
-    entry: Callable[[ScalarDistribution, Optional[float], float], float]
+    entry: Callable[[ScalarDistribution, Optional[float]], float]
     reduce: str
     parameter: Optional[str]
     tag: Optional[str]
-    bound: Optional[Callable[[int, float], float]] = None
-    takes_quad_tol: bool = False
+    bound: Optional[float] = None
 
 
 FUNCTIONALS: Dict[str, Functional] = {
+    # moments fall back to quadrature when no closed form applies
     "lindeberg": Functional(
-        lambda d, eps, tol: d.truncated_second_moment(eps), "sum", "epsilon", "RL",
-        _library_bound,
+        lambda d, eps: d.truncated_second_moment(eps), "sum", "epsilon", "RL", QUAD_ABS_TOL,
     ),
     "lyapunov": Functional(
-        lambda d, delta, tol: d.abs_moment(2.0 + delta), "sum", "delta", "RLambda",
-        _library_bound,
+        lambda d, delta: d.abs_moment(2.0 + delta), "sum", "delta", "RLambda", QUAD_ABS_TOL,
     ),
-    "feller": Functional(lambda d, _, tol: d.variance, "max", None, "RF"),
+    "feller": Functional(lambda d, _: d.variance, "max", None, "RF"),
     # P(|X| >= eps), exact at a jump on the threshold
     "infinitesimality": Functional(
-        lambda d, eps, tol: 1.0 - float(d.cdf(eps)) + float(d.prob_le(-eps)),
+        lambda d, eps: 1.0 - float(d.cdf(eps)) + float(d.prob_le(-eps)),
         "max", "epsilon", "RI",
     ),
     # E[X^2 / (1 + X^2)], a bounded infinitesimality gauge
     "infinitesimality_ratio": Functional(
-        lambda d, _, tol: d.ratio_moment(), "max", None, None, _library_bound,
+        lambda d, _: d.ratio_moment(), "max", None, None, QUAD_ABS_TOL,
     ),
-    "cf_deviation": Functional(lambda d, t, tol: abs(d.char_fn(t) - 1.0), "max", "t", None),
+    "cf_deviation": Functional(lambda d, t: abs(d.char_fn(t) - 1.0), "max", "t", None),
+    # looked up when called, so a wrapper set on this module sees the call
     "rotar": Functional(
-        lambda d, eps, tol: _rotar_entry(d, eps, quad_tol=tol), "sum", "epsilon", "RR",
-        rotar_error_bound, takes_quad_tol=True,
+        lambda d, eps: _rotar_entry(d, eps), "sum", "epsilon", "RR", _ROTAR_ALLOWANCE,
     ),
-    "sigma_star": Functional(lambda d, _, tol: d.std, "max", None, "R-sigma-star"),
+    "sigma_star": Functional(lambda d, _: d.std, "max", None, "R-sigma-star"),
 }
 
 _BY_TAG = {spec.tag: name for name, spec in FUNCTIONALS.items() if spec.tag}
@@ -340,17 +333,13 @@ def _row_value(
     array: TriangularArray,
     n: int,
     param: Optional[float] = None,
-    quad_tol: float = QUAD_ABS_TOL,
 ) -> float:
     """Functional ``name`` of validated row n: each run's law evaluated
     once, then summed left to right or maximized in position order."""
     spec = FUNCTIONALS[name]
     param = _PARAMETER_OK[spec.parameter](param)
     k = _guard_row(array, n)
-    runs = [
-        (float(spec.entry(law, param, quad_tol)), size)
-        for law, size in array.prefix_runs(n, k)
-    ]
+    runs = [(float(spec.entry(law, param)), size) for law, size in array.prefix_runs(n, k)]
     return run_sum(runs) if spec.reduce == "sum" else max(value for value, _ in runs)
 
 
@@ -384,11 +373,9 @@ def cf_deviation(array: TriangularArray, n: int, t: float) -> float:
     return _row_value("cf_deviation", array, n, t)
 
 
-def rotar(
-    array: TriangularArray, n: int, epsilon: float, *, quad_tol: float = QUAD_ABS_TOL
-) -> float:
+def rotar(array: TriangularArray, n: int, epsilon: float) -> float:
     """Rotar sum over row n: normal-deviation weighted tail integrals."""
-    return _row_value("rotar", array, n, epsilon, quad_tol)
+    return _row_value("rotar", array, n, epsilon)
 
 
 def sigma_star(array: TriangularArray, n: int) -> float:
@@ -486,7 +473,6 @@ def randomized_detailed(
     epsilon: Optional[float] = None,
     delta: Optional[float] = None,
     eta: float = DEFAULT_ETA,
-    quad_tol: float = QUAD_ABS_TOL,
 ) -> RandomizedValue:
     """Truncated-mixture evaluation of a randomized condition functional.
 
@@ -506,9 +492,7 @@ def randomized_detailed(
     is_max = spec.reduce == "max"
     # one lazy stream of per-position values, each run's law evaluated
     # once, shared by the prefix and the tail walk
-    values = expand(
-        (float(spec.entry(law, param, quad_tol)), size) for law, size in array.runs(n)
-    )
+    values = expand((float(spec.entry(law, param)), size) for law, size in array.runs(n))
     trunc_k = index.truncation(eta)
     entry_vals = np.fromiter(islice(values, trunc_k), float, trunc_k)
     # divergent mixtures saturate to inf, which is the honest limit here
@@ -548,12 +532,9 @@ def randomized(
     epsilon: Optional[float] = None,
     delta: Optional[float] = None,
     eta: float = DEFAULT_ETA,
-    quad_tol: float = QUAD_ABS_TOL,
 ) -> float:
     """Value of a randomized functional; see ``randomized_detailed``."""
-    return randomized_detailed(
-        tag, array, index, n, epsilon=epsilon, delta=delta, eta=eta, quad_tol=quad_tol
-    ).value
+    return randomized_detailed(tag, array, index, n, epsilon=epsilon, delta=delta, eta=eta).value
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +732,6 @@ def cf_domination(
     t_grid: Sequence[float],
     *,
     eta: float = DEFAULT_ETA,
-    quad_tol: float = QUAD_ABS_TOL,
 ) -> List[InequalityCheck]:
     """Check |E exp(it S_{n,nu}) - exp(-t^2/2)| <= eps |t|^3 + 2 t^2 RR(eps).
 
@@ -764,7 +744,7 @@ def cf_domination(
     trunc_k = index.truncation(eta)
     ks = np.arange(1, trunc_k + 1)
     pmf = np.asarray(index.pmf(ks), dtype=float)
-    rr = randomized("RR", array, index, n, epsilon=eps, eta=eta, quad_tol=quad_tol)
+    rr = randomized("RR", array, index, n, epsilon=eps, eta=eta)
 
     runs = array.prefix_runs(n, trunc_k)
     sizes = [size for _, size in runs]
@@ -850,7 +830,6 @@ class ConditionReport:
     delta: float
     t_grid: Tuple[float, ...]
     eta: float
-    quad_tol: float
     index_descriptor: Optional[tuple]
     values: Dict[str, float] = field(default_factory=dict)
     error_bounds: Dict[str, float] = field(default_factory=dict)
@@ -880,7 +859,6 @@ class ConditionReport:
             "delta": self.delta,
             "t_grid": list(self.t_grid),
             "eta": self.eta,
-            "quad_tol": self.quad_tol,
             "index": list(self.index_descriptor) if self.index_descriptor else None,
             "values": dict(sorted(self.values.items())),
             "error_bounds": dict(sorted(self.error_bounds.items())),
@@ -896,7 +874,6 @@ def evaluate_report(
     index: Optional[RandomIndex] = None,
     t_grid: Sequence[float] = (0.5, 1.0, 2.0),
     eta: float = DEFAULT_ETA,
-    quad_tol: float = QUAD_ABS_TOL,
     functionals: Sequence[str] = (),
 ) -> ConditionReport:
     """Evaluate the condition functionals on row n of the array.
@@ -921,7 +898,6 @@ def evaluate_report(
         delta=dlt,
         t_grid=tuple(float(t) for t in t_grid),
         eta=eta,
-        quad_tol=quad_tol,
         index_descriptor=index.descriptor() if index is not None else None,
     )
     vals = report.values
@@ -933,12 +909,11 @@ def evaluate_report(
         # the public function, looked up when called, so a wrapper set on
         # this module sees the call
         fn = globals()[name]
-        opts = {"quad_tol": quad_tol} if spec.takes_quad_tol else {}
         for param in params[spec.parameter]:
             key = f"{name}@t={param:g}" if spec.parameter == "t" else name
-            vals[key] = fn(array, n, *([] if param is None else [param]), **opts)
+            vals[key] = fn(array, n, *([] if param is None else [param]))
             if spec.bound is not None:
-                errs[key] = spec.bound(k, quad_tol)
+                errs[key] = k * spec.bound
 
     if index is None:
         return report
@@ -946,13 +921,12 @@ def evaluate_report(
         if spec.tag is None or f"rand_{name}" not in wanted:
             continue
         detail = randomized_detailed(
-            spec.tag, array, index, n, eta=eta, quad_tol=quad_tol,
-            **_param_kwargs(name, params[spec.parameter][0]),
+            spec.tag, array, index, n, eta=eta, **_param_kwargs(name, params[spec.parameter][0]),
         )
         err = detail.error_bound
         if spec.bound is not None:
             # the mixture reads the same per-law values over K positions
-            err += spec.bound(detail.truncation_k, quad_tol)
+            err += detail.truncation_k * spec.bound
         vals[f"rand_{name}"] = detail.value
         errs[f"rand_{name}"] = err
     return report

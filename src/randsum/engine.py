@@ -246,10 +246,14 @@ DISTANCES = {
         _metrics.kolmogorov(_metrics.row_sum_law(array, n), Normal(0.0, 1.0)),
     "empirical_delta": lambda array, index, n, rng, samples, alpha, eta, mode:
         empirical_delta(array, index, n, rng, samples, alpha, mode=mode),
+    # a row with no exact sum law falls back to Monte Carlo: samples draws
+    # per index value k for the mixture, samples in all for the random sum
     "delta_mixture": lambda array, index, n, rng, samples, alpha, eta, mode:
-        _metrics.delta_mixture(array, index, n, eta, mode=mode, rng=rng, alpha=alpha),
+        _metrics.delta_mixture(array, index, n, eta, mode=mode, rng=rng,
+                               samples_per_k=samples, alpha=alpha),
     "delta_randomsum": lambda array, index, n, rng, samples, alpha, eta, mode:
-        _metrics.delta_randomsum(array, index, n, eta, mode=mode, rng=rng, alpha=alpha),
+        _metrics.delta_randomsum(array, index, n, eta, mode=mode, rng=rng,
+                                 samples=samples, alpha=alpha),
 }
 
 
@@ -345,6 +349,18 @@ class StudyPlan:
                         f"checks[{i}].{key}: the study emits no metric {check[key]!r}; "
                         f"it emits: {', '.join(sorted(emitted))}"
                     )
+            # only condition rows carry an epsilon, one of the grid's
+            if "epsilon" not in check:
+                continue
+            if check["metric"] in (*self.distances, "rand_feller_normal_twin"):
+                raise ValueError(
+                    f"checks[{i}].epsilon: the rows of {check['metric']!r} carry no epsilon"
+                )
+            if check["epsilon"] not in self.epsilon_grid:
+                raise ValueError(
+                    f"checks[{i}].epsilon: {check['epsilon']!r} is not in the epsilon grid "
+                    f"{list(self.epsilon_grid)}"
+                )
         return self
 
     def to_json_dict(self) -> dict:
@@ -858,7 +874,7 @@ def _selfcheck_base():
     return Uniform(-1.0, 1.0)
 
 
-def _selfcheck_conditions(quad_tol: float) -> List[dict]:
+def _selfcheck_conditions() -> List[dict]:
     from .distributions import Deterministic, Geometric, Rademacher
 
     out: List[dict] = []
@@ -891,8 +907,8 @@ def _selfcheck_conditions(quad_tol: float) -> List[dict]:
     )
 
     sh = _arrays.make_shiryaev_array()
-    rotar_val = _conditions.rotar(sh, 4, 0.5, quad_tol=quad_tol)
-    apriori = _conditions.rotar_error_bound(sh.row_length(4), quad_tol)
+    rotar_val = _conditions.rotar(sh, 4, 0.5)
+    apriori = _conditions.rotar_error_bound(sh.row_length(4))
     passed = rotar_val <= 1e-8 and apriori <= 1e-8
     out.append(
         _check(
@@ -988,28 +1004,28 @@ def _selfcheck_engine(seed: int) -> List[dict]:
     return out
 
 
-def selfcheck(seed: int = 42, quad_tol: float = QUAD_ABS_TOL) -> dict:
+def selfcheck(seed: int = 42) -> dict:
     """Small-scale invariant suite across all modules.
 
     The report is a plain dict; serialized with sorted keys it is
     byte-identical across runs for a fixed seed (no timestamps, no
-    runtimes).  ``quad_tol`` feeds the Rotar evaluation so its a priori
-    guarantee is part of the check (a loose tolerance must fail).
+    runtimes).  It records the quadrature tolerance, whose a priori
+    Rotar guarantee is part of the checks.
     """
     checks: List[dict] = []
     checks.extend(_selfcheck_distributions())
     checks.extend(_selfcheck_arrays())
-    checks.extend(_selfcheck_conditions(quad_tol))
+    checks.extend(_selfcheck_conditions())
     checks.extend(_selfcheck_metrics())
     checks.extend(_selfcheck_engine(seed))
     return {
         "seed": int(seed),
-        "quad_tol": float(quad_tol),
+        "quad_tol": QUAD_ABS_TOL,
         "passed": all(c["passed"] for c in checks),
         "checks": checks,
     }
 
 
-def selfcheck_json(seed: int = 42, quad_tol: float = QUAD_ABS_TOL) -> str:
+def selfcheck_json(seed: int = 42) -> str:
     """Canonical JSON rendering of ``selfcheck`` (byte-stable per seed)."""
-    return json_text(selfcheck(seed, quad_tol))
+    return json_text(selfcheck(seed))

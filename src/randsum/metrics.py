@@ -240,14 +240,6 @@ class SumLaw(ScalarDistribution):
         hi = float(self._values[-1]) + self._normal_mean + spread
         return lo, hi
 
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        picks = rng.choice(self._values, size=size, p=self._probs)
-        if self._normal_var > 0.0:
-            picks = picks + rng.normal(
-                self._normal_mean, math.sqrt(self._normal_var), size=size
-            )
-        return picks
-
 
 class MixtureLaw(ScalarDistribution):
     """Finite mixture of laws with the given weights."""
@@ -313,18 +305,6 @@ class MixtureLaw(ScalarDistribution):
     def support(self) -> Tuple[float, float]:
         los, his = zip(*(c.support() for c in self._components))
         return min(los), max(his)
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        if size is None:
-            pick = int(rng.choice(len(self._components), p=self._weights))
-            return self._components[pick].sample(rng)
-        counts = rng.multinomial(size, self._weights)
-        pieces = [
-            c.sample(rng, int(m)) for c, m in zip(self._components, counts) if m > 0
-        ]
-        out = np.concatenate(pieces)
-        rng.shuffle(out)
-        return out
 
     def expectation(self, fn, breakpoints: Sequence[float] = (), *, epsabs: float = 1e-12):
         return float(

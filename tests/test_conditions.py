@@ -124,8 +124,9 @@ class TestRotar:
         assert rotar(SHIRYAEV, 8, 0.5) == 0.0
 
     def test_error_bound_scales_with_row(self):
-        assert rotar_error_bound(4, 1e-12) == pytest.approx(4.0 * rotar_error_bound(1, 1e-12))
-        assert rotar_error_bound(10, 1e-6) >= 1e-5
+        assert rotar_error_bound(4) == pytest.approx(4.0 * rotar_error_bound(1))
+        # no tighter than what the integrator is asked to deliver
+        assert rotar_error_bound(1) >= cond.QUAD_ABS_TOL
 
     H = math.sqrt(3.0) / 2.0
     ORACLE_CASES = [
@@ -451,7 +452,7 @@ class TestEvaluateReport:
         assert rep.values["lindeberg"] == pytest.approx(1.0)
         assert rep.values["feller"] == pytest.approx(0.25)
         assert rep.values["rotar"] >= 0.0
-        assert rep.error_bounds["rotar"] == pytest.approx(rotar_error_bound(4, rep.quad_tol))
+        assert rep.error_bounds["rotar"] == pytest.approx(rotar_error_bound(4))
         assert "rand_lindeberg" not in rep.values
 
     def test_randomized_fields_and_csv(self):
@@ -674,7 +675,7 @@ class TestFunctionalTable:
         assert rep.error_bounds["lindeberg"] == 4 * cond.QUAD_ABS_TOL
         detail = randomized_detailed("RR", UNI4, ShiftedPoisson(4.0), 4, epsilon=0.5)
         assert rep.error_bounds["rand_rotar"] == detail.error_bound + rotar_error_bound(
-            detail.truncation_k, rep.quad_tol
+            detail.truncation_k
         )
         # the moment mixtures carry the quadrature allowance of their K
         # per-law moments, as the classical keys carry it over the row

