@@ -27,7 +27,7 @@ from randsum.cli import (
     effective_config,
     main,
 )
-from randsum.conditions import InvalidRowError
+from randsum.conditions import QUAD_ABS_TOL, InvalidRowError
 from randsum.distributions import (
     DISTRIBUTION_FAMILIES,
     INDEX_FAMILIES,
@@ -573,6 +573,17 @@ class TestCounterexampleCommand:
         assert all(ln.split(",")[1] == "True" for ln in lines[1:])
         assert captured.err.count("PASS") == 5
 
+    def test_rotar_bound_reads_the_library_tolerance(self, capsys):
+        code = main(["counterexample", "--seed", "0", "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        (rotar,) = [f for f in doc["findings"] if f["finding"] == "rotar_within_tolerance"]
+        assert rotar["passed"] is True
+        # row 32 of the Shiryaev array, 32 entries at QUAD_ABS_TOL each
+        assert rotar["detail"] == (
+            "largest R value 0.000e+00, a priori quadrature bound 3.232e-09"
+        )
+
     def test_scenario_config(self, tmp_path, capsys):
         code = main([
             "counterexample", "--config",
@@ -595,6 +606,16 @@ class TestSelfcheckCommand:
         main(["selfcheck", "--seed", "42"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_rotar_bound_reads_the_library_tolerance(self, capsys):
+        code = main(["selfcheck", "--seed", "42"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert doc["quad_tol"] == QUAD_ABS_TOL
+        (rotar,) = [c for c in doc["checks"] if c["name"] == "rotar_zero_on_normal"]
+        assert rotar["passed"] is True
+        # row 4 of the Shiryaev array, 4 entries at QUAD_ABS_TOL each
+        assert rotar["detail"] == "value 0.00e+00, a priori bound 4.04e-10"
 
     def test_out_file(self, tmp_path, capsys):
         code = main(["selfcheck", "--seed", "42", "--out", str(tmp_path)])

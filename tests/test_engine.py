@@ -2,7 +2,6 @@
 
 import gc
 import json
-import math
 import weakref
 
 import numpy as np
@@ -249,6 +248,26 @@ class TestStudyPlan:
         )).validated()
         for name in BUILTIN_PLAN_NAMES:
             builtin_plan(name).validated()
+
+    @pytest.mark.parametrize(
+        "metric, epsilon, message",
+        [
+            ("rand_feller", 0.3, r"checks\[0\]\.epsilon: 0\.3 is not in the epsilon grid \[0\.5\]"),
+            ("empirical_delta", 0.5,
+             r"checks\[0\]\.epsilon: the rows of 'empirical_delta' carry no epsilon"),
+            ("rand_feller_normal_twin", 0.5,
+             r"checks\[0\]\.epsilon: the rows of 'rand_feller_normal_twin' carry no epsilon"),
+        ],
+        ids=["off-grid", "distance", "normal-twin"],
+    )
+    def test_check_epsilon_must_select_rows(self, metric, epsilon, message):
+        # a check epsilon that selects no row would pass validation and
+        # then fail the verdict with "no rows for metric"
+        check = {"kind": "all_below", "metric": metric, "threshold": 1.0}
+        with pytest.raises(ValueError, match=message):
+            small_plan(checks=({**check, "epsilon": epsilon},),
+                       normal_twin_feller=True).validated()
+        small_plan(checks=(check,), normal_twin_feller=True).validated()
 
     def test_builtin_names_and_overrides(self):
         assert BUILTIN_PLAN_NAMES == (
