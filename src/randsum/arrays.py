@@ -43,14 +43,13 @@ __all__ = [
     "make_rare_jump_array",
     "from_series",
     "shiryaev_series",
-    "validate",
     "ARRAY_KINDS",
     "array_from_config",
 ]
 
 RowRule = Union[str, int, Callable[[int], int]]
 
-# Default tolerances for row validation.
+# Tolerances for row validation.
 MEAN_TOL = 1e-12
 VAR_SUM_TOL = 1e-10
 
@@ -215,9 +214,8 @@ class TriangularArray:
         """sum_{j<=k} var(n, j); defaults to the full row k = k_n."""
         return run_sum([(law.variance, size) for law, size in self.prefix_runs(n, k)])
 
-    def validate(
-        self, n: int, *, mean_tol: float = MEAN_TOL, var_tol: float = VAR_SUM_TOL
-    ) -> RowValidation:
+    def validate(self, n: int) -> RowValidation:
+        """Check row n for zero entry means and unit variance sum."""
         k = self.row_length(n)
         runs = self.prefix_runs(n, k)
         max_mean = max(abs(law.mean) for law, _ in runs)
@@ -227,12 +225,12 @@ class TriangularArray:
             row_length=k,
             max_abs_mean=max_mean,
             var_sum=var_sum,
-            mean_ok=max_mean <= mean_tol,
-            var_ok=abs(var_sum - 1.0) <= var_tol,
+            mean_ok=max_mean <= MEAN_TOL,
+            var_ok=abs(var_sum - 1.0) <= VAR_SUM_TOL,
         )
 
     def validation(self, n: int) -> RowValidation:
-        """``validate(n)`` at the default tolerances, computed once per row.
+        """``validate(n)``, computed once per row.
 
         Rows never change, so the result is kept; threads that race on a
         new row each compute the same result and one of them is kept.
@@ -325,7 +323,9 @@ class SeriesForm:
         self._standardized_fn = standardized
         self._logvar: List[float] = []
         self._logbsq: List[float] = []
-        self._bsq_linear: List[float] = [0.0]
+        # the last B_n^2, summed in linear space while it stays finite;
+        # written under _extend_lock
+        self._bsq_linear = 0.0
         self._linear_alive = True
         # variances of the leading standardized members that are centered
         # normals; closed once a member is not one
@@ -386,8 +386,8 @@ class SeriesForm:
         return self._normal_vars[:k] if len(self._normal_vars) >= k else None
 
     def _extend(self, n: int) -> None:
-        # _logbsq is appended last, so once it holds n terms the other lists
-        # do too and readers need no lock
+        # _logbsq is appended last, so once it holds n terms _logvar does too
+        # and readers need no lock
         if len(self._logbsq) >= n:
             return
         with self._extend_lock:
@@ -401,9 +401,9 @@ class SeriesForm:
                 self._logvar.append(lv)
                 if self._linear_alive:
                     var_j = math.exp(lv) if lv <= _LOG_MAX else math.inf
-                    nxt = self._bsq_linear[-1] + var_j
+                    nxt = self._bsq_linear + var_j
                     if math.isfinite(nxt):
-                        self._bsq_linear.append(nxt)
+                        self._bsq_linear = nxt
                         self._logbsq.append(math.log(nxt))
                         continue
                     self._linear_alive = False
@@ -414,14 +414,6 @@ class SeriesForm:
             raise ArrayError("series prefix length must be a positive integer")
         self._extend(int(n))
         return self._logbsq[int(n) - 1]
-
-    def b_squared(self, n: int) -> float:
-        """B_n^2; inf once the raw sum leaves float range."""
-        lb = self.log_b_squared(n)
-        n = int(n)
-        if n < len(self._bsq_linear):
-            return self._bsq_linear[n]
-        return math.exp(lb) if lb <= _LOG_MAX else math.inf
 
     def log_variance_profile(self, n: int) -> np.ndarray:
         """Member log variances for j = 1..n."""
@@ -563,17 +555,6 @@ def shiryaev_series() -> SeriesForm:
 def from_series(series: SeriesForm, rows: RowRule = "n") -> TriangularArray:
     """Triangular array induced by a series: entries (X_j - a_j)/B_{k_n}."""
     return _SeriesArray(series, rows)
-
-
-def validate(
-    array: TriangularArray,
-    n: int,
-    *,
-    mean_tol: float = MEAN_TOL,
-    var_tol: float = VAR_SUM_TOL,
-) -> RowValidation:
-    """Check row n for zero entry means and unit variance sum."""
-    return array.validate(n, mean_tol=mean_tol, var_tol=var_tol)
 
 
 def _series_from_config(cfg: dict) -> TriangularArray:

@@ -228,6 +228,8 @@ def _validate_distances_section(cfg, path: str) -> dict:
                 f"{path}.metrics[{i}]: unknown metric {name!r}; "
                 f"available: {', '.join(_engine.DISTANCES)}"
             )
+        if name in metrics[:i]:
+            raise ConfigError(f"{path}.metrics[{i}]: repeated metric {name!r}")
     mode = cfg.get("mode", "prefix")
     if mode not in ("prefix", "rows"):
         raise ConfigError(f'{path}.mode: expected "prefix" or "rows"')

@@ -30,7 +30,7 @@ from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import gammaln, ndtr
 
 from .arrays import TriangularArray, expand, run_sum
 from .distributions import (
@@ -62,8 +62,6 @@ __all__ = [
     "InequalityCheck",
     "implication_suite",
     "series_implication_suite",
-    "cf_domination",
-    "rl_normal_bound",
     "ConditionReport",
     "REPORT_FUNCTIONALS",
     "evaluate_report",
@@ -75,6 +73,8 @@ DEFAULT_ETA = 1e-10
 MAX_ETA = 1e-3
 # Slack tolerance when checking implication inequalities numerically.
 IMPLICATION_SLACK = 1e-9
+# The t values at which a report evaluates cf_deviation.
+CF_T_GRID = (0.5, 1.0, 2.0)
 # Tail target when choosing the finite window of the Rotar integral.
 _ROTAR_TAIL_TARGET = 1e-12
 # A priori error of one entry's Rotar integral: the quadrature tolerance
@@ -88,9 +88,6 @@ def rounding_gamma(m: int) -> float:
     """gamma_m = m u / (1 - m u): the relative error of m roundings
     (Higham 2002, ch. 3)."""
     return m * UNIT_ROUNDOFF / (1.0 - m * UNIT_ROUNDOFF)
-
-
-_TAG_ALIASES = {"RΛ": "RLambda"}  # Greek capital lambda
 
 
 class InvalidRowError(ValueError):
@@ -481,7 +478,6 @@ def randomized_detailed(
     or ``delta`` is read.  The mixture runs over ``k = 1..K`` with ``K``
     the smallest index satisfying ``P(nu > K) <= eta``.
     """
-    tag = _TAG_ALIASES.get(tag, tag)
     if not 0.0 < eta <= MAX_ETA:
         raise ValueError(f"eta must lie in (0, {MAX_ETA}]")
     _guard_row(array, n)
@@ -581,7 +577,6 @@ def _chain(
     epsilon_grid: Sequence[float],
     delta_grid: Sequence[float],
     prefix: str,
-    tol: float,
 ) -> List[InequalityCheck]:
     """The implication chain Lyapunov => Lindeberg => Feller =>
     infinitesimality over the grids.
@@ -597,7 +592,7 @@ def _chain(
         for delta in delta_grid:
             lyap = value("lyapunov", delta)
             mk = lambda name, lhs, rhs, dlt=delta: InequalityCheck(
-                prefix + name, label, idx_desc, n, epsilon, dlt, lhs, rhs, tol
+                prefix + name, label, idx_desc, n, epsilon, dlt, lhs, rhs, IMPLICATION_SLACK
             )
             checks += [
                 mk("lindeberg<=eps^-delta*lyapunov", lind, epsilon ** (-delta) * lyap),
@@ -615,7 +610,6 @@ def implication_suite(
     delta_grid: Sequence[float],
     *,
     eta: float = DEFAULT_ETA,
-    tolerance: float = IMPLICATION_SLACK,
 ) -> List[InequalityCheck]:
     """Numerically verify the implication chain on classical and randomized
     functionals over the requested grids.
@@ -630,7 +624,7 @@ def implication_suite(
     for n in n_grid:
         checks += _chain(
             lambda name, param: _row_value(name, array, n, param),
-            array.label, None, n, epsilon_grid, delta_grid, "", tolerance,
+            array.label, None, n, epsilon_grid, delta_grid, "",
         )
         if index_factory is None:
             continue
@@ -639,7 +633,7 @@ def implication_suite(
             lambda name, param: randomized(
                 FUNCTIONALS[name].tag, array, idx, n, eta=eta, **_param_kwargs(name, param)
             ),
-            array.label, idx.descriptor(), n, epsilon_grid, delta_grid, "rand_", tolerance,
+            array.label, idx.descriptor(), n, epsilon_grid, delta_grid, "rand_",
         )
     return checks
 
@@ -653,15 +647,12 @@ def _normal_series_row_values(
     everything reduces to closed forms on those log ratios, vectorized so
     heavy-tailed index truncations (thousands of rows) stay cheap.
     """
-    from scipy.special import gammaln, ndtr
-
     lv = series.log_variance_profile(upto)
     lb = series.log_b_squared_profile(upto)
     run_max = np.maximum.accumulate(lv)
     out: Dict[object, np.ndarray] = {}
     out["feller"] = np.exp(run_max - lb)
     sigma_max = np.exp(0.5 * (run_max - lb))
-    pdf = lambda z: np.exp(-0.5 * np.square(z)) / math.sqrt(2.0 * math.pi)
     for delta in delta_grid:
         p = 2.0 + delta
         # E|Z|^p = sigma^p 2^(p/2) Gamma((p+1)/2) / sqrt(pi), summed in log space
@@ -675,7 +666,7 @@ def _normal_series_row_values(
             r = np.exp(lv[:k] - lb[k - 1])
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 c = epsilon / np.sqrt(r)
-                vals = r * (2.0 * c * pdf(c) + 2.0 * ndtr(-c))
+                vals = r * (2.0 * c * _norm_pdf(c) + 2.0 * ndtr(-c))
             # variance ratios below float range contribute nothing
             lind[k - 1] = float(np.sum(np.where(r > 0.0, vals, 0.0)))
         out[("lindeberg", epsilon)] = lind
@@ -689,7 +680,6 @@ def series_implication_suite(
     delta_grid: Sequence[float],
     *,
     eta: float = DEFAULT_ETA,
-    tolerance: float = IMPLICATION_SLACK,
 ) -> List[InequalityCheck]:
     """Implication chain for index-adapted (row-mixing) functionals.
 
@@ -715,99 +705,7 @@ def series_implication_suite(
         per_k = lambda name, param: [_row_value(name, array, int(k), param) for k in ks]
     return _chain(
         lambda name, param: float(np.dot(pmf, per_k(name, param))),
-        array.label, index.descriptor(), trunc_k, epsilon_grid, delta_grid, "series_", tolerance,
-    )
-
-
-# ---------------------------------------------------------------------------
-# characteristic-function domination and the normal-array bound
-# ---------------------------------------------------------------------------
-
-
-def cf_domination(
-    array: TriangularArray,
-    index: RandomIndex,
-    n: int,
-    epsilon: float,
-    t_grid: Sequence[float],
-    *,
-    eta: float = DEFAULT_ETA,
-) -> List[InequalityCheck]:
-    """Check |E exp(it S_{n,nu}) - exp(-t^2/2)| <= eps |t|^3 + 2 t^2 RR(eps).
-
-    Advisory only: conclusions from this bound depend on prefix variances
-    staying near one, which a random index does not guarantee.  Failures
-    are reported as records with negative slack, never raised.
-    """
-    eps = _eps_ok(epsilon)
-    _guard_row(array, n)
-    trunc_k = index.truncation(eta)
-    ks = np.arange(1, trunc_k + 1)
-    pmf = np.asarray(index.pmf(ks), dtype=float)
-    rr = randomized("RR", array, index, n, epsilon=eps, eta=eta)
-
-    runs = array.prefix_runs(n, trunc_k)
-    sizes = [size for _, size in runs]
-    checks = []
-    for t in t_grid:
-        t = float(t)
-        per_entry = np.repeat([complex(law.char_fn(t)) for law, _ in runs], sizes)
-        prefix_products = np.cumprod(per_entry)
-        mix_cf = complex(np.dot(pmf, prefix_products))
-        lhs = abs(mix_cf - math.exp(-0.5 * t * t))
-        rhs = eps * abs(t) ** 3 + 2.0 * t * t * rr
-        checks.append(
-            InequalityCheck(
-                "cf_deviation<=eps|t|^3+2t^2*RR",
-                array.label,
-                index.descriptor(),
-                n,
-                eps,
-                None,
-                lhs,
-                rhs,
-                # mixture truncation leaks at most eta into the lhs
-                IMPLICATION_SLACK + eta,
-            )
-        )
-    return checks
-
-
-def rl_normal_bound(
-    array: TriangularArray,
-    index: RandomIndex,
-    n: int,
-    epsilon: float,
-    *,
-    eta: float = DEFAULT_ETA,
-) -> InequalityCheck:
-    """For all-normal arrays: RL(eps) <= E[Z^2 1{|Z| >= eps / sigma_star}].
-
-    ``sigma_star`` is the largest entry standard deviation over the
-    truncated index range.  The bound is exact when the index support
-    stays within the row (prefix variances at most one); with heavier
-    indices the recorded slack may go negative, which is reported, not
-    raised.
-    """
-    eps = _eps_ok(epsilon)
-    _guard_row(array, n)
-    trunc_k = index.truncation(eta)
-    variances = array.normal_variances(n, trunc_k)
-    if variances is None:
-        raise InvalidRowError("rl_normal_bound requires centered normal entries")
-    s_star = math.sqrt(float(np.max(variances)))
-    lhs = randomized("RL", array, index, n, epsilon=eps, eta=eta)
-    rhs = Normal(0.0, 1.0).truncated_second_moment(eps / s_star)
-    return InequalityCheck(
-        "rand_lindeberg<=normal_tail_bound",
-        array.label,
-        index.descriptor(),
-        n,
-        eps,
-        None,
-        lhs,
-        rhs,
-        IMPLICATION_SLACK,
+        array.label, index.descriptor(), trunc_k, epsilon_grid, delta_grid, "series_",
     )
 
 
@@ -872,7 +770,6 @@ def evaluate_report(
     delta: float,
     *,
     index: Optional[RandomIndex] = None,
-    t_grid: Sequence[float] = (0.5, 1.0, 2.0),
     eta: float = DEFAULT_ETA,
     functionals: Sequence[str] = (),
 ) -> ConditionReport:
@@ -880,7 +777,8 @@ def evaluate_report(
 
     ``functionals`` names the ones to compute (``REPORT_FUNCTIONALS``);
     empty means all of them.  The randomized ones need an ``index`` and
-    are left out without one.  Error bounds cover quadrature tolerances
+    are left out without one; ``cf_deviation`` is read at each t of
+    ``CF_T_GRID``.  Error bounds cover quadrature tolerances
     (a priori, per entry) and mixture truncation remainders.
     """
     eps = _eps_ok(epsilon)
@@ -896,7 +794,7 @@ def evaluate_report(
         row_length=k,
         epsilon=eps,
         delta=dlt,
-        t_grid=tuple(float(t) for t in t_grid),
+        t_grid=CF_T_GRID,
         eta=eta,
         index_descriptor=index.descriptor() if index is not None else None,
     )

@@ -62,8 +62,6 @@ QUAD_ABS_TOL = 1e-10
 _LOG_MAX = math.log(1.7976931348623157e308)
 # Quadrature error estimates above tolerance times this factor raise.
 _QUAD_SLACK = 50.0
-# Target for negligible integration tails when choosing finite cutoffs.
-_TAIL_NEGLIGIBLE = 1e-14
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Largest variance of a centered normal, and largest |x| on the support of

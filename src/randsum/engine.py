@@ -42,7 +42,6 @@ from .distributions import (
 __all__ = [
     "CHUNK_DRAWS",
     "spawn_streams",
-    "sample_random_sum",
     "sample_random_sums",
     "empirical_delta",
     "DISTANCES",
@@ -205,18 +204,6 @@ def sample_random_sums(
     return out
 
 
-def sample_random_sum(
-    array: TriangularArray,
-    index: RandomIndex,
-    n: int,
-    rng: np.random.Generator,
-    *,
-    mode: str = "prefix",
-) -> float:
-    """One draw of the random sum: one index variate, then the summands."""
-    return float(sample_random_sums(array, index, n, rng, 1, mode=mode)[0])
-
-
 def empirical_delta(
     array: TriangularArray,
     index: RandomIndex,
@@ -319,6 +306,11 @@ class StudyPlan:
         unknown = set(self.distances) - set(DISTANCES)
         if unknown:
             raise ValueError(f"unknown distances: {sorted(unknown)}")
+        # each distance writes one row per grid point, which the checks read
+        # as one series
+        for i, name in enumerate(self.distances):
+            if name in self.distances[:i]:
+                raise ValueError(f"distances[{i}]: repeated distance {name!r}")
         unknown = set(self.functionals) - set(_conditions.REPORT_FUNCTIONALS)
         if unknown:
             raise ValueError(f"unknown functionals: {sorted(unknown)}")
@@ -1024,8 +1016,3 @@ def selfcheck(seed: int = 42) -> dict:
         "passed": all(c["passed"] for c in checks),
         "checks": checks,
     }
-
-
-def selfcheck_json(seed: int = 42) -> str:
-    """Canonical JSON rendering of ``selfcheck`` (byte-stable per seed)."""
-    return json_text(selfcheck(seed))

@@ -64,6 +64,10 @@ _PHI_AT_1 = math.exp(-0.5) / math.sqrt(2.0 * math.pi) * (1.0 + rounding_gamma(4)
 _LOG_2_SQRT_2PI = math.log(2.0 * math.sqrt(2.0 * math.pi))
 # base cell count of the zeta integration grid; two doublings follow
 _ZETA_CELLS = 4096
+# test-function centers per width in zeta_lower_bound
+_N_TESTFNS = 9
+# truncation tail of the index in semi_additivity_check
+_SEMI_ADDITIVITY_ETA = 1e-12
 # absolute tolerance on moment agreement required by the iterated-integral
 # representation of zeta_s for s >= 2
 MOMENT_MATCH_TOL = 1e-8
@@ -311,22 +315,6 @@ class MixtureLaw(ScalarDistribution):
             np.dot(
                 self._weights,
                 [c.expectation(fn, breakpoints, epsabs=epsabs) for c in self._components],
-            )
-        )
-
-    def truncated_second_moment(self, threshold: float, *, epsabs: float = 1e-10) -> float:
-        return float(
-            np.dot(
-                self._weights,
-                [c.truncated_second_moment(threshold, epsabs=epsabs) for c in self._components],
-            )
-        )
-
-    def abs_moment(self, order: float, *, epsabs: float = 1e-10) -> float:
-        return float(
-            np.dot(
-                self._weights,
-                [c.abs_moment(order, epsabs=epsabs) for c in self._components],
             )
         )
 
@@ -1001,7 +989,6 @@ def zeta_lower_bound(
     f_law: ScalarDistribution,
     g_law: ScalarDistribution,
     s: int,
-    n_testfns: int = 9,
 ) -> DistanceEstimate:
     """Best |E f(X) - E f(Y)| over a family of admissible test functions.
 
@@ -1012,11 +999,9 @@ def zeta_lower_bound(
     """
     if s not in (1, 2, 3):
         raise ValueError("s must be 1, 2, or 3")
-    if n_testfns < 1:
-        raise ValueError("n_testfns must be >= 1")
     center0 = 0.5 * (f_law.mean + g_law.mean)
     sigma = max(f_law.std, g_law.std, 1e-12)
-    centers = np.linspace(center0 - 4.0 * sigma, center0 + 4.0 * sigma, n_testfns)
+    centers = np.linspace(center0 - 4.0 * sigma, center0 + 4.0 * sigma, _N_TESTFNS)
     best = 0.0
     for width_mult in (0.5, 1.0, 2.0, 4.0):
         w = width_mult * sigma
@@ -1025,7 +1010,7 @@ def zeta_lower_bound(
             gap = abs(f_law.expectation(fn, kinks) - g_law.expectation(fn, kinks))
             best = max(best, gap)
     return DistanceEstimate(
-        best, 1e-10, "testfn-lower-bound", {"s": float(s), "n": float(n_testfns)}
+        best, 1e-10, "testfn-lower-bound", {"s": float(s), "n": float(_N_TESTFNS)}
     )
 
 
@@ -1040,8 +1025,6 @@ def semi_additivity_check(
     s_values: Sequence[int] = (1, 2, 3),
     *,
     index: Optional[RandomIndex] = None,
-    eta: float = 1e-12,
-    tolerance: float = IMPLICATION_SLACK,
 ) -> List[InequalityCheck]:
     """Verify zeta_s(sum X_j, sum Y_j) <= sum_j zeta_s(X_j, Y_j).
 
@@ -1073,13 +1056,13 @@ def semi_additivity_check(
                 None,
                 lhs,
                 rhs,
-                tolerance,
+                IMPLICATION_SLACK,
             )
         )
     if index is None:
         return checks
 
-    trunc_k = index.truncation(eta)
+    trunc_k = index.truncation(_SEMI_ADDITIVITY_ETA)
     if trunc_k > k_max:
         raise ValueError(
             f"index needs prefixes up to {trunc_k} but only {k_max} entries given"
@@ -1105,7 +1088,7 @@ def semi_additivity_check(
                 None,
                 lhs,
                 rhs,
-                tolerance + eta,
+                IMPLICATION_SLACK + _SEMI_ADDITIVITY_ETA,
             )
         )
         if x_iid and y_iid:
@@ -1121,7 +1104,7 @@ def semi_additivity_check(
                     None,
                     lhs,
                     rhs_iid,
-                    tolerance + eta,
+                    IMPLICATION_SLACK + _SEMI_ADDITIVITY_ETA,
                 )
             )
     return checks

@@ -152,14 +152,14 @@ def test_criterion_2_implication_chains_zero_violations():
     for array, factory in product(arrays, factories):
         checks.extend(
             implication_suite(
-                array, factory, n_grid, eps_grid, delta_grid, tolerance=1e-9
+                array, factory, n_grid, eps_grid, delta_grid
             )
         )
     series_array = from_series(shiryaev_series())
     for factory, n in product(factories[1:], n_grid):
         checks.extend(
             series_implication_suite(
-                series_array, factory(n), eps_grid, delta_grid, tolerance=1e-9
+                series_array, factory(n), eps_grid, delta_grid
             )
         )
 
@@ -242,7 +242,7 @@ def test_criterion_5_zolotarev_metric_properties():
     y_entries = [TwoPoint(-a / 2.0, 2.0 * a, 0.8) for a in sigmas]
     checks = semi_additivity_check(
         x_entries, y_entries, (1, 2, 3),
-        index=FiniteIndex([1, 2, 3], [0.25, 0.5, 0.25]), tolerance=1e-9)
+        index=FiniteIndex([1, 2, 3], [0.25, 0.5, 0.25]))
     assert checks and all(c.ok for c in checks)
     finite = [c.slack for c in checks if math.isfinite(c.slack)]
     assert min(finite) >= -1e-9

@@ -328,6 +328,23 @@ class TestDistancesCommand:
         capsys.readouterr()
         assert code == EXIT_NUMERIC
 
+    def test_repeated_metric_is_a_config_error(self, tmp_path, capsys):
+        # each name once: a repeat would write two rows for one cell
+        doc = {
+            "array": {"array": "rare-jump"},
+            "index": {"family": "poisson", "mean": "n"},
+            "grids": {"n": [4]},
+            "monte_carlo": {"M": 2000, "seed": 1},
+            "distances": {"metrics": ["empirical_delta", "empirical_delta"]},
+        }
+        cfg = write_config(tmp_path, doc)
+        for dry_run in ([], ["--dry-run"]):
+            code = main(["distances", "--config", cfg, *dry_run])
+            captured = capsys.readouterr()
+            assert code == EXIT_CONFIG
+            assert "$.distances.metrics[1]: repeated metric 'empirical_delta'" in captured.err
+            assert captured.out == ""
+
     def test_underflowing_series_row_names_the_entry(self, tmp_path, capsys):
         # rows mode at n = 1200 reaches series rows whose first entry
         # variance underflows: a numeric failure of that cell, exit 3
@@ -540,6 +557,8 @@ class TestStudyCommand:
               "checks": [{"kind": "all_below", "metric": "delta_mixture", "epsilon": 0.5,
                           "threshold": 1.0}]},
              "$.study: checks[0].epsilon: the rows of 'delta_mixture' carry no epsilon"),
+            ({"distances": ["empirical_delta", "empirical_delta"]},
+             "$.study: distances[1]: repeated distance 'empirical_delta'"),
             ({"eta": 1.5}, "$.study: eta must lie in (0, 0.001]"),
             ({"normal_twin_feller": "no"},
              "$.study.normal_twin_feller: expected true or false"),

@@ -22,7 +22,6 @@ from randsum.arrays import (
 from randsum.conditions import (
     REPORT_FUNCTIONALS,
     cf_deviation,
-    cf_domination,
     evaluate_report,
     feller,
     implication_suite,
@@ -32,7 +31,6 @@ from randsum.conditions import (
     lyapunov,
     randomized,
     randomized_detailed,
-    rl_normal_bound,
     rotar,
     rotar_error_bound,
     series_implication_suite,
@@ -306,6 +304,23 @@ class TestRandomizedMixtures:
         assert math.isfinite(d.value)
         assert math.isinf(d.remainder_bound)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="known fault: the tail walk stops on a cut relative to the inner "
+        "value, and the terms it drops exceed the remainder bound",
+    )
+    def test_growing_row_remainder_covers_the_exact_value(self):
+        # row 4 of the Shiryaev array has variances 1/8, 1/8, 1/4, 1/2 and
+        # 2^(k-2)/8 past the row, so with nu = 1 + N, N ~ Poisson(3),
+        # RF = E[2^N]/16 + P(N = 0) (1/8 - 1/16) = e^3/16 + (1/8 - 1/16)/e^3.
+        # The walk leaves out 3.34e-13 more than value + error_bound covers
+        d = randomized_detailed("RF", SHIRYAEV, ShiftedPoisson(4.0), 4)
+        with mpmath.workdps(40):
+            e3 = mpmath.exp(3)
+            exact = e3 / 16 + (mpmath.mpf(1) / 8 - mpmath.mpf(1) / 16) / e3
+            assert abs(exact - d.value) <= d.error_bound
+
     def test_poisson_index_value_against_direct_sum(self):
         idx = ShiftedPoisson(6.0)
         trunc = idx.truncation(1e-10)
@@ -426,24 +441,6 @@ class TestSeriesSuite:
         )
         assert all(c.ok for c in checks)
         assert all(c.name.startswith("series_") for c in checks)
-
-
-class TestCfDomination:
-    def test_holds_on_iid_rows(self):
-        checks = cf_domination(RAD4, Deterministic(8), 8, 0.5, [0.25, 0.5, 1.0])
-        assert len(checks) == 3
-        assert all(c.ok for c in checks)
-
-
-class TestRlNormalBound:
-    def test_holds_on_shiryaev_with_contained_index(self):
-        c = rl_normal_bound(SHIRYAEV, FiniteIndex([2, 4], [0.5, 0.5]), 4, 0.5)
-        assert c.ok
-        assert c.lhs <= c.rhs + 1e-12
-
-    def test_rejects_non_normal_rows(self):
-        with pytest.raises(cond.InvalidRowError):
-            rl_normal_bound(RAD4, Deterministic(4), 4, 0.5)
 
 
 class TestEvaluateReport:

@@ -35,11 +35,10 @@ from randsum.engine import (
     _normal_row_sums,
     builtin_plan,
     empirical_delta,
+    json_text,
     run_study,
-    sample_random_sum,
     sample_random_sums,
     selfcheck,
-    selfcheck_json,
     spawn_streams,
     thread_cap,
 )
@@ -103,9 +102,6 @@ class TestSampling:
 
     def test_single_draw_and_size_validation(self):
         rng = np.random.default_rng(0)
-        x = sample_random_sum(RAD, FiniteIndex([4], [1.0]), 4, rng)
-        # four entries of +-1/2: the sum lives on the integer lattice
-        assert min(abs(x - v) for v in (-2.0, -1.0, 0.0, 1.0, 2.0)) < 1e-12
         with pytest.raises(ValueError):
             sample_random_sums(RAD, FiniteIndex([4], [1.0]), 4, rng, 0)
         with pytest.raises(ValueError):
@@ -268,6 +264,15 @@ class TestStudyPlan:
             small_plan(checks=({**check, "epsilon": epsilon},),
                        normal_twin_feller=True).validated()
         small_plan(checks=(check,), normal_twin_feller=True).validated()
+
+    def test_repeated_distance_is_rejected(self):
+        # two rows for one cell would read as two steps of the series
+        plan = small_plan(distances=("empirical_delta", "delta_mixture", "empirical_delta"))
+        message = r"distances\[2\]: repeated distance 'empirical_delta'"
+        with pytest.raises(ValueError, match=message):
+            plan.validated()
+        with pytest.raises(ValueError, match=message):
+            run_study(plan)
 
     def test_builtin_names_and_overrides(self):
         assert BUILTIN_PLAN_NAMES == (
@@ -507,7 +512,7 @@ class TestSelfcheck:
         doc = selfcheck(42)
         assert doc["passed"] is True
         assert len(doc["checks"]) == 18
-        assert selfcheck_json(42) == selfcheck_json(42)
+        assert json_text(selfcheck(42)) == json_text(selfcheck(42))
 
     def test_seed_changes_document(self):
-        assert selfcheck_json(42) != selfcheck_json(43)
+        assert json_text(selfcheck(42)) != json_text(selfcheck(43))

@@ -1,0 +1,121 @@
+"""The public surface: what ``randsum`` exports, what the demos read of it,
+and no module importing a name it never uses."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import randsum
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# about 19 s of Monte Carlo: only the names it reads are checked
+SLOW_DEMOS = {"03_random_sums.py"}
+SOURCES = sorted(
+    [*(ROOT / "src" / "randsum").glob("*.py"), *(ROOT / "tests").glob("*.py"), *DEMOS]
+)
+
+
+def test_every_export_resolves_through_star_import():
+    namespace = {}
+    exec("from randsum import *", namespace)
+    assert [name for name in randsum.__all__ if name not in namespace] == []
+    assert len(set(randsum.__all__)) == len(randsum.__all__)
+
+
+def randsum_names(tree: ast.Module) -> set:
+    """Names read from ``randsum`` through an alias or ``from randsum import``."""
+    aliases, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names if a.name == "randsum"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "randsum":
+            names |= {a.name for a in node.names}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_reads_only_exports(demo):
+    names = randsum_names(ast.parse(demo.read_text(), str(demo)))
+    assert names
+    assert names - set(randsum.__all__) == set()
+
+
+@pytest.mark.parametrize(
+    "demo", [d for d in DEMOS if d.name not in SLOW_DEMOS], ids=lambda p: p.name
+)
+def test_demo_runs(demo):
+    package_root = os.path.dirname(os.path.dirname(randsum.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def _annotation_names(node: ast.AST):
+    """Names in an annotation, quoted ones included."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield from (n.id for n in ast.walk(ast.parse(sub.value, mode="eval"))
+                        if isinstance(n, ast.Name))
+
+
+def unused_imports(source: str, filename: str = "<source>") -> list:
+    """(line, name) of every imported name the module never reads.
+
+    A name listed in the module's ``__all__`` counts as read: that is how
+    the package's ``__init__`` re-exports.
+    """
+    tree = ast.parse(source, filename)
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used.update(_annotation_names(node.annotation))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used.update(_annotation_names(node.returns))
+        elif isinstance(node, ast.AnnAssign):
+            used.update(_annotation_names(node.annotation))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(e.value for e in node.value.elts)
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_check_sees_every_kind_of_use():
+    source = (
+        "import os.path\n"
+        "import json as js\n"
+        "from typing import List, Optional\n"
+        "from .x import exported, stray\n"
+        "__all__ = ['exported']\n"
+        "def f(a: 'Optional[int]') -> List[int]:\n"
+        "    return [js.dumps(a)]\n"
+    )
+    assert unused_imports(source) == [(1, "os"), (4, "stray")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(), str(path)) == []
