@@ -472,10 +472,18 @@ class _SeriesArray(TriangularArray):
             self.series.log_variance_profile(min(k, row)).tolist(),
             map(self.series.log_variance, range(row + 1, k + 1)),
         )
-        out = np.empty(k)
+        out = []
         for j, (log_var, var) in enumerate(zip(log_vars, member_vars), start=1):
-            out[j - 1] = scaled_normal_variance(var, self._factor(n, j, log_var, log_bsq, var))
-        return out
+            # _factor and scaled_normal_variance inlined: this loop runs for
+            # every position of every all-normal row a study samples or sums
+            half_log = 0.5 * (log_var - log_bsq)
+            factor = math.exp(half_log) if half_log <= _LOG_MAX else math.inf
+            product = factor * factor * var
+            if not product > 0.0:
+                # the checked path raises what the entry would
+                scaled_normal_variance(var, self._factor(n, j, log_var, log_bsq, var))
+            out.append(product)
+        return np.array(out)
 
 
 class _NormalTwinArray(TriangularArray):

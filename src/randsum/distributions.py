@@ -74,6 +74,9 @@ _RATIO_SERIES_UNIFORM_REACH = 0.5
 # (a, b, alpha, beta): the CDF equals alpha x + beta on [a, b]
 CdfPiece = Tuple[float, float, float, float]
 
+# highest power partial_moments returns
+MAX_MOMENT_DEGREE = 3
+
 
 class DistributionError(ValueError):
     """Invalid distribution parameters or unsupported operation."""
@@ -85,6 +88,45 @@ class QuadratureError(ArithmeticError):
 
 def _norm_pdf(z: ArrayLike) -> ArrayLike:
     return np.exp(-0.5 * np.square(z)) / _SQRT_2PI
+
+
+def _normal_partial_moments(
+    mean: ArrayLike, sigma: float, a: float, b: float, center: float, degree: int
+) -> List[ArrayLike]:
+    """I_m = E[(X - center)^m 1{a < X <= b}] for X ~ N(mean, sigma^2), m = 0..degree.
+
+    Integration by parts gives, with u = x - center and d = mean - center,
+    I_m = d I_(m-1) + (m-1) sigma^2 I_(m-2) + sigma [u^(m-1) phi((x - mean)/sigma)]_b^a.
+    ``mean`` may be an array of means sharing ``sigma``; the moments then
+    come back as arrays.  Needs a < b.
+    """
+    alpha = (a - mean) / sigma
+    beta = (b - mean) / sigma
+    # an upper-tail mass as a difference of upper tails keeps its digits
+    mass = np.where(alpha > 0.0, ndtr(-alpha) - ndtr(-beta), ndtr(beta) - ndtr(alpha))
+    # (u, sigma phi) at each end; an infinite end contributes nothing
+    (ua, pa), (ub, pb) = (
+        (0.0, 0.0) if math.isinf(x) else (x - center, sigma * _norm_pdf(z))
+        for x, z in ((a, alpha), (b, beta))
+    )
+    d = mean - center
+    out = [mass]
+    for m in range(1, degree + 1):
+        nxt = d * out[-1] + ua ** (m - 1) * pa - ub ** (m - 1) * pb
+        if m >= 2:
+            nxt = nxt + (m - 1) * sigma * sigma * out[-2]
+        out.append(nxt)
+    return out
+
+
+def _atom_moments(u: np.ndarray, probs: np.ndarray, degree: int) -> List[float]:
+    """sum_i probs_i u_i^m for m = 0..degree."""
+    out = []
+    weighted = probs
+    for _ in range(degree + 1):
+        out.append(float(np.sum(weighted)))
+        weighted = weighted * u
+    return out
 
 
 def _quad(
@@ -130,8 +172,10 @@ class ScalarDistribution:
     """Base class for real-valued laws with finite variance.
 
     Subclasses set ``mean`` and ``variance`` in ``__init__`` and implement
-    the abstract accessors.  Generic moment routines fall back to atom
-    sums for discrete laws and adaptive quadrature for continuous ones.
+    the abstract accessors.  Truncated second moments and integer-order
+    absolute moments read ``partial_moments``, which families give in
+    closed form; generic routines fall back to atom sums for discrete
+    laws and adaptive quadrature for continuous ones.
     """
 
     family: str = "abstract"
@@ -219,15 +263,9 @@ class ScalarDistribution:
             vals, probs = at
             keep = np.abs(vals) >= threshold
             return float(np.sum(np.square(vals[keep]) * probs[keep]))
-        lo, hi = self._quad_cut()
-        total = 0.0
-        if hi > threshold:
-            v, _ = _quad(lambda x: x * x * self.pdf(x), max(threshold, lo), hi, epsabs=epsabs / 2)
-            total += v
-        if lo < -threshold:
-            v, _ = _quad(lambda x: x * x * self.pdf(x), lo, min(-threshold, hi), epsabs=epsabs / 2)
-            total += v
-        return total
+        left = self.partial_moments(-math.inf, -threshold, 0.0, 2, epsabs=epsabs / 2)
+        right = self.partial_moments(threshold, math.inf, 0.0, 2, epsabs=epsabs / 2)
+        return left[2] + right[2]
 
     def abs_moment(self, order: float, *, epsabs: float = QUAD_ABS_TOL) -> float:
         """E|X|^order for order >= 1."""
@@ -237,6 +275,11 @@ class ScalarDistribution:
         if at is not None:
             vals, probs = at
             return float(np.sum(np.power(np.abs(vals), order) * probs))
+        if float(order).is_integer() and order <= MAX_MOMENT_DEGREE:
+            p = int(order)
+            left = self.partial_moments(-math.inf, 0.0, 0.0, p, epsabs=epsabs / 2)
+            right = self.partial_moments(0.0, math.inf, 0.0, p, epsabs=epsabs / 2)
+            return right[p] + (-1) ** p * left[p]
         lo, hi = self._quad_cut()
         v, _ = _quad(
             lambda x: abs(x) ** order * self.pdf(x), lo, hi, epsabs=epsabs, points=[0.0]
@@ -262,6 +305,36 @@ class ScalarDistribution:
         lo, hi = self._quad_cut()
         v, _ = _quad(lambda x: float(fn(x)) * self.pdf(x), lo, hi, epsabs=epsabs, points=list(breakpoints))
         return v
+
+    def partial_moments(
+        self, a: float, b: float, center: float, degree: int, *, epsabs: float = QUAD_ABS_TOL
+    ) -> List[float]:
+        """[E[(X - center)^m 1{a < X <= b}] for m = 0..degree], degree <= 3.
+
+        ``a`` may be -inf and ``b`` +inf.  Families with a closed form
+        override ``_partial_moments``; the rest sum over their atoms or
+        integrate (x - center)^m pdf(x), each moment to ``epsabs``.
+        """
+        if degree not in range(MAX_MOMENT_DEGREE + 1):
+            raise DistributionError(f"moment degree must lie in 0..{MAX_MOMENT_DEGREE}")
+        if not b > a:
+            return [0.0] * (degree + 1)
+        return self._partial_moments(float(a), float(b), float(center), degree, epsabs)
+
+    def _partial_moments(
+        self, a: float, b: float, center: float, degree: int, epsabs: float
+    ) -> List[float]:
+        at = self.atoms()
+        if at is not None:
+            vals, probs = at
+            keep = (vals > a) & (vals <= b)
+            return _atom_moments(vals[keep] - center, probs[keep], degree)
+        lo, hi = self._quad_cut()
+        lo, hi = max(a, lo), min(b, hi)
+        return [
+            _quad(lambda x, m=m: (x - center) ** m * self.pdf(x), lo, hi, epsabs=epsabs)[0]
+            for m in range(degree + 1)
+        ]
 
     def ratio_moment(self) -> float:
         """E[X^2 / (1 + X^2)], a bounded gauge of the law's spread."""
@@ -360,6 +433,12 @@ class Normal(ScalarDistribution):
             )
             return math.exp(log_val) if log_val <= _LOG_MAX else math.inf
         return super().abs_moment(order, epsabs=epsabs)
+
+    def _partial_moments(
+        self, a: float, b: float, center: float, degree: int, epsabs: float
+    ) -> List[float]:
+        moments = _normal_partial_moments(self.mean, self._sigma, a, b, center, degree)
+        return [float(m) for m in moments]
 
     def ratio_moment(self) -> float:
         if self.mean != 0.0:
@@ -467,6 +546,21 @@ class Uniform(ScalarDistribution):
         else:
             val = ramp(0.0, -self.low) + ramp(0.0, self.high)
         return val / width
+
+    def _partial_moments(
+        self, a: float, b: float, center: float, degree: int, epsabs: float
+    ) -> List[float]:
+        lo, hi = max(a, self.low), min(b, self.high)
+        if not hi > lo:
+            return [0.0] * (degree + 1)
+        x, y = lo - center, hi - center
+        mass = (hi - lo) / (self.high - self.low)
+        # (y^(m+1) - x^(m+1)) / ((m+1)(y - x)) as a sum of products, which
+        # keeps its digits when x and y are close
+        return [
+            mass * sum(y ** (m - i) * x ** i for i in range(m + 1)) / (m + 1)
+            for m in range(degree + 1)
+        ]
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         return rng.uniform(self.low, self.high, size=size)
@@ -657,6 +751,28 @@ class CenteredExponential(ScalarDistribution):
         # exp tail: e^{-60} ~ 9e-27 keeps moment tails far below tolerance
         return (-self._shift, -self._shift + 60.0 / self.rate)
 
+    def _partial_moments(
+        self, a: float, b: float, center: float, degree: int, epsabs: float
+    ) -> List[float]:
+        lo = max(a, -self._shift)
+        if not b > lo:
+            return [0.0] * (degree + 1)
+        rate = self.rate
+
+        def primitive(x: float) -> List[float]:
+            # minus an antiderivative of (x - center)^m rate e^(-rate (x + shift)):
+            # e^(-rate (x + shift)) P_m with P_m = u^m + m P_(m-1) / rate
+            if math.isinf(x):
+                return [0.0] * (degree + 1)
+            u = x - center
+            decay = math.exp(-rate * (x + self._shift))
+            poly = [1.0]
+            for m in range(1, degree + 1):
+                poly.append(u ** m + m * poly[-1] / rate)
+            return [decay * p for p in poly]
+
+        return [p - q for p, q in zip(primitive(lo), primitive(b))]
+
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         return rng.exponential(self._shift, size=size) - self._shift
 
@@ -736,6 +852,21 @@ class Scaled(ScalarDistribution):
             raise DistributionError("moment order must be >= 1")
         return abs(self.factor) ** order * self.base.abs_moment(order, epsabs=epsabs)
 
+    def _partial_moments(
+        self, a: float, b: float, center: float, degree: int, epsabs: float
+    ) -> List[float]:
+        if self._steps is not None:
+            # the rounded atoms, as cdf sees them
+            return super()._partial_moments(a, b, center, degree, epsabs)
+        c = self.factor
+        # a < cY <= b puts Y between a/c and b/c, the other way round for
+        # c < 0; which end is closed does not matter without atoms
+        lo, hi = (a / c, b / c) if c > 0 else (b / c, a / c)
+        moments = self.base.partial_moments(
+            lo, hi, center / c, degree, epsabs=epsabs / max(abs(c) ** degree, 1.0)
+        )
+        return [c ** m * v for m, v in enumerate(moments)]
+
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         return self.factor * self.base.sample(rng, size=size)
 
@@ -794,6 +925,14 @@ class Shifted(ScalarDistribution):
     def _quad_cut(self) -> Tuple[float, float]:
         lo, hi = self.base._quad_cut()
         return (lo + self.offset, hi + self.offset)
+
+    def _partial_moments(
+        self, a: float, b: float, center: float, degree: int, epsabs: float
+    ) -> List[float]:
+        if self._steps is not None:
+            return super()._partial_moments(a, b, center, degree, epsabs)
+        o = self.offset
+        return self.base.partial_moments(a - o, b - o, center - o, degree, epsabs=epsabs)
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         return self.base.sample(rng, size=size) + self.offset

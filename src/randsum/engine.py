@@ -55,8 +55,10 @@ __all__ = [
     "csv_text",
 ]
 
-# cap on scalar draws materialized at once (~128 MB of float64)
-CHUNK_DRAWS = 1 << 24
+# cap on scalar draws materialized at once (8 MB of float64); chunks end
+# at row boundaries and the generators stream the same variates whether
+# drawn in one call or in many, so the cap never changes a draw
+CHUNK_DRAWS = 1 << 20
 # default worker count before the RANDSUM_THREADS cap is applied
 _DEFAULT_WORKERS = 4
 

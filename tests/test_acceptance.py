@@ -16,6 +16,7 @@ import pytest
 from scipy.stats import binom
 
 import randsum
+import randsum.metrics as metrics_module
 from randsum.arrays import (
     from_series,
     make_iid_array,
@@ -42,6 +43,7 @@ from randsum.distributions import (
     Geometric,
     Normal,
     Rademacher,
+    ScalarDistribution,
     Scaled,
     ShiftedNegativeBinomial,
     ShiftedPoisson,
@@ -70,6 +72,33 @@ from randsum.metrics import (
 
 SHIRYAEV = make_shiryaev_array()
 RARE = make_rare_jump_array()
+
+THREE_ATOM = FiniteDiscrete([-math.sqrt(2.0), 0.0, math.sqrt(2.0)], [0.25, 0.5, 0.25])
+_RAD = Rademacher()
+_STD_NORMAL = Normal(0.0, 1.0)
+# (f, g, s): the laws and orders of the zeta sandwich
+ZETA_SANDWICH_PAIRS = [
+    (Normal(0.0, 1.0), Normal(0.0, 4.0), 1),
+    (Uniform(-1.0, 1.0), Normal(0.0, 1.0 / 3.0), 1),
+    (_RAD, Uniform(-1.0, 1.0), 1),
+    (CenteredExponential(1.0), _STD_NORMAL, 1),
+    (TwoPoint(-0.25, 1.0, 0.8), Normal(0.0, 0.25), 1),
+    (Scaled(_RAD, 0.5), Uniform(-0.5, 0.5), 1),
+    (FiniteDiscrete([-2.0, 0.0, 1.0], [0.25, 0.25, 0.5]), _STD_NORMAL, 1),
+    (_RAD, _STD_NORMAL, 2),
+    (Uniform(-1.0, 1.0), _STD_NORMAL, 2),
+    (CenteredExponential(2.0), Normal(0.0, 0.25), 2),
+    (TwoPoint(-0.25, 1.0, 0.8), _RAD, 2),
+    (Scaled(Uniform(-1.0, 1.0), 2.0), _STD_NORMAL, 2),
+    (FiniteDiscrete([-1.0, 0.0, 1.0], [0.3, 0.4, 0.3]), Normal(0.0, 0.6), 2),
+    (Normal(0.0, 1.0), Normal(0.0, 2.0), 2),
+    (_RAD, _STD_NORMAL, 3),
+    (Uniform(-math.sqrt(3.0), math.sqrt(3.0)), _STD_NORMAL, 3),
+    (THREE_ATOM, _RAD, 3),
+    (CenteredExponential(1.0), _STD_NORMAL, 3),
+    (TwoPoint(-0.5, 2.0, 0.8), _STD_NORMAL, 3),
+    (Scaled(_RAD, 2.0), Normal(0.0, 4.0), 3),
+]
 
 
 def binomial_ks_oracle(k: int) -> float:
@@ -226,8 +255,7 @@ def test_criterion_5_zolotarev_metric_properties():
 
     # regularity: convolving both sides with the same independent law
     # cannot increase the distance (exact atomic convolution, <= 8 atoms)
-    three_atom = FiniteDiscrete(
-        [-math.sqrt(2.0), 0.0, math.sqrt(2.0)], [0.25, 0.5, 0.25])
+    three_atom = THREE_ATOM
     z_law = Scaled(Rademacher(), 0.5)
     lhs_laws = (sum_of_independent([rad, z_law]),
                 sum_of_independent([three_atom, z_law]))
@@ -248,32 +276,36 @@ def test_criterion_5_zolotarev_metric_properties():
     assert min(finite) >= -1e-9
 
     # sandwich: the test-function lower bound never exceeds the metric
-    pairs = [
-        (Normal(0.0, 1.0), Normal(0.0, 4.0), 1),
-        (Uniform(-1.0, 1.0), Normal(0.0, 1.0 / 3.0), 1),
-        (rad, Uniform(-1.0, 1.0), 1),
-        (CenteredExponential(1.0), std_normal, 1),
-        (TwoPoint(-0.25, 1.0, 0.8), Normal(0.0, 0.25), 1),
-        (Scaled(rad, 0.5), Uniform(-0.5, 0.5), 1),
-        (FiniteDiscrete([-2.0, 0.0, 1.0], [0.25, 0.25, 0.5]), std_normal, 1),
-        (rad, std_normal, 2),
-        (Uniform(-1.0, 1.0), std_normal, 2),
-        (CenteredExponential(2.0), Normal(0.0, 0.25), 2),
-        (TwoPoint(-0.25, 1.0, 0.8), rad, 2),
-        (Scaled(Uniform(-1.0, 1.0), 2.0), std_normal, 2),
-        (FiniteDiscrete([-1.0, 0.0, 1.0], [0.3, 0.4, 0.3]), Normal(0.0, 0.6), 2),
-        (Normal(0.0, 1.0), Normal(0.0, 2.0), 2),
-        (rad, std_normal, 3),
-        (Uniform(-math.sqrt(3.0), math.sqrt(3.0)), std_normal, 3),
-        (three_atom, rad, 3),
-        (CenteredExponential(1.0), std_normal, 3),
-        (TwoPoint(-0.5, 2.0, 0.8), std_normal, 3),
-        (Scaled(rad, 2.0), Normal(0.0, 4.0), 3),
-    ]
-    assert len(pairs) == 20
-    for f_law, g_law, s in pairs:
+    assert len(ZETA_SANDWICH_PAIRS) == 20
+    for f_law, g_law, s in ZETA_SANDWICH_PAIRS:
         lower = zeta_lower_bound(f_law, g_law, s).value
         assert lower <= zeta(f_law, g_law, s).value + 1e-8, (f_law, g_law, s)
+
+
+def test_criterion_5_zeta_lower_bound_matches_quadrature():
+    # the closed-form partial moments against the test functions' pieces
+    # integrated by the generic quadrature of ScalarDistribution.expectation
+    def quadrature_mean(law, pieces):
+        def value(x):
+            for lo, hi, c, coeffs in pieces:
+                if lo < x <= hi:
+                    return np.polyval(coeffs[::-1], x - c)
+            return 0.0
+
+        def fn(x):
+            # one point for quadrature, an array of atoms for an atomic law
+            return np.array([value(v) for v in x]) if np.ndim(x) else value(x)
+
+        kinks = sorted({e for lo, hi, _, _ in pieces for e in (lo, hi) if math.isfinite(e)})
+        return ScalarDistribution.expectation(law, fn, kinks)
+
+    for f_law, g_law, s in ZETA_SANDWICH_PAIRS:
+        quadrature = max(
+            abs(quadrature_mean(f_law, pieces) - quadrature_mean(g_law, pieces))
+            for pieces in metrics_module._testfns(f_law, g_law, s)
+        )
+        closed = zeta_lower_bound(f_law, g_law, s).value
+        assert abs(closed - quadrature) <= 1e-12, (f_law, g_law, s)
 
 
 def test_criterion_6_enumeration_oracle_agreement():

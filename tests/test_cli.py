@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import randsum
+import randsum.distributions as distributions_module
 from randsum.arrays import ARRAY_KINDS, array_from_config
 
 from randsum.cli import (
@@ -573,6 +574,17 @@ class TestStudyCommand:
             assert message in captured.err
             assert captured.out == ""
 
+    def test_exponential_plan_imports_no_quadrature_or_root_finder(self, tmp_path):
+        # lyapunov at delta = 1 and the lindeberg moments of centered
+        # exponentials are closed forms
+        doc = {
+            "tasks": ["study"],
+            "study": {"plan": "lyapunov_exponential_poisson", "checks": []},
+            "grids": {"n": [16]},
+        }
+        got = run_fresh(tmp_path, "study", doc, ("scipy.integrate", "scipy.optimize"))
+        assert got == [EXIT_OK, []]
+
 
 class TestCounterexampleCommand:
     def test_findings_pass(self, capsys):
@@ -635,6 +647,18 @@ class TestSelfcheckCommand:
         assert rotar["passed"] is True
         # row 4 of the Shiryaev array, 4 entries at QUAD_ABS_TOL each
         assert rotar["detail"] == "value 0.00e+00, a priori bound 4.04e-10"
+
+    def test_quadrature_left_is_the_two_fractional_moments(self, monkeypatch, capsys):
+        # abs_moment(2.5) of Normal(0.3, 2) and CenteredExponential(1.5) in
+        # the distribution checks; every other moment is in closed form
+        calls = []
+        real = distributions_module._quad
+        monkeypatch.setattr(distributions_module, "_quad",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        code = main(["selfcheck", "--seed", "42"])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert len(calls) == 2
 
     def test_out_file(self, tmp_path, capsys):
         code = main(["selfcheck", "--seed", "42", "--out", str(tmp_path)])

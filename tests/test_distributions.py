@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import nbinom, poisson
 
+import randsum.distributions as distributions_module
 from randsum.distributions import (
     CenteredExponential,
     Deterministic,
@@ -17,6 +18,8 @@ from randsum.distributions import (
     Geometric,
     Normal,
     Rademacher,
+    Scaled,
+    Shifted,
     ShiftedNegativeBinomial,
     ShiftedPoisson,
     TwoPoint,
@@ -170,6 +173,117 @@ class TestAtomicFamilies:
         pdf = lambda x: 2.0 * math.exp(-2.0 * (x + 0.5)) if x >= -0.5 else 0.0
         v, _ = integrate.quad(lambda x: x * x * pdf(x), 1.0, 40.0, epsabs=1e-14, limit=300)
         assert e.truncated_second_moment(1.0) == pytest.approx(v, abs=1e-10)
+
+
+def exponential_density(rate, factor=1.0, offset=0.0):
+    """mpmath density of factor * (E - 1/rate) + offset, E ~ Exp(rate)."""
+    rate, factor, offset = (mpmath.mpf(v) for v in (rate, factor, offset))
+
+    def pdf(x):
+        y = (x - offset) / factor + 1 / rate
+        return rate * mpmath.exp(-rate * y) / abs(factor) if y >= 0 else mpmath.mpf(0)
+
+    return pdf
+
+
+def normal_density(mean, var):
+    """mpmath density of N(mean, var)."""
+    mean, var = mpmath.mpf(mean), mpmath.mpf(var)
+    return lambda x: mpmath.exp(-(x - mean) ** 2 / (2 * var)) / mpmath.sqrt(2 * mpmath.pi * var)
+
+
+# (law, mpmath density or None for atomic laws, breakpoints of the density)
+PARTIAL_MOMENT_LAWS = [
+    (Normal(0.3, 2.0), normal_density(0.3, 2.0), [0.3]),
+    (Normal(-1.5, 0.25), normal_density(-1.5, 0.25), [-1.5]),
+    (Uniform(-1.0, 2.0), lambda x: mpmath.mpf(1) / 3 if -1 <= x <= 2 else 0, [-1.0, 2.0]),
+    (CenteredExponential(1.5), exponential_density(1.5), [-1.0 / 1.5]),
+    (Rademacher(), None, []),
+    (TwoPoint(-0.25, 1.0, 0.8), None, []),
+    (FiniteDiscrete([-2.0, 0.0, 1.0], [0.25, 0.25, 0.5]), None, []),
+    (Scaled(CenteredExponential(2.0), -0.7), exponential_density(2.0, -0.7), [0.35]),
+    (Scaled(Uniform(0.0, 1.0), -3.0), lambda x: mpmath.mpf(1) / 3 if -3 <= x <= 0 else 0,
+     [-3.0, 0.0]),
+    (Scaled(Rademacher(), 0.5), None, []),
+    (Shifted(CenteredExponential(1.0), 0.4), exponential_density(1.0, 1.0, 0.4), [-0.6]),
+]
+
+
+def partial_moment_oracle(law, pdf, kinks, a, b, center, m):
+    """E[(X - center)^m 1{a < X <= b}] in 20 digits."""
+    with mpmath.workdps(20):
+        c = mpmath.mpf(center)
+        if pdf is None:
+            vals, probs = law.atoms()
+            return sum(mpmath.mpf(p) * (mpmath.mpf(v) - c) ** m
+                       for v, p in zip(vals.tolist(), probs.tolist()) if a < v <= b)
+        cuts = sorted(x for x in {a, b, *kinks} if a <= x <= b)
+        return mpmath.quad(lambda x: (x - c) ** m * pdf(x), [mpmath.mpf(x) for x in cuts])
+
+
+def abs_moment_oracle(law, pdf, kinks, order):
+    # |x|^order = x^order above 0 and (-x)^order below
+    return (partial_moment_oracle(law, pdf, kinks, 0.0, math.inf, 0.0, order)
+            + (-1) ** order * partial_moment_oracle(law, pdf, kinks, -math.inf, 0.0, 0.0, order))
+
+
+def tsm_oracle(law, pdf, kinks, threshold):
+    return (partial_moment_oracle(law, pdf, kinks, -math.inf, -threshold, 0.0, 2)
+            + partial_moment_oracle(law, pdf, kinks, threshold, math.inf, 0.0, 2))
+
+
+class TestPartialMoments:
+    """E[(X - c)^m 1{a < X <= b}] against 20-digit quadrature and atom sums."""
+
+    INTERVALS = [(-math.inf, math.inf), (-math.inf, 0.2), (0.2, math.inf), (-0.5, 1.3),
+                 (-3.0, -1.0)]
+
+    @pytest.mark.parametrize("law, pdf, kinks", PARTIAL_MOMENT_LAWS,
+                             ids=[repr(law) for law, _, _ in PARTIAL_MOMENT_LAWS])
+    def test_against_mpmath(self, law, pdf, kinks):
+        for a, b in self.INTERVALS:
+            # both off every law's mean
+            for center in (0.7, -1.9):
+                got = law.partial_moments(a, b, center, 3)
+                assert len(got) == 4
+                reach = 1.0 + abs(law.mean - center) + law.std
+                for m in range(4):
+                    ref = partial_moment_oracle(law, pdf, kinks, a, b, center, m)
+                    assert abs(got[m] - float(ref)) <= 1e-14 * reach ** m, (a, b, center, m)
+                for degree in range(3):
+                    assert law.partial_moments(a, b, center, degree) == got[: degree + 1]
+
+    def test_empty_interval_and_degree_range(self):
+        law = Normal(0.0, 1.0)
+        assert law.partial_moments(1.0, 1.0, 0.0, 2) == [0.0, 0.0, 0.0]
+        assert law.partial_moments(2.0, -2.0, 0.0, 0) == [0.0]
+        assert Uniform(0.0, 1.0).partial_moments(2.0, 3.0, 0.0, 1) == [0.0, 0.0]
+        assert CenteredExponential(1.0).partial_moments(-3.0, -2.0, 0.0, 1) == [0.0, 0.0]
+        for degree in (-1, 4):
+            with pytest.raises(DistributionError):
+                law.partial_moments(0.0, 1.0, 0.0, degree)
+
+    @pytest.mark.parametrize("rate", [1.0, 4.0, 16.0])
+    def test_exponential_moments_leave_quadrature(self, monkeypatch, rate):
+        # the lyapunov (delta = 1) and lindeberg values of the exponential plan
+        monkeypatch.setattr(distributions_module, "_quad", None)
+        law = CenteredExponential(rate)
+        pdf, kinks = exponential_density(rate), [-1.0 / rate]
+        third = abs_moment_oracle(law, pdf, kinks, 3)
+        assert law.abs_moment(3.0) == pytest.approx(float(third), rel=4e-16)
+        tsm = tsm_oracle(law, pdf, kinks, 0.3)
+        assert law.truncated_second_moment(0.3) == pytest.approx(float(tsm), rel=4e-16)
+
+    def test_integer_moments_of_other_laws_leave_quadrature(self, monkeypatch):
+        monkeypatch.setattr(distributions_module, "_quad", None)
+        for law, pdf, kinks in PARTIAL_MOMENT_LAWS:
+            if pdf is None:
+                continue
+            for order in (1, 2, 3):
+                ref = abs_moment_oracle(law, pdf, kinks, order)
+                assert law.abs_moment(float(order)) == pytest.approx(float(ref), rel=1e-14)
+            ref = tsm_oracle(law, pdf, kinks, 0.5)
+            assert law.truncated_second_moment(0.5) == pytest.approx(float(ref), rel=1e-14)
 
 
 class TestTransforms:

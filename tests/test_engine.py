@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+import randsum.engine as engine_module
 from randsum.arrays import (
     TriangularArray,
     from_series,
@@ -17,6 +18,7 @@ from randsum.arrays import (
     shiryaev_series,
 )
 from randsum.distributions import (
+    CenteredExponential,
     FiniteIndex,
     Geometric,
     Normal,
@@ -197,6 +199,29 @@ class TestChunkBoundaries:
         ks = np.array([9, 0, 0, 2, 2, 1, 9], dtype=np.int64)
         assert _chunk_boundaries(ks, 4) == [(0, 1), (1, 5), (5, 6), (6, 7)]
         assert _chunk_boundaries(ks, 4) == chunk_boundaries_loop(ks, 4)
+
+    @pytest.mark.parametrize(
+        "array, mode",
+        [
+            (make_iid_array(CenteredExponential(1.0)), "prefix"),
+            (make_iid_array(Uniform(-1.0, 1.0)), "prefix"),
+            (RAD, "prefix"),
+            (make_rare_jump_array(), "prefix"),
+            (SHIRYAEV, "prefix"),
+            (from_series(shiryaev_series()), "rows"),
+        ],
+        ids=["iid-exponential", "iid-uniform", "iid-rademacher", "rare-jump", "shiryaev",
+             "series-rows"],
+    )
+    def test_draws_do_not_depend_on_the_cap(self, monkeypatch, array, mode):
+        def draws(cap):
+            monkeypatch.setattr(engine_module, "CHUNK_DRAWS", cap)
+            rng = np.random.default_rng(np.random.SeedSequence(17))
+            return sample_random_sums(array, ShiftedPoisson(12.0), 12, rng, 400, mode=mode)
+
+        reference = draws(1 << 24)
+        for cap in (1 << 20, 1000, 7, 1):
+            assert np.array_equal(draws(cap), reference), cap
 
 
 class TestStudyPlan:

@@ -11,6 +11,7 @@ from scipy import integrate
 from scipy.special import ndtr
 from scipy.stats import norm
 
+import randsum.distributions as distributions_module
 import randsum.metrics as metrics_module
 from randsum.arrays import (
     TriangularArray,
@@ -29,7 +30,10 @@ from randsum.distributions import (
     Geometric,
     Normal,
     Rademacher,
+    Scaled,
+    Shifted,
     ShiftedPoisson,
+    TwoPoint,
     Uniform,
     scale,
     shift,
@@ -443,6 +447,54 @@ class TestZetaSandwich:
             assert lo <= hi + 1e-8
             if s == 1:
                 assert lo > 0.0
+
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_lower_bound_runs_no_quadrature(self, monkeypatch, s):
+        calls = []
+        real = distributions_module._quad
+        monkeypatch.setattr(distributions_module, "_quad",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        laws = [
+            Normal(0.3, 2.0), Uniform(-1.0, 2.0), CenteredExponential(1.5), Rademacher(),
+            TwoPoint(-0.25, 1.0, 0.8), FiniteDiscrete([-2.0, 0.0, 1.0], [0.25, 0.25, 0.5]),
+            Scaled(CenteredExponential(2.0), -0.7), Scaled(Rademacher(), 0.5),
+            Shifted(CenteredExponential(1.0), 0.4),
+            SumLaw([-1.0, 0.5], [0.3, 0.7], normal_mean=0.2, normal_var=0.5),
+            MixtureLaw([PHI, Uniform(-1.0, 1.0)], [0.5, 0.5]),
+        ]
+        for law in laws:
+            assert zeta_lower_bound(law, PHI, s).value > 0.0
+        assert calls == []
+
+
+def mp_normal_density(mean, var):
+    """mpmath density of N(mean, var)."""
+    mean, var = mpmath.mpf(mean), mpmath.mpf(var)
+    return lambda x: mpmath.exp(-(x - mean) ** 2 / (2 * var)) / mpmath.sqrt(2 * mpmath.pi * var)
+
+
+_SUM_PARTS = (mp_normal_density(-0.8, 0.5), mp_normal_density(0.7, 0.5))
+_MIXTURE_PART = mp_normal_density(1.0, 2.0)
+
+
+class TestPartialMomentsOfSums:
+    """Partial moments of sum and mixture laws against 20-digit quadrature."""
+
+    @pytest.mark.parametrize("law, pdf", [
+        (SumLaw([-1.0, 0.5], [0.3, 0.7], normal_mean=0.2, normal_var=0.5),
+         lambda x: 0.3 * _SUM_PARTS[0](x) + 0.7 * _SUM_PARTS[1](x)),
+        (MixtureLaw([Normal(1.0, 2.0), Uniform(-1.0, 1.0)], [0.25, 0.75]),
+         lambda x: 0.25 * _MIXTURE_PART(x) + (mpmath.mpf(0.375) if -1 <= x <= 1 else 0)),
+    ], ids=["sum", "mixture"])
+    def test_against_mpmath(self, law, pdf):
+        for a, b in [(-math.inf, math.inf), (-math.inf, 0.3), (0.3, math.inf), (-2.0, 0.5)]:
+            got = law.partial_moments(a, b, -0.6, 3)
+            with mpmath.workdps(20):
+                cuts = [mpmath.mpf(x) for x in sorted({a, b, -1.0, 1.0}) if a <= x <= b]
+                for m in range(4):
+                    ref = mpmath.quad(lambda x: (x + mpmath.mpf(0.6)) ** m * pdf(x), cuts)
+                    assert abs(got[m] - float(ref)) <= 1e-14 * 4.0 ** m, (a, b, m)
 
 
 class TestZetaRegularity:
