@@ -426,6 +426,14 @@ class SeriesForm:
         return np.asarray(self._logbsq[: int(n)], dtype=float)
 
 
+def _series_factor(log_var: float, log_bsq: float) -> float:
+    """sd_j / B_k from log sd_j^2 and log B_k^2, unchecked."""
+    half_log = 0.5 * (log_var - log_bsq)
+    # positions far past the row: the ratio leaves float range, and the
+    # saturated law keeps the divergence honest instead of crashing
+    return math.exp(half_log) if half_log <= _LOG_MAX else math.inf
+
+
 class _SeriesArray(TriangularArray):
     """Array built from a series: entry(n, j) = (X_j - a_j) / B_{k_n}."""
 
@@ -439,10 +447,7 @@ class _SeriesArray(TriangularArray):
         """sd_j / B_{k_n} for entry (n, j) from the two logs, checked so
         that the entry's variance, factor**2 times the standardized
         member's ``variance``, stays positive."""
-        half_log = 0.5 * (log_var - log_bsq)
-        # positions far past the row: the ratio leaves float range, and the
-        # saturated law keeps the divergence honest instead of crashing
-        factor = math.exp(half_log) if half_log <= _LOG_MAX else math.inf
+        factor = _series_factor(log_var, log_bsq)
         # the square underflows long before the factor itself does
         if factor * factor * variance == 0.0:
             raise ArrayError(
@@ -474,15 +479,15 @@ class _SeriesArray(TriangularArray):
         )
         out = []
         for j, (log_var, var) in enumerate(zip(log_vars, member_vars), start=1):
-            # _factor and scaled_normal_variance inlined: this loop runs for
-            # every position of every all-normal row a study samples or sums
-            half_log = 0.5 * (log_var - log_bsq)
-            factor = math.exp(half_log) if half_log <= _LOG_MAX else math.inf
-            product = factor * factor * var
-            if not product > 0.0:
-                # the checked path raises what the entry would
+            # unchecked, as this loop runs for every position of every
+            # all-normal row a study samples or sums; a product that is not
+            # positive re-runs the checked path, which raises what the
+            # entry would
+            factor = _series_factor(log_var, log_bsq)
+            variance = factor * factor * var
+            if not variance > 0.0:
                 scaled_normal_variance(var, self._factor(n, j, log_var, log_bsq, var))
-            out.append(product)
+            out.append(variance)
         return np.array(out)
 
 

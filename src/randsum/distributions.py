@@ -173,9 +173,10 @@ class ScalarDistribution:
 
     Subclasses set ``mean`` and ``variance`` in ``__init__`` and implement
     the abstract accessors.  Truncated second moments and integer-order
-    absolute moments read ``partial_moments``, which families give in
-    closed form; generic routines fall back to atom sums for discrete
-    laws and adaptive quadrature for continuous ones.
+    absolute moments read ``partial_moments``: an atom sum for atomic
+    laws, a closed form each continuous family supplies.  Fractional
+    absolute moments and ``expectation`` fall back to atom sums or
+    adaptive quadrature.
     """
 
     family: str = "abstract"
@@ -252,7 +253,7 @@ class ScalarDistribution:
             hi = self.mean + spread
         return lo, hi
 
-    def truncated_second_moment(self, threshold: float, *, epsabs: float = QUAD_ABS_TOL) -> float:
+    def truncated_second_moment(self, threshold: float) -> float:
         """E[X^2 1{|X| >= threshold}]."""
         if threshold < 0:
             raise DistributionError("threshold must be nonnegative")
@@ -263,8 +264,8 @@ class ScalarDistribution:
             vals, probs = at
             keep = np.abs(vals) >= threshold
             return float(np.sum(np.square(vals[keep]) * probs[keep]))
-        left = self.partial_moments(-math.inf, -threshold, 0.0, 2, epsabs=epsabs / 2)
-        right = self.partial_moments(threshold, math.inf, 0.0, 2, epsabs=epsabs / 2)
+        left = self.partial_moments(-math.inf, -threshold, 0.0, 2)
+        right = self.partial_moments(threshold, math.inf, 0.0, 2)
         return left[2] + right[2]
 
     def abs_moment(self, order: float, *, epsabs: float = QUAD_ABS_TOL) -> float:
@@ -277,8 +278,8 @@ class ScalarDistribution:
             return float(np.sum(np.power(np.abs(vals), order) * probs))
         if float(order).is_integer() and order <= MAX_MOMENT_DEGREE:
             p = int(order)
-            left = self.partial_moments(-math.inf, 0.0, 0.0, p, epsabs=epsabs / 2)
-            right = self.partial_moments(0.0, math.inf, 0.0, p, epsabs=epsabs / 2)
+            left = self.partial_moments(-math.inf, 0.0, 0.0, p)
+            right = self.partial_moments(0.0, math.inf, 0.0, p)
             return right[p] + (-1) ** p * left[p]
         lo, hi = self._quad_cut()
         v, _ = _quad(
@@ -306,35 +307,26 @@ class ScalarDistribution:
         v, _ = _quad(lambda x: float(fn(x)) * self.pdf(x), lo, hi, epsabs=epsabs, points=list(breakpoints))
         return v
 
-    def partial_moments(
-        self, a: float, b: float, center: float, degree: int, *, epsabs: float = QUAD_ABS_TOL
-    ) -> List[float]:
+    def partial_moments(self, a: float, b: float, center: float, degree: int) -> List[float]:
         """[E[(X - center)^m 1{a < X <= b}] for m = 0..degree], degree <= 3.
 
-        ``a`` may be -inf and ``b`` +inf.  Families with a closed form
-        override ``_partial_moments``; the rest sum over their atoms or
-        integrate (x - center)^m pdf(x), each moment to ``epsabs``.
+        ``a`` may be -inf and ``b`` +inf.  Atomic laws sum over their
+        atoms; continuous families override ``_partial_moments`` with a
+        closed form, and a law with neither raises DistributionError.
         """
         if degree not in range(MAX_MOMENT_DEGREE + 1):
             raise DistributionError(f"moment degree must lie in 0..{MAX_MOMENT_DEGREE}")
         if not b > a:
             return [0.0] * (degree + 1)
-        return self._partial_moments(float(a), float(b), float(center), degree, epsabs)
+        return self._partial_moments(float(a), float(b), float(center), degree)
 
-    def _partial_moments(
-        self, a: float, b: float, center: float, degree: int, epsabs: float
-    ) -> List[float]:
+    def _partial_moments(self, a: float, b: float, center: float, degree: int) -> List[float]:
         at = self.atoms()
-        if at is not None:
-            vals, probs = at
-            keep = (vals > a) & (vals <= b)
-            return _atom_moments(vals[keep] - center, probs[keep], degree)
-        lo, hi = self._quad_cut()
-        lo, hi = max(a, lo), min(b, hi)
-        return [
-            _quad(lambda x, m=m: (x - center) ** m * self.pdf(x), lo, hi, epsabs=epsabs)[0]
-            for m in range(degree + 1)
-        ]
+        if at is None:
+            raise DistributionError(f"{self.family} has no closed-form partial moments")
+        vals, probs = at
+        keep = (vals > a) & (vals <= b)
+        return _atom_moments(vals[keep] - center, probs[keep], degree)
 
     def ratio_moment(self) -> float:
         """E[X^2 / (1 + X^2)], a bounded gauge of the law's spread."""
@@ -407,16 +399,17 @@ class Normal(ScalarDistribution):
     def support(self) -> Tuple[float, float]:
         return (-math.inf, math.inf)
 
-    def truncated_second_moment(self, threshold: float, *, epsabs: float = QUAD_ABS_TOL) -> float:
+    def truncated_second_moment(self, threshold: float) -> float:
         if threshold < 0:
             raise DistributionError("threshold must be nonnegative")
-        if threshold == 0.0:
+        if threshold == 0.0 or math.isinf(self._sigma):
+            # an infinite variance leaves every tail's second moment infinite
             return self.variance + self.mean * self.mean
         if self.mean == 0.0:
             # sigma^2 (2 c phi(c) + 2 (1 - Phi(c))) with c = threshold / sigma
             c = threshold / self._sigma
             return self.variance * (2.0 * c * float(_norm_pdf(c)) + 2.0 * float(ndtr(-c)))
-        return super().truncated_second_moment(threshold, epsabs=epsabs)
+        return super().truncated_second_moment(threshold)
 
     def abs_moment(self, order: float, *, epsabs: float = QUAD_ABS_TOL) -> float:
         if order < 1:
@@ -434,9 +427,10 @@ class Normal(ScalarDistribution):
             return math.exp(log_val) if log_val <= _LOG_MAX else math.inf
         return super().abs_moment(order, epsabs=epsabs)
 
-    def _partial_moments(
-        self, a: float, b: float, center: float, degree: int, epsabs: float
-    ) -> List[float]:
+    def _partial_moments(self, a: float, b: float, center: float, degree: int) -> List[float]:
+        if math.isinf(self._sigma):
+            # the recursion would divide inf by inf
+            raise DistributionError("partial moments need a finite variance")
         moments = _normal_partial_moments(self.mean, self._sigma, a, b, center, degree)
         return [float(m) for m in moments]
 
@@ -513,7 +507,7 @@ class Uniform(ScalarDistribution):
             )
         return 1.0 - (math.atan(hi) - math.atan(lo)) / width
 
-    def truncated_second_moment(self, threshold: float, *, epsabs: float = QUAD_ABS_TOL) -> float:
+    def truncated_second_moment(self, threshold: float) -> float:
         if threshold < 0:
             raise DistributionError("threshold must be nonnegative")
         if threshold == 0.0:
@@ -547,9 +541,7 @@ class Uniform(ScalarDistribution):
             val = ramp(0.0, -self.low) + ramp(0.0, self.high)
         return val / width
 
-    def _partial_moments(
-        self, a: float, b: float, center: float, degree: int, epsabs: float
-    ) -> List[float]:
+    def _partial_moments(self, a: float, b: float, center: float, degree: int) -> List[float]:
         lo, hi = max(a, self.low), min(b, self.high)
         if not hi > lo:
             return [0.0] * (degree + 1)
@@ -751,9 +743,7 @@ class CenteredExponential(ScalarDistribution):
         # exp tail: e^{-60} ~ 9e-27 keeps moment tails far below tolerance
         return (-self._shift, -self._shift + 60.0 / self.rate)
 
-    def _partial_moments(
-        self, a: float, b: float, center: float, degree: int, epsabs: float
-    ) -> List[float]:
+    def _partial_moments(self, a: float, b: float, center: float, degree: int) -> List[float]:
         lo = max(a, -self._shift)
         if not b > lo:
             return [0.0] * (degree + 1)
@@ -839,32 +829,26 @@ class Scaled(ScalarDistribution):
         a, b = lo * self.factor, hi * self.factor
         return (min(a, b), max(a, b))
 
-    def truncated_second_moment(self, threshold: float, *, epsabs: float = QUAD_ABS_TOL) -> float:
+    def truncated_second_moment(self, threshold: float) -> float:
         if threshold < 0:
             raise DistributionError("threshold must be nonnegative")
         c2 = self.factor * self.factor
-        return c2 * self.base.truncated_second_moment(
-            threshold / abs(self.factor), epsabs=epsabs / c2 if c2 > 1 else epsabs
-        )
+        return c2 * self.base.truncated_second_moment(threshold / abs(self.factor))
 
     def abs_moment(self, order: float, *, epsabs: float = QUAD_ABS_TOL) -> float:
         if order < 1:
             raise DistributionError("moment order must be >= 1")
         return abs(self.factor) ** order * self.base.abs_moment(order, epsabs=epsabs)
 
-    def _partial_moments(
-        self, a: float, b: float, center: float, degree: int, epsabs: float
-    ) -> List[float]:
+    def _partial_moments(self, a: float, b: float, center: float, degree: int) -> List[float]:
         if self._steps is not None:
             # the rounded atoms, as cdf sees them
-            return super()._partial_moments(a, b, center, degree, epsabs)
+            return super()._partial_moments(a, b, center, degree)
         c = self.factor
         # a < cY <= b puts Y between a/c and b/c, the other way round for
         # c < 0; which end is closed does not matter without atoms
         lo, hi = (a / c, b / c) if c > 0 else (b / c, a / c)
-        moments = self.base.partial_moments(
-            lo, hi, center / c, degree, epsabs=epsabs / max(abs(c) ** degree, 1.0)
-        )
+        moments = self.base.partial_moments(lo, hi, center / c, degree)
         return [c ** m * v for m, v in enumerate(moments)]
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
@@ -926,13 +910,11 @@ class Shifted(ScalarDistribution):
         lo, hi = self.base._quad_cut()
         return (lo + self.offset, hi + self.offset)
 
-    def _partial_moments(
-        self, a: float, b: float, center: float, degree: int, epsabs: float
-    ) -> List[float]:
+    def _partial_moments(self, a: float, b: float, center: float, degree: int) -> List[float]:
         if self._steps is not None:
-            return super()._partial_moments(a, b, center, degree, epsabs)
+            return super()._partial_moments(a, b, center, degree)
         o = self.offset
-        return self.base.partial_moments(a - o, b - o, center - o, degree, epsabs=epsabs)
+        return self.base.partial_moments(a - o, b - o, center - o, degree)
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         return self.base.sample(rng, size=size) + self.offset

@@ -239,9 +239,9 @@ class SumLaw(ScalarDistribution):
             return float(self._values[0]), float(self._values[-1])
         return (-math.inf, math.inf)
 
-    def _partial_moments(self, a, b, center, degree, epsabs):
+    def _partial_moments(self, a, b, center, degree):
         if self.is_atomic:
-            return super()._partial_moments(a, b, center, degree, epsabs)
+            return super()._partial_moments(a, b, center, degree)
         moments = _normal_partial_moments(
             self._values + self._normal_mean, math.sqrt(self._normal_var), a, b, center, degree
         )
@@ -327,8 +327,8 @@ class MixtureLaw(ScalarDistribution):
             )
         )
 
-    def _partial_moments(self, a, b, center, degree, epsabs):
-        parts = [c.partial_moments(a, b, center, degree, epsabs=epsabs) for c in self._components]
+    def _partial_moments(self, a, b, center, degree):
+        parts = [c.partial_moments(a, b, center, degree) for c in self._components]
         return [float(m) for m in np.dot(self._weights, parts)]
 
 

@@ -77,6 +77,14 @@ class TestNormal:
         assert n.abs_moment(3.0) == math.inf
         assert float(n.cdf(3.0)) == 0.5
 
+    def test_infinite_variance_off_center(self):
+        n = Normal(1.0, math.inf)
+        assert n.truncated_second_moment(0.5) == math.inf
+        assert n.abs_moment(3.0) == math.inf
+        # the recursion would give nan
+        with pytest.raises(DistributionError):
+            n.partial_moments(0.0, math.inf, 0.0, 2)
+
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(DistributionError):
             Normal(0.0, 0.0)
@@ -262,6 +270,21 @@ class TestPartialMoments:
         for degree in (-1, 4):
             with pytest.raises(DistributionError):
                 law.partial_moments(0.0, 1.0, 0.0, degree)
+
+    def test_law_without_a_closed_form_raises(self):
+        class Logistic(distributions_module.ScalarDistribution):
+            family = "logistic"
+            mean, variance = 0.0, math.pi ** 2 / 3.0
+
+            def pdf(self, x):
+                return 0.25 / np.cosh(0.5 * np.asarray(x, dtype=float)) ** 2
+
+        law = Logistic()
+        for moment in (lambda: law.partial_moments(0.0, 1.0, 0.0, 1),
+                       lambda: law.truncated_second_moment(0.5),
+                       lambda: law.abs_moment(2.0)):
+            with pytest.raises(DistributionError, match="no closed-form partial moments"):
+                moment()
 
     @pytest.mark.parametrize("rate", [1.0, 4.0, 16.0])
     def test_exponential_moments_leave_quadrature(self, monkeypatch, rate):
