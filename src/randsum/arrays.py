@@ -491,22 +491,6 @@ class _SeriesArray(TriangularArray):
         return np.array(out)
 
 
-class _NormalTwinArray(TriangularArray):
-    """Centered normal entries matching another array's variances."""
-
-    def __init__(self, source: TriangularArray):
-        super().__init__(source.row_lengths, min_row=source.row_lengths._minimum)
-        self.source = source
-        self.label = f"normal-twin-{source.label}"
-
-    def _entry(self, n: int, j: int) -> ScalarDistribution:
-        return Normal(0.0, self.source.entry(n, j).variance)
-
-    def runs(self, n: int) -> Iterator[Run]:
-        for law, size in self.source.runs(n):
-            yield Normal(0.0, law.variance), size
-
-
 def make_iid_array(
     base: ScalarDistribution, rows: RowRule = "n", label: Optional[str] = None
 ) -> TriangularArray:
@@ -520,15 +504,6 @@ def make_iid_array(
         label or f"iid-{base.family}",
         rows,
     )
-
-
-def normal_twin(array: TriangularArray) -> TriangularArray:
-    """Array of centered normals with the same entry variances.
-
-    Randomized-condition hypotheses pair a general array with its
-    variance-matched normal counterpart; studies report both.
-    """
-    return _NormalTwinArray(array)
 
 
 def make_shiryaev_array(rows: RowRule = "n") -> TriangularArray:

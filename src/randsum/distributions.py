@@ -23,7 +23,7 @@ from itertools import count
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import erfcx, gammaln, ndtr, pdtr, pdtrc, pdtrik
+from scipy.special import erfcx, gammaln, ndtr, pdtrc
 
 __all__ = [
     "DistributionError",
@@ -268,7 +268,7 @@ class ScalarDistribution:
         right = self.partial_moments(threshold, math.inf, 0.0, 2)
         return left[2] + right[2]
 
-    def abs_moment(self, order: float, *, epsabs: float = QUAD_ABS_TOL) -> float:
+    def abs_moment(self, order: float) -> float:
         """E|X|^order for order >= 1."""
         if order < 1:
             raise DistributionError("moment order must be >= 1")
@@ -282,17 +282,11 @@ class ScalarDistribution:
             right = self.partial_moments(0.0, math.inf, 0.0, p)
             return right[p] + (-1) ** p * left[p]
         lo, hi = self._quad_cut()
-        v, _ = _quad(
-            lambda x: abs(x) ** order * self.pdf(x), lo, hi, epsabs=epsabs, points=[0.0]
-        )
+        v, _ = _quad(lambda x: abs(x) ** order * self.pdf(x), lo, hi, points=[0.0])
         return v
 
     def expectation(
-        self,
-        fn: Callable[[np.ndarray], np.ndarray],
-        breakpoints: Sequence[float] = (),
-        *,
-        epsabs: float = 1e-12,
+        self, fn: Callable[[np.ndarray], np.ndarray], breakpoints: Sequence[float] = ()
     ) -> float:
         """E fn(X) for bounded piecewise-smooth ``fn``.
 
@@ -304,7 +298,7 @@ class ScalarDistribution:
             vals, probs = at
             return float(np.sum(np.asarray(fn(vals), dtype=float) * probs))
         lo, hi = self._quad_cut()
-        v, _ = _quad(lambda x: float(fn(x)) * self.pdf(x), lo, hi, epsabs=epsabs, points=list(breakpoints))
+        v, _ = _quad(lambda x: float(fn(x)) * self.pdf(x), lo, hi, epsabs=1e-12, points=list(breakpoints))
         return v
 
     def partial_moments(self, a: float, b: float, center: float, degree: int) -> List[float]:
@@ -411,7 +405,7 @@ class Normal(ScalarDistribution):
             return self.variance * (2.0 * c * float(_norm_pdf(c)) + 2.0 * float(ndtr(-c)))
         return super().truncated_second_moment(threshold)
 
-    def abs_moment(self, order: float, *, epsabs: float = QUAD_ABS_TOL) -> float:
+    def abs_moment(self, order: float) -> float:
         if order < 1:
             raise DistributionError("moment order must be >= 1")
         if math.isinf(self._sigma):
@@ -425,7 +419,7 @@ class Normal(ScalarDistribution):
                 - 0.5 * math.log(math.pi)
             )
             return math.exp(log_val) if log_val <= _LOG_MAX else math.inf
-        return super().abs_moment(order, epsabs=epsabs)
+        return super().abs_moment(order)
 
     def _partial_moments(self, a: float, b: float, center: float, degree: int) -> List[float]:
         if math.isinf(self._sigma):
@@ -507,24 +501,7 @@ class Uniform(ScalarDistribution):
             )
         return 1.0 - (math.atan(hi) - math.atan(lo)) / width
 
-    def truncated_second_moment(self, threshold: float) -> float:
-        if threshold < 0:
-            raise DistributionError("threshold must be nonnegative")
-        if threshold == 0.0:
-            return self.variance + self.mean * self.mean
-
-        def cubic(a: float, b: float) -> float:
-            # integral of x^2 on [a, b] (degenerate intervals allowed)
-            if b <= a:
-                return 0.0
-            return (b ** 3 - a ** 3) / 3.0
-
-        width = self.high - self.low
-        left = cubic(self.low, min(self.high, -threshold))
-        right = cubic(max(self.low, threshold), self.high)
-        return (left + right) / width
-
-    def abs_moment(self, order: float, *, epsabs: float = QUAD_ABS_TOL) -> float:
+    def abs_moment(self, order: float) -> float:
         if order < 1:
             raise DistributionError("moment order must be >= 1")
 
@@ -829,16 +806,10 @@ class Scaled(ScalarDistribution):
         a, b = lo * self.factor, hi * self.factor
         return (min(a, b), max(a, b))
 
-    def truncated_second_moment(self, threshold: float) -> float:
-        if threshold < 0:
-            raise DistributionError("threshold must be nonnegative")
-        c2 = self.factor * self.factor
-        return c2 * self.base.truncated_second_moment(threshold / abs(self.factor))
-
-    def abs_moment(self, order: float, *, epsabs: float = QUAD_ABS_TOL) -> float:
+    def abs_moment(self, order: float) -> float:
         if order < 1:
             raise DistributionError("moment order must be >= 1")
-        return abs(self.factor) ** order * self.base.abs_moment(order, epsabs=epsabs)
+        return abs(self.factor) ** order * self.base.abs_moment(order)
 
     def _partial_moments(self, a: float, b: float, center: float, degree: int) -> List[float]:
         if self._steps is not None:
@@ -1035,24 +1006,15 @@ class RandomIndex:
     def truncation(self, eta: float) -> int:
         """Smallest K >= 1 with P(index > K) <= eta.
 
-        Gallops from ``_truncation_guess`` in steps 1, 2, 4, ... until the
-        tail crosses eta, then bisects the last step, so a guess off by d
-        costs about 2 log2(d) tail evaluations and an exact one two.
+        Doubles a candidate from 1 until the tail crosses eta, then bisects
+        the last step: about 2 log2(K) tail evaluations for any family.
         """
         if not 0.0 < eta < 1.0:
             raise DistributionError("eta must lie in (0, 1)")
-        start = max(self._truncation_guess(eta), 1)
         # invariant: P(index > lo) > eta >= P(index > hi); P(index > 0) = 1
-        if self.tail_mass(start) > eta:
-            lo, hi, step = start, start + 1, 1
-            while self.tail_mass(hi) > eta:
-                lo, step = hi, 2 * step
-                hi = start + step
-        else:
-            lo, hi, step = start - 1, start, 1
-            while lo > 0 and self.tail_mass(lo) <= eta:
-                hi, step = lo, 2 * step
-                lo = max(start - step, 0)
+        lo, hi = 0, 1
+        while self.tail_mass(hi) > eta:
+            lo, hi = hi, 2 * hi
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if self.tail_mass(mid) > eta:
@@ -1060,9 +1022,6 @@ class RandomIndex:
             else:
                 hi = mid
         return hi
-
-    def _truncation_guess(self, eta: float) -> int:
-        return 1
 
     def descriptor(self) -> tuple:
         raise NotImplementedError
@@ -1092,9 +1051,6 @@ class Deterministic(RandomIndex):
 
     def tail_mass(self, k: int) -> float:
         return 0.0 if k >= self.k else 1.0
-
-    def _truncation_guess(self, eta: float) -> int:
-        return self.k
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         if size is None:
@@ -1135,18 +1091,6 @@ class ShiftedPoisson(RandomIndex):
             return 1.0
         return float(pdtrc(k - 1, self.lam))
 
-    def _truncation_guess(self, eta: float) -> int:
-        q = 1.0 - eta
-        if q == 1.0:
-            # eta below half an ulp of 1: the quantile of 1 is infinite, so
-            # the walk in truncation starts from the mean instead
-            return math.ceil(self.mean)
-        # the bits of scipy's poisson.ppf(q, lam): the ceiling of pdtrik,
-        # one lower when the CDF there already reaches q
-        m = math.ceil(pdtrik(q, self.lam))
-        below = max(m - 1, 0)
-        return (below if pdtr(below, self.lam) >= q else m) + 1
-
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         return rng.poisson(self.lam, size=size) + 1
 
@@ -1186,9 +1130,6 @@ class Geometric(RandomIndex):
             return 1.0
         # P(index > k) = (1-p)^k
         return (1.0 - self.p) ** k
-
-    def _truncation_guess(self, eta: float) -> int:
-        return max(1, math.ceil(math.log(eta) / math.log1p(-self.p)))
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         return rng.geometric(self.p, size=size)
@@ -1235,14 +1176,6 @@ class ShiftedNegativeBinomial(RandomIndex):
             return 1.0
         return float(nbinom.sf(k - 1, self.r, self.p))
 
-    def _truncation_guess(self, eta: float) -> int:
-        from scipy.stats import nbinom
-
-        q = 1.0 - eta
-        if q == 1.0:
-            return math.ceil(self.mean)
-        return int(nbinom.ppf(q, self.r, self.p)) + 1
-
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         return rng.negative_binomial(self.r, self.p, size=size) + 1
 
@@ -1288,9 +1221,6 @@ class FiniteIndex(RandomIndex):
             # past the support the tail is 0, whatever the cumulative sum rounds to
             return 0.0
         return max(float(1.0 - (self._cum[idx - 1] if idx > 0 else 0.0)), 0.0)
-
-    def _truncation_guess(self, eta: float) -> int:
-        return int(self._values[0])
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         return rng.choice(self._values, size=size, p=self._probs)

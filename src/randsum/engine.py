@@ -30,7 +30,7 @@ import numpy as np
 from . import arrays as _arrays
 from . import conditions as _conditions
 from . import metrics as _metrics
-from .arrays import TriangularArray, array_from_config, expand, normal_twin, take
+from .arrays import TriangularArray, array_from_config, expand, take
 from .distributions import (
     QUAD_ABS_TOL,
     Normal,
@@ -443,7 +443,6 @@ class StudyResult:
 def _study_cell(
     plan: StudyPlan,
     array: TriangularArray,
-    twin: Optional[TriangularArray],
     n: int,
     rng: np.random.Generator,
 ) -> Tuple[List[dict], List[dict]]:
@@ -488,9 +487,10 @@ def _study_cell(
                 epsilon=eps,
                 delta=plan.delta,
             )
-    if twin is not None:
+    if plan.normal_twin_feller:
+        # the twin shares the array's entry variances, which are all RF reads
         try:
-            tw = _conditions.randomized_detailed("RF", twin, index, n, eta=plan.eta)
+            tw = _conditions.randomized_detailed("RF", array, index, n, eta=plan.eta)
             emit("rand_feller_normal_twin", tw.value, tw.error_bound)
         except Exception as exc:
             errors.append({"n": int(n), "stage": "normal-twin",
@@ -620,7 +620,6 @@ def run_study(plan: StudyPlan) -> StudyResult:
     plan = plan.validated()
     t0 = time.perf_counter()
     array = array_from_config(plan.array)
-    twin = normal_twin(array) if plan.normal_twin_feller else None
     streams = spawn_streams(plan.seed, len(plan.n_grid))
 
     tasks = list(zip(plan.n_grid, streams))
@@ -631,14 +630,14 @@ def run_study(plan: StudyPlan) -> StudyResult:
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_study_cell, plan, array, twin, n, rng)
+                pool.submit(_study_cell, plan, array, n, rng)
                 for n, rng in tasks
             ]
             for i, fut in enumerate(futures):
                 results[i] = fut.result()
     else:
         for i, (n, rng) in enumerate(tasks):
-            results[i] = _study_cell(plan, array, twin, n, rng)
+            results[i] = _study_cell(plan, array, n, rng)
 
     rows: List[dict] = []
     errors: List[dict] = []

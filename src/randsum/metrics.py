@@ -29,6 +29,7 @@ from .distributions import (
     RandomIndex,
     ScalarDistribution,
     _normal_partial_moments,
+    _step_cdf,
     merge_atoms,
 )
 
@@ -187,23 +188,18 @@ class SumLaw(ScalarDistribution):
         return self._normal_var == 0.0
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
         if self.is_atomic:
-            idx = np.searchsorted(self._values, x, side="left")
-            out = self._cum[idx]
-        else:
-            s = math.sqrt(self._normal_var)
-            z = (x[..., None] - self._values - self._normal_mean) / s
-            out = ndtr(z) @ self._probs
+            return _step_cdf((self._values, self._cum), x, "left")
+        x = np.asarray(x, dtype=float)
+        s = math.sqrt(self._normal_var)
+        z = (x[..., None] - self._values - self._normal_mean) / s
+        out = ndtr(z) @ self._probs
         return out if out.ndim else float(out)
 
     def prob_le(self, x):
         if not self.is_atomic:
             return self.cdf(x)
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self._values, x, side="right")
-        out = self._cum[idx]
-        return out if out.ndim else float(out)
+        return _step_cdf((self._values, self._cum), x, "right")
 
     def pdf(self, x):
         if self.is_atomic:
@@ -319,12 +315,9 @@ class MixtureLaw(ScalarDistribution):
         los, his = zip(*(c.support() for c in self._components))
         return min(los), max(his)
 
-    def expectation(self, fn, breakpoints: Sequence[float] = (), *, epsabs: float = 1e-12):
+    def expectation(self, fn, breakpoints: Sequence[float] = ()):
         return float(
-            np.dot(
-                self._weights,
-                [c.expectation(fn, breakpoints, epsabs=epsabs) for c in self._components],
-            )
+            np.dot(self._weights, [c.expectation(fn, breakpoints) for c in self._components])
         )
 
     def _partial_moments(self, a, b, center, degree):

@@ -19,7 +19,6 @@ from randsum.arrays import (
     make_iid_array,
     make_rare_jump_array,
     make_shiryaev_array,
-    normal_twin,
     shiryaev_series,
     take,
 )
@@ -122,29 +121,6 @@ class TestRareJumpArray:
         for n in (1, 5, 100):
             v = arr.validate(n)
             assert v.passed and v.var_residual <= 1e-12
-
-
-class TestNormalTwin:
-    def test_matches_variances(self):
-        src = make_rare_jump_array()
-        twin = normal_twin(src)
-        for n in (3, 9):
-            for j in (1, n):
-                t = twin.entry(n, j)
-                assert isinstance(t, Normal)
-                assert t.variance == pytest.approx(src.entry(n, j).variance, rel=1e-14)
-
-    def test_iid_twin_is_one_run(self):
-        twin = normal_twin(make_iid_array(Rademacher()))
-        ((law, size),) = list(islice(twin.runs(5), 2))
-        assert size is None
-        assert isinstance(law, Normal) and law.variance == pytest.approx(0.2, rel=1e-14)
-
-    def test_twin_of_a_per_position_row_maps_each_run(self):
-        src = make_shiryaev_array()
-        runs = normal_twin(src).prefix_runs(4)
-        assert [size for _, size in runs] == [1, 1, 1, 1]
-        assert [law.variance for law, _ in runs] == [0.125, 0.125, 0.25, 0.5]
 
 
 class TestRuns:
@@ -310,15 +286,10 @@ class TestNormalVariances:
             assert np.array_equal(got, entry_variances(arr, n, k))
         assert math.isinf(arr.normal_variances(2, 1100)[-1])
 
-    def test_twin_and_iid_normal_rows_match_the_entries(self):
-        for arr in (
-            normal_twin(make_rare_jump_array()),
-            normal_twin(make_iid_array(Uniform(-1.0, 1.0), rows="2n")),
-            normal_twin(make_shiryaev_array()),
-            make_iid_array(Normal(1.0, 3.0)),
-        ):
-            for n, k in [(5, None), (8, 30)]:
-                assert np.array_equal(arr.normal_variances(n, k), entry_variances(arr, n, k))
+    def test_iid_normal_rows_match_the_entries(self):
+        arr = make_iid_array(Normal(1.0, 3.0))
+        for n, k in [(5, None), (8, 30)]:
+            assert np.array_equal(arr.normal_variances(n, k), entry_variances(arr, n, k))
 
     def test_other_rows_have_none(self, monkeypatch):
         ramp = from_series(SeriesForm(lambda j: Uniform(0.0, float(j)), label="ramp"))

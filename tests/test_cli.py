@@ -458,8 +458,7 @@ class TestStudyCommand:
         assert header == "label,n,epsilon,delta,metric,value,error_bound"
 
     def test_eta_below_half_an_ulp_of_one(self, tmp_path, capsys):
-        # 1 - eta rounds to 1: the Poisson truncation walks up from the
-        # mean instead of failing every conditions cell
+        # 1 - eta rounds to 1, and still no conditions cell fails
         doc = {
             "tasks": ["study"],
             "study": {"plan": "lyapunov_exponential_poisson", "eta": 1e-17,

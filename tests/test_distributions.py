@@ -9,6 +9,7 @@ from scipy import integrate
 from scipy.stats import nbinom, poisson
 
 import randsum.distributions as distributions_module
+from randsum.arrays import make_iid_array
 from randsum.distributions import (
     CenteredExponential,
     Deterministic,
@@ -136,6 +137,21 @@ class TestUniform:
             assert u.truncated_second_moment(eps) == pytest.approx(
                 quad_tsm(pdf, eps, 2.0), abs=1e-12
             )
+
+    def test_truncated_second_moment_of_iid_rows_against_mpmath(self):
+        # the entries of the i.i.d. uniform array: Uniform(-h, h), h = sqrt(3/n)
+        with mpmath.workdps(40):
+            for n in range(1, 400):
+                u = make_iid_array(Uniform(-1.0, 1.0)).entry(n, 1)
+                lo, hi = mpmath.mpf(u.low), mpmath.mpf(u.high)
+                for eps in (1e-3, 0.1, 0.25, 0.3, 0.5, 1.0, 2.0):
+                    t = mpmath.mpf(eps)
+                    # integral of x^2 / (hi - lo) over |x| >= t on [lo, hi]
+                    left = max(min(hi, -t) ** 3 - lo ** 3, 0)
+                    right = max(hi ** 3 - max(lo, t) ** 3, 0)
+                    exact = (left + right) / (3 * (hi - lo))
+                    got = u.truncated_second_moment(eps)
+                    assert abs(got - exact) <= 1e-15 * exact, (n, eps)
 
     def test_char_fn_sinc(self):
         u = Uniform(-1.0, 1.0)
@@ -420,8 +436,6 @@ class TestPoissonAndNegativeBinomialTails:
         for eta in self.ETAS:
             eta = float(eta)
             k = idx.truncation(eta)
-            # the walk starts at scipy's own quantile
-            assert idx._truncation_guess(eta) == int(poisson.ppf(1.0 - eta, idx.lam)) + 1
             assert k == int(ks[np.argmax(sf <= eta)])
             assert idx.tail_mass(k) <= eta < idx.tail_mass(k - 1)
 
@@ -448,12 +462,10 @@ class TestPoissonAndNegativeBinomialTails:
 
 
 def linear_walk(idx, eta):
-    """K by the one-step walk from the guess: the reference for the search."""
-    k = max(idx._truncation_guess(eta), 1)
+    """K by the one-step walk from 1: the reference for the search."""
+    k = 1
     while idx.tail_mass(k) > eta:
         k += 1
-    while k > 1 and idx.tail_mass(k - 1) <= eta:
-        k -= 1
     return k
 
 
@@ -489,26 +501,22 @@ class TestTruncationSearch:
             assert k == linear_walk(idx, eta), eta
             assert idx.tail_mass(k) <= eta
 
-    @pytest.mark.parametrize("mean", [2.0, 17.0, 1000.0])
-    def test_an_exact_poisson_guess_costs_two_tails(self, monkeypatch, mean):
-        idx = ShiftedPoisson(mean)
+    @pytest.mark.parametrize(
+        "idx",
+        [*INDICES, ShiftedNegativeBinomial.from_mean(200.0, r=0.5), ShiftedPoisson(8001.0)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("eta", [1e-3, 1e-10, 1e-17])
+    def test_search_costs_logarithmically_many_tails(self, monkeypatch, idx, eta):
         calls = count_tail_calls(monkeypatch, idx)
-        # near 1e-16, 1 - eta keeps too few digits for the quantile to be exact
-        for eta in (1e-3, 1e-10, 1e-15):
-            guess = idx._truncation_guess(eta)
-            calls.clear()
-            assert idx.truncation(eta) == guess
-            assert calls == [guess, guess - 1]
+        k = idx.truncation(eta)
+        assert len(calls) <= 2 * math.ceil(math.log2(k)) + 2
 
-    def test_a_far_guess_costs_logarithmically_many_tails(self, monkeypatch):
-        # below half an ulp of one the negative binomial starts at its mean,
-        # 14,447 short of K: the one-step walk made 14,449 tail calls
+    def test_negative_binomial_k_far_past_the_mean(self):
+        # the one-step walk from 1 makes 14,648 tail calls here; the cost
+        # test above bounds the search's
         idx = ShiftedNegativeBinomial.from_mean(200.0, r=0.5)
-        start = idx._truncation_guess(1e-17)
-        calls = count_tail_calls(monkeypatch, idx)
-        k = idx.truncation(1e-17)
-        assert (start, k) == (201, 14_648)
-        assert len(calls) <= 2 * math.ceil(math.log2(k - start)) + 2
+        assert idx.truncation(1e-17) == 14_648
 
 
 class TestMergeAtoms:

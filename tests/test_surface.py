@@ -119,3 +119,80 @@ def test_unused_import_check_sees_every_kind_of_use():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(), str(path)) == []
+
+
+def private_definitions(tree: ast.Module):
+    """(name, node) of every private function, class, method and module
+    constant; dunder names are not private."""
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.endswith("__")
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if private(node.name):
+                yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and private(sub.name):
+                        yield sub.name, sub
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and private(target.id):
+                    yield target.id, target
+
+
+def name_reads(tree: ast.Module, skip: ast.AST):
+    """Names read in ``tree`` outside the subtree ``skip``: loaded names,
+    attributes and string constants, but not the entries of ``__all__``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+        stack.extend(ast.iter_child_nodes(node))
+
+
+PACKAGE = {
+    path: ast.parse(path.read_text(), str(path))
+    for path in sorted((ROOT / "src" / "randsum").glob("*.py"))
+}
+
+
+def test_private_definition_check_sees_self_reads_and_exports():
+    tree = ast.parse(
+        "__all__ = ['_exported']\n"
+        "_USED = 1\n"
+        "_UNUSED = 2\n"
+        "def _exported(): pass\n"
+        "def _recursive(k): return _recursive(k - 1)\n"
+        "class _Box:\n"
+        "    def _by_name(self): pass\n"
+        "    def _by_attribute(self): pass\n"
+        "    def run(self): return self._by_attribute(), getattr(self, '_by_name'), _USED\n"
+    )
+    unread = [
+        name for name, node in private_definitions(tree) if name not in set(name_reads(tree, node))
+    ]
+    assert unread == ["_UNUSED", "_exported", "_recursive", "_Box"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE), ids=lambda p: p.name)
+def test_every_private_definition_is_read_in_the_package(path):
+    unread = [
+        f"{node.lineno}: {name}"
+        for name, node in private_definitions(PACKAGE[path])
+        if not any(name in set(name_reads(tree, node)) for tree in PACKAGE.values())
+    ]
+    assert unread == []
