@@ -183,7 +183,6 @@ _STUDY_FIELDS = (
     "functionals",
     "distances",
     "checks",
-    "normal_twin_feller",
 )
 
 # the defaults of a config that names no bundled plan
@@ -212,8 +211,6 @@ def _validate_study_section(cfg, path: str, defaults: dict) -> dict:
     checks = _expect_list(out["checks"], f"{path}.checks")
     for i, chk in enumerate(checks):
         _expect_mapping(chk, f"{path}.checks[{i}]")
-    if not isinstance(out["normal_twin_feller"], bool):
-        raise ConfigError(f"{path}.normal_twin_feller: expected true or false")
     return out
 
 
@@ -347,7 +344,6 @@ def _plan_from_config(cfg: dict) -> _engine.StudyPlan:
         functionals=tuple(study["functionals"]),
         distances=tuple(study["distances"]),
         checks=tuple(dict(c) for c in study["checks"]),
-        normal_twin_feller=study["normal_twin_feller"],
     )
 
 
@@ -509,9 +505,7 @@ def cmd_distances(args, cfg: dict) -> int:
 def cmd_study(args, cfg: dict) -> int:
     plan = _plan_from_config(cfg)
     result = _engine.run_study(plan)
-    doc = result.to_json_dict(include_runtime=False)
-    del doc["plan"]  # the config echo already carries the plan
-    wrote = _write(args, cfg, f"study-{plan.label}", doc, result.csv_text())
+    wrote = _write(args, cfg, f"study-{plan.label}", result.to_json_dict(), result.csv_text())
 
     verdict_stream = sys.stdout if wrote else sys.stderr
     for verdict in result.verdicts:

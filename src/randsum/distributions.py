@@ -1008,9 +1008,15 @@ class RandomIndex:
 
         Doubles a candidate from 1 until the tail crosses eta, then bisects
         the last step: about 2 log2(K) tail evaluations for any family.
+        Indices never change, so the K found for each eta is kept on the
+        instance; threads that race on a new eta each find the same K and
+        one of them is kept.
         """
         if not 0.0 < eta < 1.0:
             raise DistributionError("eta must lie in (0, 1)")
+        found = self.__dict__.setdefault("_truncations", {})
+        if eta in found:
+            return found[eta]
         # invariant: P(index > lo) > eta >= P(index > hi); P(index > 0) = 1
         lo, hi = 0, 1
         while self.tail_mass(hi) > eta:
@@ -1021,6 +1027,7 @@ class RandomIndex:
                 lo = mid
             else:
                 hi = mid
+        found[eta] = hi
         return hi
 
     def descriptor(self) -> tuple:

@@ -6,7 +6,9 @@ evidence against the exact computations.  One draw of a random sum
 consumes one index variate and then the row's entry variates; batches
 consume the same variates in a documented deterministic order (index
 batch first, then entries column by column or row-flattened, depending
-on the row's runs; see ``_prefix_sums``).
+on the row's runs; see ``_prefix_sums``).  ``metrics.delta_randomsum``
+on a row with no exact sum law is ``empirical_delta``, so its draws
+follow the same contract.
 
 Streams: substreams are derived from the master seed with
 ``numpy.random.SeedSequence.spawn``; each concurrent task owns its
@@ -21,7 +23,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -236,7 +238,8 @@ DISTANCES = {
     "empirical_delta": lambda array, index, n, rng, samples, alpha, eta, mode:
         empirical_delta(array, index, n, rng, samples, alpha, mode=mode),
     # a row with no exact sum law falls back to Monte Carlo: samples draws
-    # per index value k for the mixture, samples in all for the random sum
+    # per index value k for the mixture, and empirical_delta's samples
+    # random sums for the random sum
     "delta_mixture": lambda array, index, n, rng, samples, alpha, eta, mode:
         _metrics.delta_mixture(array, index, n, eta, mode=mode, rng=rng,
                                samples_per_k=samples, alpha=alpha),
@@ -290,11 +293,14 @@ class StudyPlan:
     functionals: Tuple[str, ...] = ()
     distances: Tuple[str, ...] = ("empirical_delta",)
     checks: Tuple[dict, ...] = ()
-    normal_twin_feller: bool = False
 
     def validated(self) -> "StudyPlan":
         if self.samples < 1_000:
             raise ValueError("Monte Carlo sample count must be >= 1000")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not self.n_grid or not self.epsilon_grid:
             raise ValueError("n and epsilon grids must be nonempty")
         if any(int(n) < 1 for n in self.n_grid):
@@ -318,8 +324,6 @@ class StudyPlan:
             raise ValueError(f"unknown functionals: {sorted(unknown)}")
         # the metric names of the study's rows, cut at "@" (cf_deviation@t=...)
         emitted = {*(self.functionals or _conditions.REPORT_FUNCTIONALS), *self.distances}
-        if self.normal_twin_feller:
-            emitted.add("rand_feller_normal_twin")
         for i, check in enumerate(self.checks):
             kind = check.get("kind")
             if not isinstance(kind, str) or kind not in CHECK_FIELDS:
@@ -346,7 +350,7 @@ class StudyPlan:
             # only condition rows carry an epsilon, one of the grid's
             if "epsilon" not in check:
                 continue
-            if check["metric"] in (*self.distances, "rand_feller_normal_twin"):
+            if check["metric"] in self.distances:
                 raise ValueError(
                     f"checks[{i}].epsilon: the rows of {check['metric']!r} carry no epsilon"
                 )
@@ -358,23 +362,8 @@ class StudyPlan:
         return self
 
     def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "array": self.array,
-            "index": self.index,
-            "n_grid": list(self.n_grid),
-            "epsilon_grid": list(self.epsilon_grid),
-            "delta": self.delta,
-            "samples": self.samples,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "eta": self.eta,
-            "mode": self.mode,
-            "functionals": list(self.functionals),
-            "distances": list(self.distances),
-            "checks": [dict(c) for c in self.checks],
-            "normal_twin_feller": self.normal_twin_feller,
-        }
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in asdict(self).items()}
 
 
 def json_text(doc: dict) -> str:
@@ -409,12 +398,12 @@ STUDY_CSV_HEADER = ("label", "n", "epsilon", "delta", "metric", "value", "error_
 class StudyResult:
     """Result table plus verdicts for one study run.
 
-    ``rows`` hold one mapping per (n, metric) cell.  The CSV rendering is
-    bit-deterministic for a fixed plan; the JSON document additionally
-    carries the wall-clock runtime and so is not byte-stable.
+    ``rows`` hold one mapping per (n, metric) cell.  Both renderings are
+    bit-deterministic for a fixed plan: the JSON document holds the rows,
+    verdicts, errors and pass flag, but not the wall-clock
+    ``runtime_seconds``.
     """
 
-    plan: StudyPlan
     rows: List[dict]
     verdicts: List[dict]
     errors: List[dict]
@@ -427,17 +416,13 @@ class StudyResult:
     def csv_text(self) -> str:
         return csv_text(STUDY_CSV_HEADER, self.rows)
 
-    def to_json_dict(self, *, include_runtime: bool = True) -> dict:
-        doc = {
-            "plan": self.plan.to_json_dict(),
+    def to_json_dict(self) -> dict:
+        return {
             "rows": self.rows,
             "verdicts": self.verdicts,
             "errors": self.errors,
             "passed": self.passed,
         }
-        if include_runtime:
-            doc["runtime_seconds"] = self.runtime_seconds
-        return doc
 
 
 def _study_cell(
@@ -487,14 +472,6 @@ def _study_cell(
                 epsilon=eps,
                 delta=plan.delta,
             )
-    if plan.normal_twin_feller:
-        # the twin shares the array's entry variances, which are all RF reads
-        try:
-            tw = _conditions.randomized_detailed("RF", array, index, n, eta=plan.eta)
-            emit("rand_feller_normal_twin", tw.value, tw.error_bound)
-        except Exception as exc:
-            errors.append({"n": int(n), "stage": "normal-twin",
-                           "error": f"{type(exc).__name__}: {exc}"})
 
     for dist_name in plan.distances:
         try:
@@ -646,7 +623,6 @@ def run_study(plan: StudyPlan) -> StudyResult:
         errors.extend(cell_errors)
     verdicts = [_evaluate_check(c, rows) for c in plan.checks]
     return StudyResult(
-        plan=plan,
         rows=rows,
         verdicts=verdicts,
         errors=errors,
@@ -669,7 +645,6 @@ _BUILTIN_PLANS: Dict[str, StudyPlan] = {
         delta=1.0,
         functionals=("lindeberg", "feller", "rand_lindeberg", "rand_feller"),
         distances=("empirical_delta",),
-        normal_twin_feller=True,
         checks=(
             {"kind": "to_zero", "metric": "rand_lindeberg", "epsilon": 0.1,
              "final_max": 1e-3},

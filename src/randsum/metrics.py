@@ -760,7 +760,10 @@ def delta_randomsum(
 
     This is ``sup_x |P(S_nu < x) - Phi(x)|``: the supremum of the mixture
     CDF deviation, never larger than the mixture of suprema computed by
-    ``delta_mixture``.
+    ``delta_mixture``.  When some partial sum up to the truncation point
+    has no exact law, the estimate is ``engine.empirical_delta``'s:
+    ``samples`` random sums drawn with ``rng`` (required) from the whole
+    index law, bounded by the DKW width at ``alpha``.
     """
     if mode not in ("prefix", "rows"):
         raise ValueError("mode must be 'prefix' or 'rows'")
@@ -783,23 +786,10 @@ def delta_randomsum(
         raise ConvolutionError(
             "row has no exact sum law; pass rng= for the Monte Carlo path"
         )
-    counts = rng.multinomial(samples, pmf / float(np.sum(pmf)))
-    draws = np.empty(samples)
-    pos = 0
-    for k, m in zip(ks, counts):
-        if m == 0:
-            continue
-        draws[pos : pos + m] = _empirical_prefix(
-            array, *_prefix_of(array, n, int(k), mode), rng, int(m)
-        )
-        pos += m
-    est = empirical_kolmogorov(draws[:pos], target, alpha)
-    return DistanceEstimate(
-        est.value,
-        est.bound + float(index.tail_mass(trunc_k)),
-        "empirical-KS",
-        {"samples": float(pos), "alpha": float(alpha), "eta": float(eta)},
-    )
+    # engine imports this module, so its sampler is imported on first use
+    from .engine import empirical_delta
+
+    return empirical_delta(array, index, n, rng, samples, alpha, mode=mode, reference=target)
 
 
 # ---------------------------------------------------------------------------

@@ -483,34 +483,51 @@ def count_tail_calls(monkeypatch, idx):
 
 
 class TestTruncationSearch:
-    INDICES = [
-        Deterministic(5),
-        ShiftedPoisson(2.0),
-        ShiftedPoisson(64.0),
-        Geometric(0.5),
-        Geometric(1.0 / 16.0),
-        ShiftedNegativeBinomial.from_mean(4.0, r=2.0),
-        ShiftedNegativeBinomial.from_mean(4.0, r=0.5),
-        FiniteIndex([3, 7, 50], [0.5, 0.4999, 0.0001]),
+    # builders, so that every case searches a fresh index: an index keeps
+    # the K it found for each eta
+    MAKERS = [
+        lambda: Deterministic(5),
+        lambda: ShiftedPoisson(2.0),
+        lambda: ShiftedPoisson(64.0),
+        lambda: Geometric(0.5),
+        lambda: Geometric(1.0 / 16.0),
+        lambda: ShiftedNegativeBinomial.from_mean(4.0, r=2.0),
+        lambda: ShiftedNegativeBinomial.from_mean(4.0, r=0.5),
+        lambda: FiniteIndex([3, 7, 50], [0.5, 0.4999, 0.0001]),
     ]
 
-    @pytest.mark.parametrize("idx", INDICES, ids=repr)
-    def test_same_k_as_the_linear_walk(self, idx):
+    @pytest.mark.parametrize("make", MAKERS, ids=lambda make: repr(make()))
+    def test_same_k_as_the_linear_walk(self, make):
+        idx = make()
         for eta in (1e-3, 1e-10, 1e-17, 1e-30, 1e-100, 1e-300):
             k = idx.truncation(eta)
             assert k == linear_walk(idx, eta), eta
             assert idx.tail_mass(k) <= eta
 
     @pytest.mark.parametrize(
-        "idx",
-        [*INDICES, ShiftedNegativeBinomial.from_mean(200.0, r=0.5), ShiftedPoisson(8001.0)],
-        ids=repr,
+        "make",
+        [*MAKERS, lambda: ShiftedNegativeBinomial.from_mean(200.0, r=0.5),
+         lambda: ShiftedPoisson(8001.0)],
+        ids=lambda make: repr(make()),
     )
     @pytest.mark.parametrize("eta", [1e-3, 1e-10, 1e-17])
-    def test_search_costs_logarithmically_many_tails(self, monkeypatch, idx, eta):
+    def test_search_costs_logarithmically_many_tails(self, monkeypatch, make, eta):
+        idx = make()
         calls = count_tail_calls(monkeypatch, idx)
         k = idx.truncation(eta)
+        assert calls
         assert len(calls) <= 2 * math.ceil(math.log2(k)) + 2
+
+    @pytest.mark.parametrize("make", MAKERS, ids=lambda make: repr(make()))
+    def test_each_eta_is_searched_once(self, monkeypatch, make):
+        idx = make()
+        calls = count_tail_calls(monkeypatch, idx)
+        k = idx.truncation(1e-10)
+        searched = len(calls)
+        assert idx.truncation(1e-10) == k
+        assert len(calls) == searched
+        idx.truncation(1e-3)
+        assert len(calls) > searched
 
     def test_negative_binomial_k_far_past_the_mean(self):
         # the one-step walk from 1 makes 14,648 tail calls here; the cost

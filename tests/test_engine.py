@@ -233,6 +233,12 @@ class TestStudyPlan:
         for eta in (0.0, 1.5):
             with pytest.raises(ValueError, match=r"eta must lie in \(0, 0\.001\]"):
                 builtin_plan("feller_necessity_rare_jump", eta=eta).validated()
+        # the CLI rejects both first, but a plan reaches run_study directly
+        for alpha in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+                run_study(builtin_plan("feller_necessity_rare_jump", alpha=alpha, n_grid=(4,)))
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            run_study(builtin_plan("feller_necessity_rare_jump", seed=-1, n_grid=(4,)))
         with pytest.raises(ValueError):
             builtin_plan(
                 "feller_necessity_rare_jump", distances=("delta_quantum",)
@@ -257,7 +263,6 @@ class TestStudyPlan:
         twin = {"kind": "all_below", "metric": "rand_feller_normal_twin", "threshold": 1.0}
         with pytest.raises(ValueError, match="rand_feller_normal_twin"):
             small_plan(checks=(twin,)).validated()
-        small_plan(checks=(twin,), normal_twin_feller=True).validated()
         # no functionals means all of them, cut at "@" like the report keys
         small_plan(functionals=(), checks=(
             {"kind": "all_below", "metric": "cf_deviation@t=0.5", "threshold": 1.0},
@@ -272,19 +277,16 @@ class TestStudyPlan:
             ("rand_feller", 0.3, r"checks\[0\]\.epsilon: 0\.3 is not in the epsilon grid \[0\.5\]"),
             ("empirical_delta", 0.5,
              r"checks\[0\]\.epsilon: the rows of 'empirical_delta' carry no epsilon"),
-            ("rand_feller_normal_twin", 0.5,
-             r"checks\[0\]\.epsilon: the rows of 'rand_feller_normal_twin' carry no epsilon"),
         ],
-        ids=["off-grid", "distance", "normal-twin"],
+        ids=["off-grid", "distance"],
     )
     def test_check_epsilon_must_select_rows(self, metric, epsilon, message):
         # a check epsilon that selects no row would pass validation and
         # then fail the verdict with "no rows for metric"
         check = {"kind": "all_below", "metric": metric, "threshold": 1.0}
         with pytest.raises(ValueError, match=message):
-            small_plan(checks=({**check, "epsilon": epsilon},),
-                       normal_twin_feller=True).validated()
-        small_plan(checks=(check,), normal_twin_feller=True).validated()
+            small_plan(checks=({**check, "epsilon": epsilon},)).validated()
+        small_plan(checks=(check,)).validated()
 
     def test_repeated_distance_is_rejected(self):
         # two rows for one cell would read as two steps of the series
@@ -315,8 +317,37 @@ class TestStudyPlan:
 
     def test_json_round_trip_shape(self):
         d = builtin_plan("rotar_shiryaev_series").to_json_dict()
-        assert d["mode"] == "rows"
+        assert d == {
+            "label": "rotar-shiryaev-series",
+            "array": {"array": "series", "base_seq": "shiryaev"},
+            "index": {"family": "poisson", "mean": "n"},
+            "n_grid": [16, 64, 256, 512],
+            "epsilon_grid": [0.5],
+            "delta": 1.0,
+            "samples": 100_000,
+            "alpha": 0.01,
+            "seed": 0,
+            "eta": 1e-10,
+            "mode": "rows",
+            "functionals": ["rotar", "feller"],
+            "distances": ["empirical_delta", "delta_mixture"],
+            "checks": [
+                {"kind": "all_below", "metric": "rotar", "epsilon": 0.5, "threshold": 1e-8},
+                {"kind": "all_below", "metric": "delta_mixture", "threshold": 1e-10},
+                {"kind": "all_below", "metric": "empirical_delta", "threshold": 0.02},
+            ],
+        }
         assert json.loads(json.dumps(d)) == d
+
+    def test_json_dict_is_a_copy(self):
+        plan = builtin_plan("lindeberg_uniform_poisson")
+        doc = plan.to_json_dict()
+        doc["array"]["base"]["low"] = 9.0
+        doc["index"]["mean"] = 9.0
+        doc["checks"][0]["final_max"] = 9.0
+        assert plan.array["base"]["low"] == -1.0
+        assert plan.index["mean"] == "n"
+        assert plan.checks[0]["final_max"] == 1e-3
 
 
 class TestEvaluateCheck:
@@ -469,26 +500,11 @@ class TestRunStudy:
         )
         assert not res.passed
 
-    def test_json_runtime_toggle(self):
+    def test_json_document_is_what_the_cli_writes(self):
+        # the config echo carries the plan, and the wall-clock runtime
+        # would make the document differ from run to run
         res = run_study(small_plan())
-        with_rt = res.to_json_dict()
-        without = res.to_json_dict(include_runtime=False)
-        assert "runtime_seconds" in with_rt and "runtime_seconds" not in without
-
-    def test_normal_twin_column(self):
-        res = run_study(
-            small_plan(
-                array={"array": "iid", "base": {"family": "rademacher"}},
-                normal_twin_feller=True,
-                distances=("empirical_delta",),
-            )
-        )
-        twin_rows = [r for r in res.rows if r["metric"] == "rand_feller_normal_twin"]
-        assert len(twin_rows) == 2
-        plain = {r["n"]: r for r in res.rows if r["metric"] == "rand_feller"}
-        for r in twin_rows:
-            assert r["value"] == plain[r["n"]]["value"]
-            assert r["error_bound"] == plain[r["n"]]["error_bound"]
+        assert set(res.to_json_dict()) == {"rows", "verdicts", "errors", "passed"}
 
 
 class TestDistances:
@@ -503,6 +519,8 @@ class TestDistances:
             est = DISTANCES[name](array, index, 4, np.random.default_rng(3), m, 0.01,
                                   1e-10, "prefix")
             assert est.method == ("mixture" if name == "delta_mixture" else "empirical-KS")
+            if name == "delta_randomsum":
+                assert est.bound == dkw_bound(m, 0.01)
             bounds[m] = est.bound
         assert bounds[4_000] == pytest.approx(dkw_bound(4_000, 0.01), abs=1e-9)
         assert bounds[1_000] == pytest.approx(2.0 * bounds[4_000], abs=1e-9)

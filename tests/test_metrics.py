@@ -14,6 +14,7 @@ from scipy.stats import norm
 import randsum.distributions as distributions_module
 import randsum.metrics as metrics_module
 from randsum.arrays import (
+    SeriesForm,
     TriangularArray,
     from_series,
     make_iid_array,
@@ -38,6 +39,7 @@ from randsum.distributions import (
     scale,
     shift,
 )
+from randsum.engine import empirical_delta
 from randsum.metrics import (
     NDTR_ABS_ERR,
     ConvolutionError,
@@ -582,6 +584,25 @@ class TestMixtureDistances:
         est = delta_mixture(uni, Deterministic(4), 4, rng=rng, samples_per_k=4000)
         assert est.method == "mixture"
         assert est.bound >= dkw_bound(4000, 0.01)
+
+    @pytest.mark.parametrize("mode", ["prefix", "rows"])
+    @pytest.mark.parametrize(
+        "array",
+        [make_iid_array(Uniform(-1.0, 1.0)),
+         from_series(SeriesForm(lambda j: Uniform(0.0, float(j)), label="ramp"))],
+        ids=["iid-uniform", "ramp"],
+    )
+    def test_monte_carlo_path_is_empirical_delta(self, array, mode):
+        # no exact sum law: the random sum's distance is estimated once,
+        # from random sums drawn over the whole index law
+        idx = ShiftedPoisson(8.0)
+        got = delta_randomsum(array, idx, 8, mode=mode, rng=np.random.default_rng(7),
+                              samples=3000, alpha=0.05)
+        want = empirical_delta(array, idx, 8, np.random.default_rng(7), 3000, 0.05, mode=mode)
+        assert got.method == "empirical-KS"
+        assert got.to_json_dict() == want.to_json_dict()
+        with pytest.raises(ValueError, match="1000 samples"):
+            delta_randomsum(array, idx, 8, mode=mode, rng=np.random.default_rng(7), samples=999)
 
     def test_normal_rows_never_search_the_grid(self, monkeypatch):
         searched = []
