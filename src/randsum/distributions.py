@@ -562,6 +562,26 @@ def _atom_steps(at: Optional[Tuple[np.ndarray, np.ndarray]]):
     return vals[order], np.concatenate(([0.0], np.cumsum(probs[order])))
 
 
+def _choice_cut(probs: np.ndarray) -> np.ndarray:
+    """The cut points ``Generator.choice`` builds: ``p``'s cumulative sum over its last entry."""
+    cut = probs.cumsum()
+    cut /= cut[-1]
+    return cut
+
+
+def _inverse_cdf_draws(values: np.ndarray, cut: np.ndarray, rng: np.random.Generator, size):
+    """``Generator.choice(values, size, p=probs)`` bit for bit, with ``cut = _choice_cut(probs)``.
+
+    One uniform u per draw, as ``choice`` consumes them; the draw is the
+    atom at the number of cut points <= u, which for two atoms is one
+    comparison.  Same dtype, and a numpy scalar for ``size=None``.
+    """
+    u = rng.random(size)
+    if values.size == 2 and size is not None:
+        return np.where(u >= cut[0], values[1], values[0])
+    return values[cut.searchsorted(u, side="right")]
+
+
 def _step_cdf(steps, x: ArrayLike, side: str) -> ArrayLike:
     vals, cum = steps
     out = cum[np.searchsorted(vals, np.asarray(x, dtype=float), side=side)]
@@ -574,6 +594,7 @@ class _AtomicMixin:
     _values: np.ndarray
     _probs: np.ndarray
     _steps: Tuple[np.ndarray, np.ndarray]
+    _cut: np.ndarray
 
     def _init_atoms(self, values: Sequence[float], probs: Sequence[float]) -> None:
         vals = np.asarray(values, dtype=float)
@@ -591,6 +612,7 @@ class _AtomicMixin:
         self._values, self._probs = merge_atoms(vals, prb)
         self._probs = self._probs / self._probs.sum()
         self._steps = (self._values, np.concatenate(([0.0], np.cumsum(self._probs))))
+        self._cut = _choice_cut(self._probs)
         self.mean = float(np.dot(self._values, self._probs))
         centered = self._values - self.mean
         self.variance = float(np.dot(centered * centered, self._probs))
@@ -615,7 +637,7 @@ class _AtomicMixin:
         return (float(self._values[0]), float(self._values[-1]))
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        return rng.choice(self._values, size=size, p=self._probs)
+        return _inverse_cdf_draws(self._values, self._cut, rng, size)
 
 
 class Rademacher(_AtomicMixin, ScalarDistribution):
@@ -741,7 +763,9 @@ class CenteredExponential(ScalarDistribution):
         return [p - q for p, q in zip(primitive(lo), primitive(b))]
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        return rng.exponential(self._shift, size=size) - self._shift
+        draws = rng.exponential(self._shift, size=size)
+        draws -= self._shift
+        return draws
 
 
 class Scaled(ScalarDistribution):
@@ -1207,6 +1231,7 @@ class FiniteIndex(RandomIndex):
         if np.any(np.diff(self._values) == 0):
             raise DistributionError("index values must be distinct")
         self._cum = np.cumsum(self._probs)
+        self._cut = _choice_cut(self._probs)
         self.mean = float(np.dot(self._values, self._probs))
 
     def descriptor(self) -> tuple:
@@ -1230,7 +1255,7 @@ class FiniteIndex(RandomIndex):
         return max(float(1.0 - (self._cum[idx - 1] if idx > 0 else 0.0)), 0.0)
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        return rng.choice(self._values, size=size, p=self._probs)
+        return _inverse_cdf_draws(self._values, self._cut, rng, size)
 
 
 def _geometric_from_config(cfg: dict, resolve) -> Geometric:

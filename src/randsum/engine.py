@@ -6,9 +6,13 @@ evidence against the exact computations.  One draw of a random sum
 consumes one index variate and then the row's entry variates; batches
 consume the same variates in a documented deterministic order (index
 batch first, then entries column by column or row-flattened, depending
-on the row's runs; see ``_prefix_sums``).  ``metrics.delta_randomsum``
-on a row with no exact sum law is ``empirical_delta``, so its draws
-follow the same contract.
+on the row's runs; see ``_prefix_sums``).  An atomic law or a finite
+index draws one uniform per variate and inverts its CDF at the cut
+points numpy's ``Generator.choice`` builds, so it consumes the stream
+as ``choice`` did and returns the same values.  ``rows`` mode draws the
+rows in ascending k, each for its draws in position order.
+``metrics.delta_randomsum`` on a row with no exact sum law is
+``empirical_delta``, so its draws follow the same contract.
 
 Streams: substreams are derived from the master seed with
 ``numpy.random.SeedSequence.spawn``; each concurrent task owns its
@@ -125,11 +129,14 @@ def _normal_row_sums(sigmas: np.ndarray, ks: np.ndarray, rng: np.random.Generato
         k = int(part[0])
         if np.all(part == k):
             # equal lengths: the block is rows of k, scaled column by column
-            flat = (rng.standard_normal(total).reshape(-1, k) * sigmas[:k]).ravel()
+            flat = rng.standard_normal(total)
+            block = flat.reshape(-1, k)
+            block *= sigmas[:k]
         else:
             # per-position column index j-1 = global position - own row start
             pos = np.arange(total, dtype=np.int64) - np.repeat(starts, part)
-            flat = rng.standard_normal(total) * sigmas[pos]
+            flat = rng.standard_normal(total)
+            flat *= sigmas[pos]
         out[a:b] = np.add.reduceat(flat, starts)
     return out
 
@@ -198,12 +205,12 @@ def sample_random_sums(
     if mode == "prefix":
         return _prefix_sums(array, n, ks, rng)
 
+    # rows in ascending k, each at its draws' positions in ascending order
+    order = np.argsort(ks, kind="stable")
+    rows, firsts = np.unique(ks[order], return_index=True)
     out = np.empty(size)
-    for k in np.unique(ks):
-        where = np.nonzero(ks == k)[0]
-        row = int(k)
-        upto = array.row_length(row)
-        row_ks = np.full(where.size, upto, dtype=np.int64)
+    for row, where in zip(rows.tolist(), np.split(order, firsts[1:])):
+        row_ks = np.full(where.size, array.row_length(row), dtype=np.int64)
         out[where] = _prefix_sums(array, row, row_ks, rng)
     return out
 
@@ -299,6 +306,8 @@ class StudyPlan:
             raise ValueError("Monte Carlo sample count must be >= 1000")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError("seed must be an integer")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if not self.n_grid or not self.epsilon_grid:

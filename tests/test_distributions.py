@@ -199,6 +199,48 @@ class TestAtomicFamilies:
         assert e.truncated_second_moment(1.0) == pytest.approx(v, abs=1e-10)
 
 
+# (law, its atoms as rng.choice takes them); the masses sum to 1 exactly,
+# so the laws keep them as given, the zero masses included
+ATOMIC_SAMPLERS = [
+    (TwoPoint(-0.25, 1.0, 0.8), [-0.25, 1.0], [0.8, 0.19999999999999996]),
+    (scale(Rademacher(), 0.5), [-0.5, 0.5], [0.5, 0.5]),
+    (FiniteDiscrete([-2.0, 0.0, 1.0, 3.0], [0.25, 0.0, 0.5, 0.25]),
+     [-2.0, 0.0, 1.0, 3.0], [0.25, 0.0, 0.5, 0.25]),
+    (FiniteIndex([1, 3, 4, 9], [0.125, 0.0, 0.625, 0.25]),
+     np.array([1, 3, 4, 9], dtype=np.int64), [0.125, 0.0, 0.625, 0.25]),
+]
+
+
+class TestSampling:
+    """Draws against numpy's own samplers on a twin generator, bit for bit."""
+
+    @pytest.mark.parametrize("law, values, probs", ATOMIC_SAMPLERS,
+                             ids=["two-point", "scaled-rademacher", "finite-discrete",
+                                  "finite-index"])
+    @pytest.mark.parametrize("size", [None, 1, 100_003])
+    def test_atomic_draws_are_rng_choice(self, law, values, probs, size):
+        rng, twin = np.random.default_rng(29), np.random.default_rng(29)
+        got = law.sample(rng, size)
+        want = twin.choice(np.asarray(values), size, p=np.asarray(probs))
+        assert type(got) is type(want)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        # the same variates were consumed
+        assert rng.random() == twin.random()
+
+    def test_scaled_rademacher_is_two_point(self):
+        assert isinstance(scale(Rademacher(), 0.5), TwoPoint)
+
+    @pytest.mark.parametrize("size", [None, 1, 100_003])
+    def test_centered_exponential_draws(self, size):
+        rng, twin = np.random.default_rng(31), np.random.default_rng(31)
+        got = CenteredExponential(3.0).sample(rng, size)
+        want = twin.exponential(1 / 3, size) - 1 / 3
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+        assert rng.random() == twin.random()
+
+
 def exponential_density(rate, factor=1.0, offset=0.0):
     """mpmath density of factor * (E - 1/rate) + offset, E ~ Exp(rate)."""
     rate, factor, offset = (mpmath.mpf(v) for v in (rate, factor, offset))

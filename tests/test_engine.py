@@ -32,6 +32,7 @@ from randsum.engine import (
     _chunk_boundaries,
     _evaluate_check,
     _normal_row_sums,
+    _prefix_sums,
     builtin_plan,
     empirical_delta,
     json_text,
@@ -160,6 +161,25 @@ class TestSampling:
         )
         assert 0 < len(built) <= 2 * idx.truncation(1e-10)
 
+    @staticmethod
+    def rows_one_pass_per_k(array, index, n, rng, size):
+        """Rows mode as one ``np.nonzero(ks == k)`` pass over the draws per k."""
+        ks = np.asarray(index.sample(rng, size), dtype=np.int64)
+        out = np.empty(size)
+        for k in np.unique(ks):
+            where = np.nonzero(ks == k)[0]
+            row_ks = np.full(where.size, array.row_length(int(k)), dtype=np.int64)
+            out[where] = _prefix_sums(array, int(k), row_ks, rng)
+        return out
+
+    @pytest.mark.parametrize("array", [make_rare_jump_array(), from_series(shiryaev_series())],
+                             ids=["rare-jump", "series"])
+    def test_rows_mode_equals_one_pass_per_k(self, array):
+        idx = ShiftedPoisson(32.0)
+        got = sample_random_sums(array, idx, 32, np.random.default_rng(23), 5_000, mode="rows")
+        want = self.rows_one_pass_per_k(array, idx, 32, np.random.default_rng(23), 5_000)
+        assert np.array_equal(got, want)
+
     def test_empirical_delta_guards_sample_floor(self):
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError):
@@ -239,6 +259,9 @@ class TestStudyPlan:
                 run_study(builtin_plan("feller_necessity_rare_jump", alpha=alpha, n_grid=(4,)))
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             run_study(builtin_plan("feller_necessity_rare_jump", seed=-1, n_grid=(4,)))
+        for seed in (1.5, True):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                run_study(builtin_plan("feller_necessity_rare_jump", seed=seed, n_grid=(4,)))
         with pytest.raises(ValueError):
             builtin_plan(
                 "feller_necessity_rare_jump", distances=("delta_quantum",)
