@@ -53,6 +53,9 @@ __all__ = [
 
 # atom count cap for exact convolution (pre-merge, per pairwise step)
 ATOM_BUDGET = 1 << 20
+# atoms of the atomic per-k laws whose distances delta_mixture settles with
+# one call of the target CDF
+MIXTURE_BLOCK_POINTS = 1 << 15
 # initial Kolmogorov search grid size for laws with no atoms list; two x8
 # refinement passes follow
 _KOLMOGOROV_GRID = 4097
@@ -138,6 +141,11 @@ def dkw_bound(samples: int, alpha: float = 0.01) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _check_total(probs: np.ndarray) -> None:
+    if abs(float(probs.sum()) - 1.0) > 1e-9:
+        raise ValueError("atom probabilities must sum to one")
+
+
 class SumLaw(ScalarDistribution):
     """Law of a sum of independent entries, each atomic or normal.
 
@@ -155,8 +163,7 @@ class SumLaw(ScalarDistribution):
         if v.size == 0:
             v = np.array([0.0])
             p = np.array([1.0])
-        if abs(float(np.sum(p)) - 1.0) > 1e-9:
-            raise ValueError("atom probabilities must sum to one")
+        _check_total(p)
         self._normal_mean = float(normal_mean)
         self._normal_var = float(normal_var)
         if self._normal_var < 0.0:
@@ -325,13 +332,70 @@ class MixtureLaw(ScalarDistribution):
         return [float(m) for m in np.dot(self._weights, parts)]
 
 
+# A running convolution state: the atoms of the atomic part, strictly
+# increasing (``merge_atoms`` leaves runs more than the snap tolerance
+# apart), their masses, and the normal part's mean and variance.
+_FoldState = Tuple[np.ndarray, np.ndarray, float, float]
+
+
+def _merge_fold(
+    values: np.ndarray, probs: np.ndarray, av: np.ndarray, ap: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every sum of a state atom and an entry atom, sorted, with the runs
+    that lie within the snap tolerance merged and zero masses dropped."""
+    new_values = np.add.outer(values, av).ravel()
+    # different addition orders land the same lattice point within a few
+    # ulps; genuinely distinct atoms in our constructions sit far apart
+    # relative to this 1e-13 relative snap.  The run's first member stays
+    # the atom: a probability-weighted mean would divide by masses that
+    # underflow to subnormals, smearing atoms off their lattice
+    tol = 1e-13 * max(1.0, float(np.max(np.abs(new_values))))
+    new_values, new_probs = merge_atoms(
+        new_values, np.multiply.outer(probs, ap).ravel(), tol
+    )
+    keep = new_probs > 0
+    return new_values[keep], new_probs[keep]
+
+
+def _two_atom_fold(
+    values: np.ndarray, probs: np.ndarray, av: np.ndarray, ap: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``_merge_fold`` of an entry with atoms a < b into a state of at least
+    two atoms, bit for bit, when the sums form a band; None otherwise.
+
+    The sums are lo = v + a and hi = v + b, and sorted they would meet
+    hi[i-1] next to lo[i].  When each such pair lies within the snap
+    tolerance and each group (lo[0], the pairs, hi[-1]) sits more than the
+    tolerance above the largest member of the group before it, the runs
+    ``merge_atoms`` finds are exactly these groups.  A pair keeps its
+    smaller member, hi[i-1] on a tie since it comes first in stable order,
+    and its mass p[i-1] pb + p[i] pa: a two-term sum, the same in the order
+    ``np.add.at`` adds it.  If the groups are in order, lo[0] and hi[-1] are
+    the extreme sums, so the tolerance computed from them is the generic one.
+    """
+    lo = values + av[0]
+    hi = values + av[1]
+    tol = 1e-13 * max(1.0, abs(float(lo[0])), abs(float(hi[-1])))
+    first, second = hi[:-1], lo[1:]
+    first_low = first <= second
+    atoms = np.concatenate((lo[:1], np.where(first_low, first, second), hi[-1:]))
+    tops = np.concatenate((lo[:1], np.where(first_low, second, first), hi[-1:]))
+    if not ((tops - atoms <= tol).all() and (atoms[1:] - tops[:-1] > tol).all()):
+        return None
+    low_mass = probs * ap[0]
+    high_mass = probs * ap[1]
+    masses = np.concatenate((low_mass[:1], high_mass[:-1] + low_mass[1:], high_mass[-1:]))
+    keep = masses > 0
+    return atoms[keep], masses[keep]
+
+
 def _extend_sum(
     values: np.ndarray,
     probs: np.ndarray,
     n_mean: float,
     n_var: float,
     dist: ScalarDistribution,
-) -> Tuple[np.ndarray, np.ndarray, float, float]:
+) -> _FoldState:
     """Fold one more independent entry into a running convolution state."""
     if isinstance(dist, Normal):
         return values, probs, n_mean + dist.mean, n_var + dist.variance
@@ -344,24 +408,18 @@ def _extend_sum(
     av, ap = at
     if values.size * av.size > ATOM_BUDGET:
         raise ConvolutionError(f"atomic convolution exceeds {ATOM_BUDGET} atoms")
-    new_values = np.add.outer(values, av).ravel()
-    # different addition orders land the same lattice point within a few
-    # ulps; genuinely distinct atoms in our constructions sit far apart
-    # relative to this 1e-13 relative snap.  The run's first member stays
-    # the atom: a probability-weighted mean would divide by masses that
-    # underflow to subnormals, smearing atoms off their lattice
-    tol = 1e-13 * max(1.0, float(np.max(np.abs(new_values))))
-    new_values, new_probs = merge_atoms(
-        new_values, np.multiply.outer(probs, ap).ravel(), tol
-    )
-    keep = new_probs > 0
-    return new_values[keep], new_probs[keep], n_mean, n_var
+    folded = None
+    if av.size == 2 and values.size >= 2 and av[0] < av[1]:
+        folded = _two_atom_fold(values, probs, av, ap)
+    if folded is None:
+        folded = _merge_fold(values, probs, av, ap)
+    return folded[0], folded[1], n_mean, n_var
 
 
-def _partial_sum_laws(
+def _partial_sums(
     laws: Iterable[ScalarDistribution], lengths: Iterable[int]
-) -> Iterator[SumLaw]:
-    """Exact laws of the partial sums of ``laws`` at the increasing
+) -> Iterator[_FoldState]:
+    """Convolution states of the partial sums of ``laws`` at the increasing
     ``lengths``: one running convolution folds each law in once and reads
     none past the last length."""
     laws = iter(laws)
@@ -371,11 +429,19 @@ def _partial_sum_laws(
         for dist in islice(laws, int(length) - done):
             state = _extend_sum(*state, dist)
         done = int(length)
-        yield SumLaw(*state)
+        yield state
 
 
-def _row_sum_laws(array: TriangularArray, n: int, lengths: Sequence[int]) -> Iterator[SumLaw]:
-    """Exact laws of the sums of row n up to the increasing ``lengths``.
+def _partial_sum_laws(
+    laws: Iterable[ScalarDistribution], lengths: Iterable[int]
+) -> Iterator[SumLaw]:
+    """Exact laws of the partial sums of ``laws`` at the increasing ``lengths``."""
+    return (SumLaw(*state) for state in _partial_sums(laws, lengths))
+
+
+def _row_sums(array: TriangularArray, n: int, lengths: Sequence[int]) -> Iterator[_FoldState]:
+    """Convolution states of the sums of row n up to the increasing
+    ``lengths``.
 
     A row of centered normals up to the last length sums to N(0, prefix
     variance), the variances added left to right as the running
@@ -383,9 +449,10 @@ def _row_sum_laws(array: TriangularArray, n: int, lengths: Sequence[int]) -> Ite
     """
     variances = array.normal_variances(n, int(lengths[-1]))
     if variances is None:
-        return _partial_sum_laws(expand(array.runs(n)), lengths)
+        return _partial_sums(expand(array.runs(n)), lengths)
     totals = np.cumsum(variances)
-    return (SumLaw([0.0], [1.0], 0.0, totals[int(length) - 1]) for length in lengths)
+    origin = (np.array([0.0]), np.array([1.0]))
+    return ((*origin, 0.0, totals[int(length) - 1]) for length in lengths)
 
 
 def sum_of_independent(entries: Sequence[ScalarDistribution]) -> SumLaw:
@@ -408,7 +475,7 @@ def row_sum_law(array: TriangularArray, n: int, k: Optional[int] = None) -> SumL
         k = array.row_length(n)
     if k < 1:
         raise ValueError("k must be >= 1")
-    return next(_row_sum_laws(array, n, (k,)))
+    return SumLaw(*next(_row_sums(array, n, (k,))))
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +593,22 @@ def _normal_kolmogorov(m1: float, v1: float, m2: float, v2: float) -> Optional[D
     return DistanceEstimate(value, bound, "exact-normal", {"grid": float(len(points))})
 
 
+def _atom_gaps(
+    values: np.ndarray, below: np.ndarray, through: np.ndarray, g_law: ScalarDistribution
+) -> np.ndarray:
+    """``_gaps`` at the strictly increasing atoms ``values`` of an atomic
+    law F whose masses below and through each atom are ``below`` and
+    ``through``: there ``F.cdf`` and ``F.prob_le`` are those masses, so no
+    search runs.  G's CDF is evaluated once when its ``prob_le`` is the
+    inherited ``cdf``."""
+    g_below = np.asarray(g_law.cdf(values), dtype=float)
+    if type(g_law).prob_le is ScalarDistribution.prob_le:
+        g_through = g_below
+    else:
+        g_through = np.asarray(g_law.prob_le(values), dtype=float)
+    return np.maximum(np.abs(below - g_below), np.abs(through - g_through))
+
+
 def kolmogorov(f_law: ScalarDistribution, g_law: ScalarDistribution) -> DistanceEstimate:
     """sup_x |F(x) - G(x)| with both one-sided limits at every candidate.
 
@@ -535,7 +618,10 @@ def kolmogorov(f_law: ScalarDistribution, g_law: ScalarDistribution) -> Distance
     constant on each open gap between consecutive atoms and on each tail,
     the other CDF is monotone there, so the gap is largest at the one-sided
     limits, which ``cdf`` and ``prob_le`` at the atoms give exactly.
-    ``params["grid"]`` is the number of atoms evaluated.
+    ``params["grid"]`` is the number of atoms evaluated.  An atomic
+    ``SumLaw`` first law with strictly increasing atoms, as every fold
+    leaves them, reads its limits off its own cumulative masses, with no
+    search (``_atom_gaps``).
 
     When both laws are normal (``normal_params()`` is not None for both)
     the supremum is taken where the two densities cross, method
@@ -550,6 +636,11 @@ def kolmogorov(f_law: ScalarDistribution, g_law: ScalarDistribution) -> Distance
     probability masses across the cell, and the grid ends leave at most
     the remaining tail masses.
     """
+    if isinstance(f_law, SumLaw) and f_law.is_atomic:
+        values, cum = f_law._values, f_law._cum
+        if (values[1:] > values[:-1]).all():
+            value = float(np.max(_atom_gaps(values, cum[:-1], cum[1:], g_law)))
+            return DistanceEstimate(value, 0.0, "exact-atomic", {"grid": float(values.size)})
     for law in (f_law, g_law):
         at = law.atoms()
         if at is not None:
@@ -635,13 +726,14 @@ def _prefix_of(array: TriangularArray, n: int, k: int, mode: str) -> Tuple[int, 
     return (n, k) if mode == "prefix" else (k, array.row_length(k))
 
 
-def _per_k_laws(
+def _per_k_sums(
     array: TriangularArray,
     ks: np.ndarray,
     n: int,
     mode: str,
-) -> List[Optional[SumLaw]]:
-    """Exact partial-sum laws where available, None where not.
+) -> Iterator[Optional[_FoldState]]:
+    """Convolution states of the partial sums where exact, None where not,
+    one per k and produced as read.
 
     Index values that read the same row share one pass over it: prefix
     mode reads row n once for all of them, while rows mode reads each
@@ -650,18 +742,23 @@ def _per_k_laws(
     convolution, and past an entry that cannot be folded in a row has no
     exact law.
     """
-    laws: List[Optional[SumLaw]] = []
-    prefixes = [_prefix_of(array, n, int(k), mode) for k in ks]
+    prefixes = (_prefix_of(array, n, int(k), mode) for k in ks)
     for row, group in groupby(prefixes, key=lambda prefix: prefix[0]):
         lengths = [length for _, length in group]
-        made: List[Optional[SumLaw]] = []
+        made = 0
         try:
-            for law in _row_sum_laws(array, row, lengths):
-                made.append(law)
+            for state in _row_sums(array, row, lengths):
+                made += 1
+                yield state
         except ConvolutionError:
-            pass
-        laws += made + [None] * (len(lengths) - len(made))
-    return laws
+            yield from [None] * (len(lengths) - made)
+
+
+def _per_k_laws(
+    array: TriangularArray, ks: np.ndarray, n: int, mode: str
+) -> List[Optional[SumLaw]]:
+    """Exact partial-sum laws where available, None where not."""
+    return [None if state is None else SumLaw(*state) for state in _per_k_sums(array, ks, n, mode)]
 
 
 def _empirical_prefix(
@@ -675,6 +772,85 @@ def _empirical_prefix(
     for law in expand(array.prefix_runs(row, k)):
         total += law.sample(rng, m)
     return total
+
+
+_Term = Tuple[float, float, float, bool]
+
+
+def _settle(block: List[Tuple[float, np.ndarray, np.ndarray]], target: Normal) -> List[_Term]:
+    """The terms of a block of atomic per-k laws, each given as its weight,
+    its strictly increasing atoms and the masses through each atom, in
+    order; empties the block.  One call of the target CDF serves them all,
+    and the masses below each atom are those through the one before."""
+    weights, atoms, through = zip(*block)
+    block.clear()
+    starts = np.cumsum([0] + [part.size for part in atoms[:-1]])
+    through_all = np.concatenate(through)
+    below = np.empty_like(through_all)
+    below[1:] = through_all[:-1]
+    below[starts] = 0.0
+    gaps = _atom_gaps(np.concatenate(atoms), below, through_all, target)
+    return [(w, d, 0.0, False) for w, d in zip(weights, np.maximum.reduceat(gaps, starts))]
+
+
+def _per_k_distances(
+    array: TriangularArray,
+    ks: np.ndarray,
+    pmf: np.ndarray,
+    n: int,
+    mode: str,
+    target: ScalarDistribution,
+    rng: Optional[np.random.Generator],
+    samples_per_k: int,
+    alpha: float,
+) -> Iterator[_Term]:
+    """(P(nu = k), Delta_k, its bound, whether it was sampled) for each k
+    of positive weight, in k order.
+
+    A purely atomic fold state holds strictly increasing atoms, as
+    ``_extend_sum`` leaves them, so against a normal target its distance
+    is ``kolmogorov``'s exact-atomic value read off the state itself, with
+    no ``SumLaw``.  Such laws wait in a block, settled once it holds
+    MIXTURE_BLOCK_POINTS atoms and before any other k, so the terms keep
+    their order and no more than a block of laws is held.  Other exact
+    laws go through ``kolmogorov``, and rows with no exact law through
+    Monte Carlo.
+    """
+    streams = isinstance(target, Normal)
+    block: List[Tuple[float, np.ndarray, np.ndarray]] = []
+    points = 0
+    for k, w, state in zip(ks, pmf, _per_k_sums(array, ks, n, mode)):
+        if streams and state is not None and state[2] == 0.0 and state[3] == 0.0:
+            values, probs = state[0], state[1]
+            _check_total(probs)
+            if w == 0.0:
+                continue
+            block.append((w, values, probs.cumsum()))
+            points += values.size
+            if points >= MIXTURE_BLOCK_POINTS:
+                yield from _settle(block, target)
+                points = 0
+            continue
+        law = None if state is None else SumLaw(*state)
+        if w == 0.0:
+            continue
+        if block:
+            yield from _settle(block, target)
+            points = 0
+        if law is not None:
+            est = kolmogorov(law, target)
+        else:
+            if rng is None:
+                raise ConvolutionError(
+                    "row has no exact sum law; pass rng= for the Monte Carlo path"
+                )
+            draws = _empirical_prefix(
+                array, *_prefix_of(array, n, int(k), mode), rng, samples_per_k
+            )
+            est = empirical_kolmogorov(draws, target, alpha)
+        yield w, est.value, est.bound, law is None
+    if block:
+        yield from _settle(block, target)
 
 
 def delta_mixture(
@@ -707,28 +883,15 @@ def delta_mixture(
     trunc_k = index.truncation(eta)
     ks = np.arange(1, trunc_k + 1)
     pmf = np.asarray(index.pmf(ks), dtype=float)
-    laws = _per_k_laws(array, ks, n, mode)
-
     value = 0.0
     bound = float(index.tail_mass(trunc_k))  # each neglected Delta_k <= 1
-    per_k_method = "exact"
-    for k, w, law in zip(ks, pmf, laws):
-        if w == 0.0:
-            continue
-        if law is not None:
-            est = kolmogorov(law, target)
-        else:
-            if rng is None:
-                raise ConvolutionError(
-                    "row has no exact sum law; pass rng= for the Monte Carlo path"
-                )
-            draws = _empirical_prefix(
-                array, *_prefix_of(array, n, int(k), mode), rng, samples_per_k
-            )
-            est = empirical_kolmogorov(draws, target, alpha)
-            per_k_method = "empirical"
-        value += w * est.value
-        bound += w * est.bound
+    sampled = False
+    for w, est_value, est_bound, est_sampled in _per_k_distances(
+        array, ks, pmf, n, mode, target, rng, samples_per_k, alpha
+    ):
+        value += w * est_value
+        bound += w * est_bound
+        sampled = sampled or est_sampled
     # the K weighted terms round by at most gamma_K * sum_k p_k |Delta_k|
     # (Higham 2002, ch. 3); every term is nonnegative, so that sum is the value
     bound += rounding_gamma(int(trunc_k)) * value
@@ -739,7 +902,7 @@ def delta_mixture(
         {
             "eta": float(eta),
             "truncation_k": float(trunc_k),
-            "per_k": 1.0 if per_k_method == "exact" else 0.0,
+            "per_k": 0.0 if sampled else 1.0,
         },
     )
 

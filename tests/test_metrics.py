@@ -268,6 +268,31 @@ class TestKolmogorovAtomPath:
         est = kolmogorov(law, PHI)
         assert est.params["grid"] == law.atoms()[0].size
 
+    @pytest.mark.parametrize(
+        "other",
+        [PHI, Uniform(-1.5, 2.5), FiniteDiscrete(*SHARED_ATOMS),
+         MixtureLaw([LATTICE, PHI], [0.5, 0.5]), row_sum_law(SHIRYAEV, 3)],
+        ids=["normal", "uniform", "atomic", "jumping-mixture", "normal-sum"],
+    )
+    def test_own_atoms_give_the_searched_gaps_bit_for_bit(self, other):
+        # an atomic SumLaw reads its one-sided limits off its cumulative
+        # masses; they must be the bits cdf and prob_le find by searching
+        for law in (RARE_SIX, row_sum_law(RARE, 64), LATTICE):
+            searched = float(np.max(metrics_module._gaps(law, other, law.atoms()[0])))
+            assert kolmogorov(law, other).value.hex() == searched.hex()
+
+    @pytest.mark.parametrize("other", [PHI, Normal(0.3, 0.01), FiniteDiscrete(*SHARED_ATOMS)],
+                             ids=["normal", "narrow-normal", "atomic"])
+    def test_repeated_atoms_give_the_searched_gaps_bit_for_bit(self, other):
+        # equal atoms side by side: the cumulative masses inside the run are
+        # not one-sided limits, so the searching path must answer
+        law = SumLaw([0.0, -0.0, 0.0, 1.0 / 3.0, 1.0 / 3.0, 2.0],
+                     [0.1, 0.2, 0.3, 0.15, 0.05, 0.2])
+        searched = float(np.max(metrics_module._gaps(law, other, law.atoms()[0])))
+        est = kolmogorov(law, other)
+        assert est.value.hex() == searched.hex()
+        assert est.params["grid"] == 6.0
+
 
 class TestEmpiricalKolmogorov:
     def test_dkw_formula(self):
@@ -354,6 +379,69 @@ class TestSumLaw:
     def test_rejects_unknown_components(self):
         with pytest.raises(ConvolutionError):
             sum_of_independent([Uniform(-1.0, 1.0), Rademacher()])
+
+
+def fold_both_ways(entry, steps, state=None):
+    """Fold ``entry`` in ``steps`` times, comparing the two-atom band with
+    the generic merge at each step; yields the band's result or None."""
+    values, probs = state if state is not None else (np.array([0.0]), np.array([1.0]))
+    av, ap = entry.atoms()
+    for _ in range(steps):
+        generic = metrics_module._merge_fold(values, probs, av, ap)
+        banded = metrics_module._two_atom_fold(values, probs, av, ap) if values.size >= 2 else None
+        if banded is not None:
+            assert banded[0].tobytes() == generic[0].tobytes()
+            assert banded[1].tobytes() == generic[1].tobytes()
+        yield banded
+        values, probs = generic
+
+
+class TestBandedFold:
+    @pytest.mark.parametrize("n", [4, 64, 256])
+    def test_rare_jump_rows_band_bit_for_bit(self, n):
+        steps = Geometric(1.0 / n).truncation(1e-10)
+        sizes = [b[0].size for b in fold_both_ways(RARE.entry(n, 1), steps) if b is not None]
+        # every fold past the first takes the band
+        assert len(sizes) == steps - 1
+        if n >= 64:
+            # the upper masses underflow and are dropped, so the state stops growing
+            assert sizes[-1] < steps + 1
+
+    @pytest.mark.parametrize("p_low", [0.5, 0.6, 0.7])
+    def test_standardized_two_point_bands_bit_for_bit(self, p_low):
+        entry = make_iid_array(TwoPoint(-1.0, 2.0, p_low)).entry(32, 1)
+        assert all(b is not None for b in list(fold_both_ways(entry, 64))[1:])
+
+    @pytest.mark.parametrize("factor", [1.0, 1e3])
+    def test_scaled_rademacher_bands_bit_for_bit(self, factor):
+        # at 1e3 the pairs differ by more than 1e-13: only the tolerance
+        # scaled by the largest sum keeps them in the band
+        entry = scale(Rademacher(), factor / math.sqrt(7.0))
+        assert all(b is not None for b in list(fold_both_ways(entry, 40))[1:])
+
+    def test_signed_zero_tie_keeps_the_first_in_stable_order(self):
+        # hi[0] = -0.0 + -0.0 ties lo[1] = 1.0 + -1.0 = +0.0; the merge keeps -0.0
+        state = (np.array([-0.0, 1.0]), np.array([0.5, 0.5]))
+        (banded,) = fold_both_ways(TwoPoint(-1.0, -0.0, 0.5), 1, state)
+        assert np.signbit(banded[0]).tolist() == [True, True, False]
+
+    def test_crowded_sums_take_the_generic_fold(self):
+        # the pairs merge, but they also lie within the tolerance of lo[0]
+        # and hi[-1], so the merge makes one run of all four sums
+        state = (np.array([0.0, 1.5e-13]), np.array([0.5, 0.5]))
+        entry = TwoPoint(10.0, 10.0 + 1.5e-13, 0.5)
+        assert list(fold_both_ways(entry, 1, state)) == [None]
+        assert metrics_module._extend_sum(*state, 0.0, 0.0, entry)[0].tolist() == [10.0]
+
+    def test_off_lattice_entry_takes_the_generic_fold(self):
+        state = (np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+        entry = TwoPoint(-1.0, math.sqrt(2.0), 0.5)
+        assert list(fold_both_ways(entry, 1, state)) == [None]
+        folded = metrics_module._extend_sum(*state, 0.0, 0.0, entry)
+        generic = metrics_module._merge_fold(*state, *entry.atoms())
+        assert folded[0].tobytes() == generic[0].tobytes()
+        assert folded[1].tobytes() == generic[1].tobytes()
+        assert folded[0].size == 4
 
 
 class TestZeta:
@@ -620,13 +708,10 @@ class TestMixtureDistances:
         assert est.value <= 1e-14
         assert est.bound <= 1e-10 + 1e-14
 
-    def test_mixture_rounding_is_in_the_bound(self, monkeypatch):
+    def test_mixture_rounding_is_in_the_bound(self):
         # atomic rows and a finite index: every per-k bound and the tail
         # are 0, so only the rounding of the K-term sum is left to cover
-        per_k = []
-        exact = metrics_module.kolmogorov
-        monkeypatch.setattr(metrics_module, "kolmogorov",
-                            lambda f, g: per_k.append(exact(f, g)) or per_k[-1])
+        per_k = [kolmogorov(row_sum_law(RARE, 16, k), Normal(0, 1)) for k in range(1, 6)]
         idx = FiniteIndex(range(1, 6), [0.2] * 5)
         est = delta_mixture(RARE, idx, 16)
         weights = idx.pmf(np.arange(1, 6))
@@ -635,6 +720,62 @@ class TestMixtureDistances:
         assert Fraction(est.value) != mixed
         assert abs(Fraction(est.value) - mixed) <= Fraction(est.bound)
         assert est.bound == rounding_gamma(5) * est.value
+
+    @staticmethod
+    def per_k_loop(array, index, n, mode, reference=PHI):
+        """delta_mixture's value and bound, one searched distance per k."""
+        trunc_k = index.truncation(1e-10)
+        ks = np.arange(1, trunc_k + 1)
+        value = 0.0
+        for k, w in zip(ks, index.pmf(ks)):
+            if w == 0.0:
+                continue
+            law = row_sum_law(array, n, int(k)) if mode == "prefix" else row_sum_law(array, int(k))
+            value += w * float(np.max(metrics_module._gaps(law, reference, law.atoms()[0])))
+        bound = float(index.tail_mass(trunc_k)) + rounding_gamma(int(trunc_k)) * value
+        return float(value), float(bound)
+
+    @pytest.mark.parametrize("mode", ["prefix", "rows"])
+    def test_streamed_distances_equal_a_per_k_loop(self, mode):
+        # index values 2, 4, 5 and 7 carry no weight, one of them explicitly
+        idx = FiniteIndex([1, 3, 5, 6, 8], [0.3, 0.2, 0.0, 0.1, 0.4])
+        for array in (RARE, RAD, make_iid_array(TwoPoint(-1.0, 2.0, 0.6))):
+            est = delta_mixture(array, idx, 12, mode=mode)
+            assert (est.value, est.bound) == self.per_k_loop(array, idx, 12, mode)
+            assert est.params["per_k"] == 1.0
+
+    def test_atomic_reference_keeps_the_searched_distances(self):
+        reference = FiniteDiscrete([-1.0, 0.0, 0.5, 1.0], [0.25, 0.25, 0.25, 0.25])
+        idx = FiniteIndex([2, 4, 6], [0.5, 0.25, 0.25])
+        est = delta_mixture(RAD, idx, 6, reference=reference)
+        assert (est.value, est.bound) == self.per_k_loop(RAD, idx, 6, "prefix", reference)
+
+    @pytest.mark.parametrize("mode", ["prefix", "rows"])
+    def test_block_size_does_not_move_a_bit(self, mode, monkeypatch):
+        # rows mode folds every row from scratch, so it gets a shorter index
+        idx = Geometric(1.0 / 16.0 if mode == "prefix" else 0.25)
+        whole = delta_mixture(RARE, idx, 16, mode=mode).to_json_dict()
+        monkeypatch.setattr(metrics_module, "MIXTURE_BLOCK_POINTS", 1)
+        assert delta_mixture(RARE, idx, 16, mode=mode).to_json_dict() == whole
+
+    def test_atomic_rows_build_no_sum_law(self, monkeypatch):
+        built = []
+        init = SumLaw.__init__
+        monkeypatch.setattr(SumLaw, "__init__", lambda *a, **k: built.append(1) or init(*a, **k))
+        delta_mixture(RARE, Geometric(1.0 / 16.0), 16)
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "n,value,bound",
+        [
+            (4, 0.31136227097866714, 7.585397885560476e-11),
+            (16, 0.3125283071910189, 9.858259543840467e-11),
+            (64, 0.31355904070619345, 9.866114649284427e-11),
+        ],
+    )
+    def test_rare_jump_geometric_values_are_frozen(self, n, value, bound):
+        est = delta_mixture(RARE, Geometric(1.0 / n), n, 1e-10)
+        assert (est.value, est.bound) == (value, bound)
 
     def test_one_law_rows_build_no_entry(self, monkeypatch):
         built = []
