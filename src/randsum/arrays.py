@@ -16,7 +16,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, count, repeat
+from itertools import count, repeat
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -463,8 +463,9 @@ class _SeriesArray(TriangularArray):
         return scale(member, self._factor(n, j, log_var, log_bsq, member.variance))
 
     def normal_variances(self, n: int, k: Optional[int] = None) -> Optional[np.ndarray]:
-        # _entry's arithmetic with math.exp, position by position, with no
-        # law built: np.exp need not round as libm does
+        # _entry's arithmetic with no law built: the differences and products
+        # round alike in numpy, but np.exp need not round as libm does, so
+        # the factors come from math.exp
         row = self.row_length(n)
         k = row if k is None else int(k)
         member_vars = self.series.standardized_variances(k)
@@ -473,22 +474,21 @@ class _SeriesArray(TriangularArray):
         log_bsq = self.series.log_b_squared(row)
         # the profile's log variances are the ones log_variance returns;
         # past the row they are read one by one, as _entry reads them
-        log_vars = chain(
-            self.series.log_variance_profile(min(k, row)).tolist(),
-            map(self.series.log_variance, range(row + 1, k + 1)),
-        )
-        out = []
-        for j, (log_var, var) in enumerate(zip(log_vars, member_vars), start=1):
-            # unchecked, as this loop runs for every position of every
-            # all-normal row a study samples or sums; a product that is not
-            # positive re-runs the checked path, which raises what the
-            # entry would
-            factor = _series_factor(log_var, log_bsq)
-            variance = factor * factor * var
-            if not variance > 0.0:
-                scaled_normal_variance(var, self._factor(n, j, log_var, log_bsq, var))
-            out.append(variance)
-        return np.array(out)
+        log_vars = np.concatenate((
+            self.series.log_variance_profile(min(k, row)),
+            np.fromiter(map(self.series.log_variance, range(row + 1, k + 1)), float),
+        ))
+        # fmin takes NaN and every half log past _LOG_MAX to _LOG_MAX, whose
+        # factor squares to inf, as _series_factor's saturated factor does
+        half_logs = np.fmin(0.5 * (log_vars - log_bsq), _LOG_MAX)
+        factors = np.fromiter(map(math.exp, half_logs.tolist()), float, len(half_logs))
+        variances = factors * factors * np.fromiter(member_vars, float, len(member_vars))
+        # a product that is not positive re-runs the checked path, which
+        # raises what the entry would
+        for i in np.flatnonzero(~(variances > 0.0)).tolist():
+            var = member_vars[i]
+            scaled_normal_variance(var, self._factor(n, i + 1, float(log_vars[i]), log_bsq, var))
+        return variances
 
 
 def make_iid_array(

@@ -523,6 +523,27 @@ def cmd_study(args, cfg: dict) -> int:
 
 _CE_N_GRID = (4, 8, 16, 32)
 _CE_EPSILONS = (0.1, 0.5, 1.0)
+# standard normals the Lindeberg oracle draws at once, whatever the row
+# length, so its memory stays flat in the number of draws
+_CE_BLOCK_DRAWS = 2 ** 17
+
+
+def _lindeberg_draws(rng: np.random.Generator, sigmas: np.ndarray, draws: int,
+                     eps: float) -> np.ndarray:
+    """sum_j X_j^2 1{|X_j| >= eps} for ``draws`` rows X = Z * sigmas of
+    standard normals Z, drawn in blocks of rows.  The stream is read in
+    the order of one ``(draws, k)`` draw, and each row is summed alone,
+    so the result has that draw's bits."""
+    rows = max(1, _CE_BLOCK_DRAWS // sigmas.size)
+    stat = np.empty(draws)
+    for lo in range(0, draws, rows):
+        x = rng.standard_normal((min(rows, draws - lo), sigmas.size))
+        x *= sigmas
+        keep = np.abs(x) >= eps
+        np.square(x, out=x)
+        x *= keep
+        np.sum(x, axis=1, out=stat[lo:lo + len(x)])
+    return stat
 
 
 def _counterexample_findings(seed: int, mc_draws: int) -> List[dict]:
@@ -562,10 +583,7 @@ def _counterexample_findings(seed: int, mc_draws: int) -> List[dict]:
     for k, rng in zip(_CE_N_GRID, streams):
         exact = _conditions.lindeberg(array, k, 0.5)
         values.append(exact)
-        sigmas = np.sqrt(array.normal_variances(k))
-        z = rng.standard_normal((mc_draws, sigmas.size))
-        x = z * sigmas
-        stat = np.sum(np.square(x) * (np.abs(x) >= 0.5), axis=1)
+        stat = _lindeberg_draws(rng, np.sqrt(array.normal_variances(k)), mc_draws, 0.5)
         mc_mean = float(np.mean(stat))
         mc_se = float(np.std(stat, ddof=1) / math.sqrt(mc_draws))
         if exact < mc_mean - 3.0 * mc_se:

@@ -121,6 +121,81 @@ def _eps_ok(epsilon: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+# scipy.optimize.brentq's defaults
+_BRENT_XTOL = 2e-12
+_BRENT_RTOL = 4.0 * 2.0 ** -52
+_BRENT_MAXITER = 100
+
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float,
+            maxiter: int = _BRENT_MAXITER) -> float:
+    """A root of ``f`` in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's ``brentq.c`` at scipy's defaults
+    (xtol 2e-12, rtol 4 eps), so it returns the bits that
+    ``scipy.optimize.brentq`` returns without importing scipy.optimize.
+    Raises ValueError when f(xa) and f(xb) have the same sign or ``f``
+    returns NaN, and RuntimeError after ``maxiter`` iterations.
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C divides to inf or nan here, and either one bisects
+                stry = math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method failed to converge after {maxiter} iterations")
+
+
 def _x_cdf_primitive(x: float, sigma: float) -> float:
     """G(x) = (x^2 - sigma^2) Phi(x/sigma)/2 + sigma x phi(x/sigma)/2, a
     primitive of x Phi(x/sigma) that vanishes at -inf."""
@@ -135,13 +210,11 @@ def _rotar_left(pieces: Sequence[CdfPiece], sigma: float, eps: float) -> float:
     the first and 1 above the last.  On x <= 0 Phi is convex, so on a
     piece g = F - Phi is concave: monotone on either side of the one point
     where g' = alpha - phi(x/sigma)/sigma vanishes, with at most one root
-    on each side, which ``brentq`` brackets.  Between roots x g(x) keeps
+    on each side, which ``_brentq`` brackets.  Between roots x g(x) keeps
     one sign, so a part [u, v] contributes |P(v) - P(u)| with the
     primitive P(x) = alpha x^3/3 + beta x^2/2 - G(x).  Below the first
     piece F = 0, and the integral up to c there is -G(c).
     """
-    from scipy.optimize import brentq
-
     lo, hi = pieces[0][0], pieces[-1][1]
     total = -_x_cdf_primitive(min(lo, -eps), sigma)
     for a, b, alpha, beta in (*pieces, (hi, math.inf, 0.0, 1.0)):
@@ -165,7 +238,7 @@ def _rotar_left(pieces: Sequence[CdfPiece], sigma: float, eps: float) -> float:
         parts = [a]
         for u, v in zip(cuts[:-1], cuts[1:]):
             if gap(u) * gap(v) < 0.0:
-                parts.append(brentq(gap, u, v))
+                parts.append(_brentq(gap, u, v))
             parts.append(v)
         total += sum(abs(primitive(v) - primitive(u)) for u, v in zip(parts[:-1], parts[1:]))
     return total
@@ -183,14 +256,16 @@ def _rotar_entry(dist: ScalarDistribution, eps: float) -> float:
     ``(-b, -a, alpha, 1 - beta)``, so every primitive is read where Phi is
     small.  Each part's value rounds by a few ulps of max |P| at its ends,
     about 1e-15 for entries of unit-scale support.  A root that
-    ``brentq`` places off by d (at most 2e-12 + 4u|x|) changes the sum by
+    ``_brentq`` places off by d (at most 2e-12 + 4u|x|) changes the sum by
     at most |x g'(x)| d^2, some 1e-23.  Both sit far below the per-entry
     _ROTAR_ALLOWANCE of ``rotar_error_bound``.
 
     Quadrature, for every other law: the infinite tails are cut at T where
     the truncated second moments of both laws certify a remainder below
     _ROTAR_TAIL_TARGET, and ``_quad`` integrates to QUAD_ABS_TOL between
-    the sign changes of F - Phi that a 65-point probe and ``brentq`` find.
+    the sign changes of F - Phi that a 65-point probe and ``_brentq`` find.
+    This path, taken by the centered exponential and by wrapped or summed
+    continuous laws, is the only one that imports scipy.integrate.
     """
     if isinstance(dist, Normal) and dist.mean == 0.0:
         return 0.0
@@ -204,8 +279,6 @@ def _rotar_entry(dist: ScalarDistribution, eps: float) -> float:
     if pieces is not None:
         mirrored = [(-b, -a, alpha, 1.0 - beta) for a, b, alpha, beta in reversed(pieces)]
         return _rotar_left(pieces, sigma, eps) + _rotar_left(mirrored, sigma, eps)
-
-    from scipy.optimize import brentq
 
     comparison = Normal(0.0, dist.variance)
 
@@ -239,7 +312,7 @@ def _rotar_entry(dist: ScalarDistribution, eps: float) -> float:
             if s_prev == 0.0 or s_prev * s_next < 0.0:
                 lo_b = prev if prev > a else float(grid[0])
                 try:
-                    root = brentq(diff, lo_b, float(g))
+                    root = _brentq(diff, lo_b, float(g))
                     if refined[-1] < root < b:
                         refined.append(float(root))
                         prev = root

@@ -23,7 +23,7 @@ from itertools import count
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import erfcx, gammaln, ndtr, pdtrc
+from scipy.special import erfcx, gammaln, hyp1f1, ndtr, pdtrc
 
 __all__ = [
     "DistributionError",
@@ -64,6 +64,7 @@ _LOG_MAX = math.log(1.7976931348623157e308)
 _QUAD_SLACK = 50.0
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_UNIT_ROUNDOFF = 2.0 ** -53
 # Largest variance of a centered normal, and largest |x| on the support of
 # a uniform law, whose E[X^2/(1+X^2)] is summed as a moment series: there
 # the terms fall below half an ulp of the sum within 30 terms, while the
@@ -153,8 +154,9 @@ def _quad(
     err = 0.0
     per_piece = epsabs / max(len(cuts) - 1, 1)
     # imported here, not at start-up, where it would cost most commands more
-    # than their work; quad is looked up per call, so a wrapper set on the
-    # module sees every call
+    # than their work: every moment and Rotar integral of the bundled laws
+    # has a closed form, so only laws with none get here.  quad is looked
+    # up per call, so a wrapper set on the module sees every call
     from scipy import integrate
 
     for a, b in zip(cuts[:-1], cuts[1:]):
@@ -174,8 +176,9 @@ class ScalarDistribution:
     Subclasses set ``mean`` and ``variance`` in ``__init__`` and implement
     the abstract accessors.  Truncated second moments and integer-order
     absolute moments read ``partial_moments``: an atom sum for atomic
-    laws, a closed form each continuous family supplies.  Fractional
-    absolute moments and ``expectation`` fall back to atom sums or
+    laws, a closed form each continuous family supplies.  Absolute
+    moments of other orders read ``_abs_moment_closed_form`` where a
+    family has one; they and ``expectation`` fall back to atom sums or
     adaptive quadrature.
     """
 
@@ -281,9 +284,17 @@ class ScalarDistribution:
             left = self.partial_moments(-math.inf, 0.0, 0.0, p)
             right = self.partial_moments(0.0, math.inf, 0.0, p)
             return right[p] + (-1) ** p * left[p]
+        closed = self._abs_moment_closed_form(order)
+        if closed is not None and math.isfinite(closed):
+            return closed
         lo, hi = self._quad_cut()
         v, _ = _quad(lambda x: abs(x) ** order * self.pdf(x), lo, hi, points=[0.0])
         return v
+
+    def _abs_moment_closed_form(self, order: float) -> Optional[float]:
+        """E|X|^order in closed form, or None where the family has none;
+        a value past float range also falls back to quadrature."""
+        return None
 
     def expectation(
         self, fn: Callable[[np.ndarray], np.ndarray], breakpoints: Sequence[float] = ()
@@ -411,15 +422,22 @@ class Normal(ScalarDistribution):
         if math.isinf(self._sigma):
             return math.inf
         if self.mean == 0.0:
-            # E|X|^p = sigma^p 2^{p/2} Gamma((p+1)/2) / sqrt(pi)
-            log_val = (
-                order * math.log(self._sigma)
-                + 0.5 * order * math.log(2.0)
-                + gammaln((order + 1.0) / 2.0)
-                - 0.5 * math.log(math.pi)
-            )
-            return math.exp(log_val) if log_val <= _LOG_MAX else math.inf
+            return self._abs_moment_closed_form(order)
         return super().abs_moment(order)
+
+    def _abs_moment_closed_form(self, order: float) -> float:
+        # E|X|^p = sigma^p 2^{p/2} Gamma((p+1)/2) / sqrt(pi) 1F1(-p/2; 1/2; -mean^2/(2 sigma^2)),
+        # and 1F1 is exactly 1 at mean 0 and at least 1 elsewhere
+        log_val = (
+            order * math.log(self._sigma)
+            + 0.5 * order * math.log(2.0)
+            + gammaln((order + 1.0) / 2.0)
+            - 0.5 * math.log(math.pi)
+        )
+        if log_val > _LOG_MAX:
+            return math.inf
+        ratio = self.mean / self._sigma
+        return math.exp(log_val) * float(hyp1f1(-0.5 * order, 0.5, -0.5 * ratio * ratio))
 
     def _partial_moments(self, a: float, b: float, center: float, degree: int) -> List[float]:
         if math.isinf(self._sigma):
@@ -741,6 +759,25 @@ class CenteredExponential(ScalarDistribution):
     def _quad_cut(self) -> Tuple[float, float]:
         # exp tail: e^{-60} ~ 9e-27 keeps moment tails far below tolerance
         return (-self._shift, -self._shift + 60.0 / self.rate)
+
+    def _abs_moment_closed_form(self, order: float) -> Optional[float]:
+        # X = (E - 1) / rate with E ~ Exp(1), and E|E - 1|^p is
+        # e^-1 (sum_k 1/(k! (p + k + 1)) + Gamma(p + 1)): the series is
+        # the integral of t^p e^t over [0, 1], from E below 1, and
+        # Gamma(p + 1) comes from E above 1
+        head, k, inv_fact = 0.0, 0, 1.0
+        while True:
+            term = inv_fact / (order + k + 1.0)
+            # the terms from k >= 1 on sum to at most term (k + 1) / k
+            if k > 0 and term * (k + 1) <= _UNIT_ROUNDOFF * head:
+                break
+            head += term
+            k += 1
+            inv_fact /= k
+        try:
+            return self.rate ** -order * ((head + math.gamma(order + 1.0)) / math.e)
+        except OverflowError:
+            return None
 
     def _partial_moments(self, a: float, b: float, center: float, degree: int) -> List[float]:
         lo = max(a, -self._shift)

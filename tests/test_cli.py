@@ -11,6 +11,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import randsum
@@ -27,6 +28,7 @@ from randsum.cli import (
     _STUDY_FIELDS,
     ConfigError,
     _build_parser,
+    _lindeberg_draws,
     _plan_from_config,
     effective_config,
     main,
@@ -49,10 +51,11 @@ def write_config(tmp_path, doc, name="cfg.json"):
     return str(path)
 
 
-def run_fresh(tmp_path, command, doc, prefixes):
+def run_fresh(tmp_path, command, doc, prefixes, *args):
     """(exit code, loaded modules under ``prefixes``) of one command run in
-    a fresh interpreter, which shows whether anything pulled them in."""
-    cfg = write_config(tmp_path, doc)
+    a fresh interpreter, which shows whether anything pulled them in.
+    ``doc`` None runs the command with no config."""
+    config = [] if doc is None else ["--config", write_config(tmp_path, doc)]
     script = (
         "import json, sys\n"
         "from randsum.cli import main\n"
@@ -65,7 +68,7 @@ def run_fresh(tmp_path, command, doc, prefixes):
     env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", script, ",".join(prefixes),
-         command, "--config", cfg, "--out", str(tmp_path)],
+         command, *config, "--out", str(tmp_path), *args],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -265,6 +268,23 @@ class TestConditionsCommand:
         assert run_fresh(tmp_path, "conditions", doc, ("scipy.stats",)) == [EXIT_OK, []]
         table = (tmp_path / "conditions.csv").read_text()
         assert ",rand_lindeberg," in table
+
+    @pytest.mark.parametrize("array", [
+        {"array": "iid", "base": {"family": "uniform", "low": -1.0, "high": 1.0}},
+        {"array": "rare-jump"},
+        {"array": "shiryaev"},
+    ], ids=["uniform", "rare-jump", "shiryaev"])
+    def test_bundled_rows_import_no_quadrature_or_root_finder(self, tmp_path, array):
+        # Rotar's integral on uniform and atomic rows splits at roots that
+        # the private Brent solver finds; every moment is a closed form
+        doc = {
+            "array": array,
+            "index": {"family": "poisson", "mean": "n"},
+            "grids": {"n": [4, 8], "epsilon": [0.3, 0.5], "delta": [0.5, 1.0]},
+        }
+        got = run_fresh(tmp_path, "conditions", doc, ("scipy.integrate", "scipy.optimize"))
+        assert got == [EXIT_OK, []]
+        assert ",rand_rotar," in (tmp_path / "conditions.csv").read_text()
 
     def test_underflowing_shiryaev_row_names_the_entry(self, tmp_path, capsys):
         # entry (1100, 1) has variance 2^-1099, below the smallest double
@@ -626,6 +646,21 @@ class TestCounterexampleCommand:
             "largest R value 0.000e+00, a priori quadrature bound 3.232e-09"
         )
 
+    def test_imports_no_quadrature_or_root_finder(self, tmp_path):
+        got = run_fresh(tmp_path, "counterexample", None, ("scipy.integrate", "scipy.optimize"),
+                        "--seed", "0")
+        assert got == [EXIT_OK, []]
+
+    @pytest.mark.parametrize("k,draws", [(32, 10_000), (5, 30_000), (4, 7)])
+    def test_blocked_lindeberg_draws_match_one_draw(self, k, draws):
+        sigmas = np.sqrt(np.linspace(0.5, 0.01, k))
+        rng, twin = np.random.default_rng(k), np.random.default_rng(k)
+        got = _lindeberg_draws(rng, sigmas, draws, 0.5)
+        x = twin.standard_normal((draws, k)) * sigmas
+        want = np.sum(np.square(x) * (np.abs(x) >= 0.5), axis=1)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_scenario_config(self, tmp_path, capsys):
         code = main([
             "counterexample", "--config",
@@ -659,17 +694,24 @@ class TestSelfcheckCommand:
         # row 4 of the Shiryaev array, 4 entries at QUAD_ABS_TOL each
         assert rotar["detail"] == "value 0.00e+00, a priori bound 4.04e-10"
 
-    def test_quadrature_left_is_the_two_fractional_moments(self, monkeypatch, capsys):
+    def test_selfcheck_runs_no_quadrature(self, monkeypatch, capsys):
         # abs_moment(2.5) of Normal(0.3, 2) and CenteredExponential(1.5) in
-        # the distribution checks; every other moment is in closed form
+        # the distribution checks are closed forms too
         calls = []
         real = distributions_module._quad
         monkeypatch.setattr(distributions_module, "_quad",
                             lambda *a, **k: calls.append(a) or real(*a, **k))
         code = main(["selfcheck", "--seed", "42"])
-        capsys.readouterr()
+        doc = json.loads(capsys.readouterr().out)
         assert code == EXIT_OK
-        assert len(calls) == 2
+        assert len(calls) == 0
+        (norms,) = [c for c in doc["checks"] if c["name"] == "moment_norm_monotone"]
+        assert norms["passed"] is True and norms["slack"] == 0.0
+
+    def test_imports_no_quadrature_or_root_finder(self, tmp_path):
+        got = run_fresh(tmp_path, "selfcheck", None, ("scipy.integrate", "scipy.optimize"),
+                        "--seed", "42")
+        assert got == [EXIT_OK, []]
 
     def test_out_file(self, tmp_path, capsys):
         code = main(["selfcheck", "--seed", "42", "--out", str(tmp_path)])

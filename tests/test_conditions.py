@@ -196,6 +196,72 @@ def rotar_mpmath(law, eps):
         return float(oracle)
 
 
+def rotar_gap(alpha, beta, sigma):
+    """_rotar_left's F - Phi on one piece."""
+    return lambda x: alpha * x + beta - float(ndtr(x / sigma))
+
+
+class TestBrentq:
+    """The private Brent root finder against scipy.optimize.brentq, bit for bit."""
+
+    @staticmethod
+    def outcome(solver, f, a, b, **kw):
+        try:
+            return solver(f, a, b, **kw)
+        except (ValueError, RuntimeError) as err:
+            return type(err)
+
+    def test_rotar_gap_brackets(self):
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(2022)
+        checked = 0
+        while checked < 10_000:
+            sigma = 10.0 ** rng.uniform(-1.0, 1.0)
+            # slopes above and below the density's peak 1/(sigma sqrt(2 pi))
+            alpha = rng.uniform(0.0, 1.5) / (sigma * math.sqrt(2.0 * math.pi))
+            root = -sigma * rng.uniform(0.0, 6.0)
+            beta = float(ndtr(root / sigma)) - alpha * root
+            gap = rotar_gap(alpha, beta, sigma)
+            u = root - sigma * 10.0 ** rng.uniform(-8.0, 0.5)
+            v = min(root + sigma * 10.0 ** rng.uniform(-8.0, 0.5), 0.0)
+            if not gap(u) * gap(v) < 0.0:
+                continue
+            assert cond._brentq(gap, u, v) == brentq(gap, u, v), (alpha, beta, sigma, u, v)
+            checked += 1
+
+    def test_cubic_brackets(self):
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(7)
+        for _ in range(1_000):
+            c, d = rng.uniform(0.0, 3.0), rng.uniform(-10.0, 10.0)
+            cubic = lambda x: x ** 3 + c * x - d
+            u, v = rng.uniform(-10.0, -3.0), rng.uniform(3.0, 10.0)
+            assert cond._brentq(cubic, u, v) == brentq(cubic, u, v)
+
+    def test_edge_cases_as_scipy(self):
+        from scipy.optimize import brentq
+
+        line = lambda x: x - 1.0
+        gap = rotar_gap(0.1, 0.6, 1.0)
+        hole = lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5
+        cases = [
+            (line, 1.0, 3.0, 1.0),        # root at the left end
+            (line, -1.0, 1.0, 1.0),       # root at the right end
+            (line, 2.0, 3.0, ValueError),  # same signs
+            (lambda x: math.nan, 0.0, 1.0, ValueError),
+            (hole, -1.0, 2.0, ValueError),  # NaN met inside the bracket
+        ]
+        for f, a, b, want in cases:
+            assert self.outcome(cond._brentq, f, a, b) == want
+            assert self.outcome(brentq, f, a, b) == want
+        # maxiter: the same root, or the same RuntimeError, at every budget
+        outcomes = [self.outcome(cond._brentq, gap, -6.0, 0.0, maxiter=m) for m in range(12)]
+        assert outcomes == [self.outcome(brentq, gap, -6.0, 0.0, maxiter=m) for m in range(12)]
+        assert outcomes[0] is RuntimeError and isinstance(outcomes[-1], float)
+
+
 class TestShiryaevRow:
     def test_feller_is_half_everywhere(self):
         for n in (2, 4, 8, 16, 32, 128):

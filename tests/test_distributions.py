@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import gammaln
 from scipy.stats import nbinom, poisson
 
 import randsum.distributions as distributions_module
@@ -365,6 +366,66 @@ class TestPartialMoments:
                 assert law.abs_moment(float(order)) == pytest.approx(float(ref), rel=1e-14)
             ref = tsm_oracle(law, pdf, kinks, 0.5)
             assert law.truncated_second_moment(0.5) == pytest.approx(float(ref), rel=1e-14)
+
+
+class TestFractionalAbsMoments:
+    """E|X|^p at orders with no partial moments, in closed form."""
+
+    ORDERS = (1.5, 2.5, 3.7)
+    # mean / sigma of 0.1, 3 and 30; the exponential at two rates
+    LAWS = [
+        (Normal(0.1, 1.0), normal_density(0.1, 1.0), [0.1]),
+        (Normal(-1.5, 0.25), normal_density(-1.5, 0.25), [-1.5]),
+        (Normal(60.0, 4.0), normal_density(60.0, 4.0), [60.0]),
+        (CenteredExponential(1.5), exponential_density(1.5), [-1.0 / 1.5]),
+        (CenteredExponential(0.2), exponential_density(0.2), [-5.0]),
+    ]
+
+    @staticmethod
+    def oracle(law, pdf, kinks, order):
+        # 40 digits, split at 0, at the kinks and, for the normals, 40
+        # standard deviations out, past which the tails are negligible
+        with mpmath.workdps(40):
+            reach = [law.mean - 40.0 * law.std, law.mean + 40.0 * law.std]
+            cuts = sorted({0.0, *kinks, *(reach if isinstance(law, Normal) else ())})
+            cuts = [mpmath.mpf(x) for x in cuts]
+            if isinstance(law, CenteredExponential):
+                cuts.append(mpmath.inf)
+            p = mpmath.mpf(order)
+            return mpmath.quad(lambda x: abs(x) ** p * pdf(x), cuts)
+
+    @pytest.mark.parametrize("law, pdf, kinks", LAWS, ids=[repr(law) for law, _, _ in LAWS])
+    def test_against_mpmath_without_quadrature(self, monkeypatch, law, pdf, kinks):
+        monkeypatch.setattr(distributions_module, "_quad", None)
+        for order in self.ORDERS:
+            ref = self.oracle(law, pdf, kinks, order)
+            got = law.abs_moment(order)
+            assert abs(got - float(ref)) <= 1e-13 * float(ref), order
+
+    @pytest.mark.parametrize("law", [law for law, _, _ in LAWS], ids=repr)
+    def test_integer_orders_read_partial_moments(self, law):
+        for p in (1, 2, 3):
+            left = law.partial_moments(-math.inf, 0.0, 0.0, p)
+            right = law.partial_moments(0.0, math.inf, 0.0, p)
+            assert law.abs_moment(float(p)) == right[p] + (-1) ** p * left[p]
+
+    @pytest.mark.parametrize("var", [0.25, 2.0, 1e-6])
+    def test_centered_normal_keeps_its_closed_form(self, var):
+        # the Kummer factor is exactly 1 at mean 0, so every order keeps
+        # the bits of sigma^p 2^(p/2) Gamma((p+1)/2) / sqrt(pi)
+        law = Normal(0.0, var)
+        for order in (1.0, 1.5, 2.0, 2.5, 3.0, 3.7, 10.0):
+            log_val = (order * math.log(math.sqrt(var)) + 0.5 * order * math.log(2.0)
+                       + float(gammaln((order + 1.0) / 2.0)) - 0.5 * math.log(math.pi))
+            assert law.abs_moment(order) == math.exp(log_val)
+
+    def test_laws_without_a_closed_form_keep_quadrature(self):
+        law = Shifted(CenteredExponential(1.0), 0.4)
+        pdf, kinks = exponential_density(1.0, 1.0, 0.4), [-0.6]
+        with mpmath.workdps(20):
+            ref = mpmath.quad(lambda x: abs(x) ** mpmath.mpf(2.5) * pdf(x),
+                              [mpmath.mpf(-0.6), 0, mpmath.inf])
+        assert law.abs_moment(2.5) == pytest.approx(float(ref), abs=1e-9)
 
 
 class TestTransforms:
