@@ -210,10 +210,6 @@ class TriangularArray:
             return None
         return np.repeat([law.variance for law, _ in runs], [size for _, size in runs])
 
-    def prefix_variance(self, n: int, k: Optional[int] = None) -> float:
-        """sum_{j<=k} var(n, j); defaults to the full row k = k_n."""
-        return run_sum([(law.variance, size) for law, size in self.prefix_runs(n, k)])
-
     def validate(self, n: int) -> RowValidation:
         """Check row n for zero entry means and unit variance sum."""
         k = self.row_length(n)

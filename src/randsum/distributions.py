@@ -91,6 +91,11 @@ def _norm_pdf(z: ArrayLike) -> ArrayLike:
     return np.exp(-0.5 * np.square(z)) / _SQRT_2PI
 
 
+def _exp_or_inf(log_value: float) -> float:
+    """exp(log_value), inf past float range."""
+    return math.exp(log_value) if log_value <= _LOG_MAX else math.inf
+
+
 def _normal_partial_moments(
     mean: ArrayLike, sigma: float, a: float, b: float, center: float, degree: int
 ) -> List[ArrayLike]:
@@ -285,15 +290,15 @@ class ScalarDistribution:
             right = self.partial_moments(0.0, math.inf, 0.0, p)
             return right[p] + (-1) ** p * left[p]
         closed = self._abs_moment_closed_form(order)
-        if closed is not None and math.isfinite(closed):
+        if closed is not None:
             return closed
         lo, hi = self._quad_cut()
         v, _ = _quad(lambda x: abs(x) ** order * self.pdf(x), lo, hi, points=[0.0])
         return v
 
     def _abs_moment_closed_form(self, order: float) -> Optional[float]:
-        """E|X|^order in closed form, or None where the family has none;
-        a value past float range also falls back to quadrature."""
+        """E|X|^order in closed form, inf past float range, or None where
+        the family has none."""
         return None
 
     def expectation(
@@ -425,7 +430,7 @@ class Normal(ScalarDistribution):
             return self._abs_moment_closed_form(order)
         return super().abs_moment(order)
 
-    def _abs_moment_closed_form(self, order: float) -> float:
+    def _abs_moment_closed_form(self, order: float) -> Optional[float]:
         # E|X|^p = sigma^p 2^{p/2} Gamma((p+1)/2) / sqrt(pi) 1F1(-p/2; 1/2; -mean^2/(2 sigma^2)),
         # and 1F1 is exactly 1 at mean 0 and at least 1 elsewhere
         log_val = (
@@ -437,7 +442,32 @@ class Normal(ScalarDistribution):
         if log_val > _LOG_MAX:
             return math.inf
         ratio = self.mean / self._sigma
-        return math.exp(log_val) * float(hyp1f1(-0.5 * order, 0.5, -0.5 * ratio * ratio))
+        kummer = float(hyp1f1(-0.5 * order, 0.5, -0.5 * ratio * ratio))
+        if math.isfinite(kummer):
+            value = math.exp(log_val) * kummer
+            if 0.0 < value < math.inf:
+                return value
+            # the product left float range, or sigma^p underflowed
+            return _exp_or_inf(log_val + math.log(kummer))
+        # 1F1 overflowed, so t = sigma / |mean| is tiny: E|X|^p = |mean|^p
+        # E(1 + tZ)^p up to the mass where 1 + tZ < 0, below e^(-1/(2 t^2)),
+        # and E(1 + tZ)^p = sum_k C(p, 2k) (2k - 1)!! t^(2k), whose terms
+        # shrink by (p - 2k)(p - 2k - 1) t^2 / (2k + 2) <= p^2 t^2 / 2 while
+        # 2k < p.  Where that ratio is not small the series is no help.
+        t2 = (self._sigma / self.mean) ** 2
+        if order * order * t2 > 0.5:
+            return None
+        series, term, k = 1.0, 1.0, 0
+        while True:
+            term *= (order - 2 * k) * (order - 2 * k - 1) * t2 / (2 * k + 2)
+            if abs(term) <= _UNIT_ROUNDOFF * series:
+                break
+            series += term
+            k += 1
+        try:
+            return abs(self.mean) ** order * series
+        except OverflowError:
+            return math.inf
 
     def _partial_moments(self, a: float, b: float, center: float, degree: int) -> List[float]:
         if math.isinf(self._sigma):
@@ -775,9 +805,16 @@ class CenteredExponential(ScalarDistribution):
             k += 1
             inv_fact /= k
         try:
-            return self.rate ** -order * ((head + math.gamma(order + 1.0)) / math.e)
+            value = self.rate ** -order * ((head + math.gamma(order + 1.0)) / math.e)
         except OverflowError:
-            return None
+            value = math.inf
+        if 0.0 < value < math.inf:
+            return value
+        # a factor left float range: log(head + Gamma(p + 1)) - p log(rate) - 1
+        log_gamma = math.lgamma(order + 1.0)
+        return _exp_or_inf(
+            log_gamma + math.log1p(head * math.exp(-log_gamma)) - order * math.log(self.rate) - 1.0
+        )
 
     def _partial_moments(self, a: float, b: float, center: float, degree: int) -> List[float]:
         lo = max(a, -self._shift)

@@ -11,8 +11,10 @@ index draws one uniform per variate and inverts its CDF at the cut
 points numpy's ``Generator.choice`` builds, so it consumes the stream
 as ``choice`` did and returns the same values.  ``rows`` mode draws the
 rows in ascending k, each for its draws in position order.
-``metrics.delta_randomsum`` on a row with no exact sum law is
-``empirical_delta``, so its draws follow the same contract.
+The per-k draws of ``metrics.delta_mixture`` on a row with no exact sum
+law come from ``_columnwise_row_sums``, and ``metrics.delta_randomsum``
+on such a row is ``empirical_delta``, so every draw the package makes
+follows the same contract.
 
 Streams: substreams are derived from the master seed with
 ``numpy.random.SeedSequence.spawn``; each concurrent task owns its
@@ -144,13 +146,17 @@ def _normal_row_sums(sigmas: np.ndarray, ks: np.ndarray, rng: np.random.Generato
 def _columnwise_row_sums(
     runs: List[Tuple[ScalarDistribution, int]], ks: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """General fallback: draw column j for every sum still needing it."""
-    out = np.zeros(ks.size)
+    """General fallback: draw column j for every sum still needing it.  The
+    sums are kept in ascending length (stable), so those are a tail
+    ``acc[start:]``; they go back to ``ks`` order once, at the end."""
     order = np.argsort(ks, kind="stable")
     sorted_ks = ks[order]
+    acc = np.zeros(ks.size)
     for j, law in enumerate(expand(runs), start=1):
-        active = order[int(np.searchsorted(sorted_ks, j, side="left")):]
-        out[active] += np.asarray(law.sample(rng, active.size), dtype=float)
+        start = int(np.searchsorted(sorted_ks, j, side="left"))
+        acc[start:] += np.asarray(law.sample(rng, ks.size - start), dtype=float)
+    out = np.empty(ks.size)
+    out[order] = acc
     return out
 
 
@@ -295,7 +301,7 @@ class StudyPlan:
     samples: int = 100_000
     alpha: float = 0.01
     seed: int = 0
-    eta: float = 1e-10
+    eta: float = _conditions.DEFAULT_ETA
     mode: str = "prefix"
     functionals: Tuple[str, ...] = ()
     distances: Tuple[str, ...] = ("empirical_delta",)

@@ -22,8 +22,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import ndtr
 
-from .arrays import TriangularArray, expand
-from .conditions import IMPLICATION_SLACK, UNIT_ROUNDOFF, InequalityCheck, rounding_gamma
+from .arrays import TriangularArray, expand, take
+from .conditions import (
+    DEFAULT_ETA, IMPLICATION_SLACK, UNIT_ROUNDOFF, InequalityCheck, rounding_gamma
+)
 from .distributions import (
     Normal,
     RandomIndex,
@@ -617,11 +619,12 @@ def kolmogorov(f_law: ScalarDistribution, g_law: ScalarDistribution) -> Distance
     is exact, method ``exact-atomic`` with bound 0: that law's CDF is
     constant on each open gap between consecutive atoms and on each tail,
     the other CDF is monotone there, so the gap is largest at the one-sided
-    limits, which ``cdf`` and ``prob_le`` at the atoms give exactly.
-    ``params["grid"]`` is the number of atoms evaluated.  An atomic
-    ``SumLaw`` first law with strictly increasing atoms, as every fold
-    leaves them, reads its limits off its own cumulative masses, with no
-    search (``_atom_gaps``).
+    limits.  Those limits are read off the law's own atoms, stably sorted:
+    at each distinct atom the cumulative mass before its run of equal
+    atoms and at the run's end, the numbers ``cdf`` and ``prob_le`` give
+    there for every atomic law that steps at the atoms it reports.  The
+    other law is evaluated once at the distinct atoms (``_atom_gaps``), so
+    no search runs.  ``params["grid"]`` is the number of atoms.
 
     When both laws are normal (``normal_params()`` is not None for both)
     the supremum is taken where the two densities cross, method
@@ -636,17 +639,16 @@ def kolmogorov(f_law: ScalarDistribution, g_law: ScalarDistribution) -> Distance
     probability masses across the cell, and the grid ends leave at most
     the remaining tail masses.
     """
-    if isinstance(f_law, SumLaw) and f_law.is_atomic:
-        values, cum = f_law._values, f_law._cum
-        if (values[1:] > values[:-1]).all():
-            value = float(np.max(_atom_gaps(values, cum[:-1], cum[1:], g_law)))
-            return DistanceEstimate(value, 0.0, "exact-atomic", {"grid": float(values.size)})
-    for law in (f_law, g_law):
+    for law, other in ((f_law, g_law), (g_law, f_law)):
         at = law.atoms()
         if at is not None:
-            atoms = at[0]
-            value = float(np.max(_gaps(f_law, g_law, atoms)))
-            return DistanceEstimate(value, 0.0, "exact-atomic", {"grid": float(atoms.size)})
+            order = np.argsort(at[0], kind="stable")
+            values, cum = at[0][order], np.concatenate(([0.0], np.cumsum(at[1][order])))
+            # each run of equal atoms starts at `starts` and ends before `ends`
+            starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+            ends = np.append(starts[1:], values.size)
+            value = float(np.max(_atom_gaps(values[starts], cum[starts], cum[ends], other)))
+            return DistanceEstimate(value, 0.0, "exact-atomic", {"grid": float(values.size)})
     f_params, g_params = f_law.normal_params(), g_law.normal_params()
     if f_params is not None and g_params is not None:
         est = _normal_kolmogorov(*f_params, *g_params)
@@ -754,26 +756,6 @@ def _per_k_sums(
             yield from [None] * (len(lengths) - made)
 
 
-def _per_k_laws(
-    array: TriangularArray, ks: np.ndarray, n: int, mode: str
-) -> List[Optional[SumLaw]]:
-    """Exact partial-sum laws where available, None where not."""
-    return [None if state is None else SumLaw(*state) for state in _per_k_sums(array, ks, n, mode)]
-
-
-def _empirical_prefix(
-    array: TriangularArray,
-    row: int,
-    k: int,
-    rng: np.random.Generator,
-    m: int,
-) -> np.ndarray:
-    total = np.zeros(m)
-    for law in expand(array.prefix_runs(row, k)):
-        total += law.sample(rng, m)
-    return total
-
-
 _Term = Tuple[float, float, float, bool]
 
 
@@ -814,7 +796,8 @@ def _per_k_distances(
     MIXTURE_BLOCK_POINTS atoms and before any other k, so the terms keep
     their order and no more than a block of laws is held.  Other exact
     laws go through ``kolmogorov``, and rows with no exact law through
-    Monte Carlo.
+    Monte Carlo: ``samples_per_k`` sums drawn by the engine's column by
+    column sampler, under its sampling contract.
     """
     streams = isinstance(target, Normal)
     block: List[Tuple[float, np.ndarray, np.ndarray]] = []
@@ -844,8 +827,12 @@ def _per_k_distances(
                 raise ConvolutionError(
                     "row has no exact sum law; pass rng= for the Monte Carlo path"
                 )
-            draws = _empirical_prefix(
-                array, *_prefix_of(array, n, int(k), mode), rng, samples_per_k
+            # engine imports this module, so its sampler is imported on first use
+            from .engine import _columnwise_row_sums
+
+            row, length = _prefix_of(array, n, int(k), mode)
+            draws = _columnwise_row_sums(
+                take(array.runs(row), length), np.full(samples_per_k, length), rng
             )
             est = empirical_kolmogorov(draws, target, alpha)
         yield w, est.value, est.bound, law is None
@@ -857,7 +844,7 @@ def delta_mixture(
     array: TriangularArray,
     index: RandomIndex,
     n: int,
-    eta: float = 1e-10,
+    eta: float = DEFAULT_ETA,
     *,
     mode: str = "prefix",
     rng: Optional[np.random.Generator] = None,
@@ -911,7 +898,7 @@ def delta_randomsum(
     array: TriangularArray,
     index: RandomIndex,
     n: int,
-    eta: float = 1e-10,
+    eta: float = DEFAULT_ETA,
     *,
     mode: str = "prefix",
     rng: Optional[np.random.Generator] = None,
@@ -934,7 +921,7 @@ def delta_randomsum(
     trunc_k = index.truncation(eta)
     ks = np.arange(1, trunc_k + 1)
     pmf = np.asarray(index.pmf(ks), dtype=float)
-    laws = _per_k_laws(array, ks, n, mode)
+    laws = [None if state is None else SumLaw(*state) for state in _per_k_sums(array, ks, n, mode)]
 
     if all(law is not None for law in laws):
         total = float(np.sum(pmf))

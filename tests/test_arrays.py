@@ -80,7 +80,7 @@ class TestShiryaevArray:
         arr = make_shiryaev_array()
         vs = [arr.entry(4, j).variance for j in range(1, 5)]
         assert vs == [0.125, 0.125, 0.25, 0.5]
-        assert arr.prefix_variance(4) == 1.0
+        assert arr.validate(4).var_sum == 1.0
 
     def test_top_entry_always_half(self):
         arr = make_shiryaev_array()

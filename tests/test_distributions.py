@@ -1,6 +1,7 @@
 """Distribution primitives against independent quadrature and enumeration."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -418,6 +419,48 @@ class TestFractionalAbsMoments:
             log_val = (order * math.log(math.sqrt(var)) + 0.5 * order * math.log(2.0)
                        + float(gammaln((order + 1.0) / 2.0)) - 0.5 * math.log(math.pi))
             assert law.abs_moment(order) == math.exp(log_val)
+
+    @staticmethod
+    def closed_form_oracle(law, order):
+        """E|X|^order to 40 digits, from the closed forms rather than the
+        density: the Kummer form for normals, and for the centered
+        exponential rate^-p e^-1 (integral of t^p e^t over [0, 1] + Gamma(p + 1))."""
+        with mpmath.workdps(40):
+            p = mpmath.mpf(order)
+            if isinstance(law, Normal):
+                mean, var = mpmath.mpf(law.mean), mpmath.mpf(law.variance)
+                return (mpmath.sqrt(var) ** p * 2 ** (p / 2) * mpmath.gamma((p + 1) / 2)
+                        / mpmath.sqrt(mpmath.pi)
+                        * mpmath.hyp1f1(-p / 2, mpmath.mpf(0.5), -mean ** 2 / (2 * var)))
+            head = mpmath.quad(lambda t: t ** p * mpmath.exp(t), [0, 1])
+            return mpmath.mpf(law.rate) ** -p * (head + mpmath.gamma(p + 1)) / mpmath.e
+
+    @pytest.mark.parametrize(
+        "law, order",
+        [
+            # 1F1 overflows: |mean| / sigma is 1e110, and 8,000 at order 100.5
+            (Normal(1.0, 1e-220), 2.5),
+            (Normal(1.0, 1.0 / 8000.0 ** 2), 100.5),
+            # sigma^p underflows while the value is 1e-125
+            (Normal(1e-50, 1e-270), 2.5),
+            # Gamma(p + 1), and rate^-p, leave float range
+            (CenteredExponential(1.0), 171.5),
+            (CenteredExponential(1e-5), 200.5),
+            (CenteredExponential(2.0), 150.5),
+        ],
+        ids=repr,
+    )
+    def test_edges_of_float_range_against_mpmath(self, monkeypatch, law, order):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("abs_moment ran quadrature")
+
+        monkeypatch.setattr(distributions_module, "_quad", no_quadrature)
+        ref = self.closed_form_oracle(law, order)
+        got = law.abs_moment(order)
+        if ref > sys.float_info.max:
+            assert got == math.inf
+        else:
+            assert abs(got - float(ref)) <= 1e-13 * float(ref)
 
     def test_laws_without_a_closed_form_keep_quadrature(self):
         law = Shifted(CenteredExponential(1.0), 0.4)

@@ -7,12 +7,15 @@ import pytest
 
 import randsum.engine as engine_module
 from randsum.arrays import (
+    SeriesForm,
     TriangularArray,
+    expand,
     from_series,
     make_iid_array,
     make_rare_jump_array,
     make_shiryaev_array,
     shiryaev_series,
+    take,
 )
 from randsum.distributions import (
     CenteredExponential,
@@ -30,6 +33,7 @@ from randsum.engine import (
     DISTANCES,
     StudyPlan,
     _chunk_boundaries,
+    _columnwise_row_sums,
     _evaluate_check,
     _normal_row_sums,
     _prefix_sums,
@@ -160,6 +164,22 @@ class TestSampling:
             from_series(shiryaev_series()), idx, 256, np.random.default_rng(4), 2000, mode="rows"
         )
         assert 0 < len(built) <= 2 * idx.truncation(1e-10)
+
+    def test_ragged_columns_equal_the_fancy_index_form(self):
+        # a ramp row (entry j uniform on [0, j]) read to geometric lengths:
+        # column j goes to every sum of length >= j, in ascending length
+        ramp = from_series(SeriesForm(lambda j: Uniform(0.0, float(j)), label="ramp"))
+        ks = np.asarray(Geometric.from_mean(6.0).sample(np.random.default_rng(1), 3000),
+                        dtype=np.int64)
+        runs = take(ramp.runs(6), int(ks.max()))
+        got = _columnwise_row_sums(runs, ks, np.random.default_rng(2))
+        rng = np.random.default_rng(2)
+        want = np.zeros(ks.size)
+        order = np.argsort(ks, kind="stable")
+        for j, law in enumerate(expand(runs), start=1):
+            active = order[int(np.searchsorted(ks[order], j)):]
+            want[active] += law.sample(rng, active.size)
+        assert got.tobytes() == want.tobytes()
 
     @staticmethod
     def rows_one_pass_per_k(array, index, n, rng, size):

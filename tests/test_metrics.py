@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import ndtr
-from scipy.stats import norm
+from scipy.stats import binom, norm
 
 import randsum.distributions as distributions_module
 import randsum.metrics as metrics_module
@@ -285,13 +285,26 @@ class TestKolmogorovAtomPath:
                              ids=["normal", "narrow-normal", "atomic"])
     def test_repeated_atoms_give_the_searched_gaps_bit_for_bit(self, other):
         # equal atoms side by side: the cumulative masses inside the run are
-        # not one-sided limits, so the searching path must answer
+        # not one-sided limits, so the limits are read at the run's ends
         law = SumLaw([0.0, -0.0, 0.0, 1.0 / 3.0, 1.0 / 3.0, 2.0],
                      [0.1, 0.2, 0.3, 0.15, 0.05, 0.2])
         searched = float(np.max(metrics_module._gaps(law, other, law.atoms()[0])))
         est = kolmogorov(law, other)
         assert est.value.hex() == searched.hex()
         assert est.params["grid"] == 6.0
+
+    def test_atomic_mixture_against_brute_force_limits(self):
+        # delta_randomsum's law: rare-jump per-k laws under a geometric
+        # index.  The brute force adds the weighted component CDFs; the
+        # exact path sums the merged masses, so they agree up to rounding
+        ks = np.arange(1, 41)
+        pmf = Geometric.from_mean(8.0).pmf(ks)
+        mix = MixtureLaw([row_sum_law(RARE, 8, int(k)) for k in ks], pmf / pmf.sum())
+        values, _ = mix.atoms()
+        expected = brute_force_ks(mix.prob_le, ndtr, (values,))
+        for est in (kolmogorov(mix, PHI), kolmogorov(PHI, mix)):
+            assert (est.method, est.bound, est.params["grid"]) == ("exact-atomic", 0.0, values.size)
+            assert abs(est.value - expected) <= 1e-15
 
 
 class TestEmpiricalKolmogorov:
@@ -777,6 +790,60 @@ class TestMixtureDistances:
         est = delta_mixture(RARE, Geometric(1.0 / n), n, 1e-10)
         assert (est.value, est.bound) == (value, bound)
 
+    @staticmethod
+    def rare_jump_random_sum_ks(n):
+        """sup_x |P(S_nu <= x) - Phi(x)| on rare-jump row n with nu geometric
+        of mean n, from the exact lattice law of the random sum.
+
+        Each entry is ((n + 1) B - 1) / n with B Bernoulli(1 / (n + 1)), so
+        n S_nu = (n + 1) J - nu with J binomial(nu, 1 / (n + 1)) given nu.
+        P(nu = k) = (1 - q)^(k - 1) q with q = 1 / n, summed until the tail
+        (1 - q)^top is below 1e-18.
+        """
+        q = 1.0 / n
+        top = math.ceil(math.log(1e-18) / math.log1p(-q))
+        offset = top
+        pmf = np.zeros((n + 2) * top)
+        for k in range(1, top + 1):
+            j = np.arange(k + 1)
+            np.add.at(pmf, (n + 1) * j - k + offset,
+                      q * (1.0 - q) ** (k - 1) * binom.pmf(j, k, 1.0 / (n + 1)))
+        where = np.flatnonzero(pmf)
+        through = np.cumsum(pmf)[where]
+        below = through - pmf[where]
+        phi = ndtr((where - offset) / n)
+        return float(max(np.max(np.abs(below - phi)), np.max(np.abs(through - phi))))
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_randomsum_against_the_exact_lattice_law(self, n):
+        est = delta_randomsum(RARE, Geometric.from_mean(float(n)), n)
+        assert est.method == "mixture"
+        assert abs(est.value - self.rare_jump_random_sum_ks(n)) <= est.bound
+
+    @pytest.mark.parametrize("mode", ["prefix", "rows"])
+    def test_sampled_per_k_values_equal_a_position_loop(self, mode, monkeypatch):
+        # uniform rows have no exact law: each k with weight draws its sums
+        # position by position, m variates per position, from one stream
+        uni = make_iid_array(Uniform(-1.0, 1.0))
+        index, m = ShiftedPoisson(4.0), 500
+        sampled = []
+        statistic = metrics_module.empirical_kolmogorov
+        monkeypatch.setattr(metrics_module, "empirical_kolmogorov",
+                            lambda draws, *a: sampled.append(draws) or statistic(draws, *a))
+        delta_mixture(uni, index, 4, mode=mode, rng=np.random.default_rng(8), samples_per_k=m)
+        rng = np.random.default_rng(8)
+        ks = np.arange(1, index.truncation(1e-10) + 1)
+        want = []
+        for k in ks[index.pmf(ks) > 0]:
+            row = 4 if mode == "prefix" else int(k)
+            length = int(k) if mode == "prefix" else uni.row_length(row)
+            total = np.zeros(m)
+            for j in range(1, length + 1):
+                total += uni.entry(row, j).sample(rng, m)
+            want.append(total)
+        assert len(sampled) == len(want)
+        assert all(got.tobytes() == ref.tobytes() for got, ref in zip(sampled, want))
+
     def test_one_law_rows_build_no_entry(self, monkeypatch):
         built = []
         entry = TriangularArray.entry
@@ -817,7 +884,7 @@ class TestMixtureDistances:
             assert row_sum_law(array, n, k).descriptor() == folded.descriptor()
         idx = ShiftedPoisson(12.0)
         lengths = np.arange(1, idx.truncation(1e-10) + 1)
-        laws = metrics_module._per_k_laws(array, lengths, 12, "prefix")
+        laws = [SumLaw(*state) for state in metrics_module._per_k_sums(array, lengths, 12, "prefix")]
         folded = metrics_module._partial_sum_laws(
             (array.entry(12, j) for j in lengths), lengths
         )

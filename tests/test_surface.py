@@ -196,3 +196,34 @@ def test_every_private_definition_is_read_in_the_package(path):
         if not any(name in set(name_reads(tree, node)) for tree in PACKAGE.values())
     ]
     assert unread == []
+
+
+# the modules that draw: the laws themselves, and the engine's samplers,
+# which hold the sampling contract (see the engine's module docstring)
+DRAWING_MODULES = {"distributions.py", "engine.py"}
+
+
+def sample_calls(tree: ast.Module) -> list:
+    """Line of every call of a ``.sample`` attribute."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "sample"
+    )
+
+
+def test_sample_call_check_sees_every_call_form():
+    tree = ast.parse(
+        "law.sample(rng, 4)\n"
+        "total += self.base.sample(rng, size=size)\n"
+        "sample(rng)\n"
+        "draw = law.sample\n"
+    )
+    assert sample_calls(tree) == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE) if p.name not in DRAWING_MODULES], ids=lambda p: p.name
+)
+def test_only_the_laws_and_the_engine_draw(path):
+    assert sample_calls(PACKAGE[path]) == []
