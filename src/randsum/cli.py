@@ -31,6 +31,7 @@ from . import metrics as _metrics
 from .distributions import (
     DISTRIBUTION_FAMILIES,
     INDEX_FAMILIES,
+    DistributionError,
     Normal,
     index_from_config,
 )
@@ -124,6 +125,25 @@ def _validate_array(cfg, path: str) -> dict:
     if rows not in ("n", "2n"):
         raise ConfigError(f'{path}.rows: expected "n" or "2n"')
     cfg["rows"] = rows
+    return cfg
+
+
+def _validate_index(cfg, path: str, n_grid: Sequence[int]) -> dict:
+    """An index config whose integer fields hold integers or "n", built at
+    every n of the grid, as the run builds it."""
+    cfg = _validate_entry(cfg, path, INDEX_FAMILIES, "family", "index family")
+    # the builders read these with int(), which would run 2.5 as 2 and true as 1
+    fields = {"k": cfg["k"]} if "k" in cfg else {}
+    if isinstance(cfg.get("values"), list):
+        fields.update((f"values[{i}]", v) for i, v in enumerate(cfg["values"]))
+    for name, value in fields.items():
+        if value != "n" and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(f'{path}.{name}: expected an integer or "n"')
+    for n in n_grid:
+        try:
+            _check_value_types(lambda c: index_from_config(c, n), cfg, path)
+        except DistributionError as exc:
+            raise ConfigError(f"{path}: {exc} at n = {n}") from None
     return cfg
 
 
@@ -287,18 +307,13 @@ def effective_config(raw: dict, command: str) -> dict:
     }
     index_raw = raw.get("index", defaults["index"])
     cfg["index"] = (
-        _validate_entry(
-            copy.deepcopy(index_raw), "$.index", INDEX_FAMILIES, "family", "index family"
-        )
+        _validate_index(copy.deepcopy(index_raw), "$.index", cfg["grids"]["n"])
         if index_raw
         else None
     )
 
     # the checks above read key names; one build reads the values' types
     _check_value_types(_arrays.array_from_config, cfg["array"], "$.array")
-    if cfg["index"]:
-        n_first = cfg["grids"]["n"][0]
-        _check_value_types(lambda c: index_from_config(c, n_first), cfg["index"], "$.index")
 
     if command == "distances" and cfg["index"] is None:
         raise ConfigError("$.index: required for the distances task")

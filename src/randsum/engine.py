@@ -11,10 +11,7 @@ index draws one uniform per variate and inverts its CDF at the cut
 points numpy's ``Generator.choice`` builds, so it consumes the stream
 as ``choice`` did and returns the same values.  ``rows`` mode draws the
 rows in ascending k, each for its draws in position order.
-The per-k draws of ``metrics.delta_mixture`` on a row with no exact sum
-law come from ``_columnwise_row_sums``, and ``metrics.delta_randomsum``
-on such a row is ``empirical_delta``, so every draw the package makes
-follows the same contract.
+``metrics`` draws nothing: every sampled distance is ``empirical_delta``'s.
 
 Streams: substreams are derived from the master seed with
 ``numpy.random.SeedSequence.spawn``; each concurrent task owns its
@@ -241,7 +238,8 @@ def empirical_delta(
 
 
 # Each distance to the standard normal at grid point n, called as
-# fn(array, index, n, rng, samples, alpha, eta, mode); the study and the
+# fn(array, index, n, rng, samples, alpha, eta, mode), of which only
+# empirical_delta reads rng, samples and alpha; the study and the
 # distances command both read this table.  The functions are looked up
 # when called, so a wrapper set on the module sees every call.
 DISTANCES = {
@@ -250,15 +248,10 @@ DISTANCES = {
         _metrics.kolmogorov(_metrics.row_sum_law(array, n), Normal(0.0, 1.0)),
     "empirical_delta": lambda array, index, n, rng, samples, alpha, eta, mode:
         empirical_delta(array, index, n, rng, samples, alpha, mode=mode),
-    # a row with no exact sum law falls back to Monte Carlo: samples draws
-    # per index value k for the mixture, and empirical_delta's samples
-    # random sums for the random sum
     "delta_mixture": lambda array, index, n, rng, samples, alpha, eta, mode:
-        _metrics.delta_mixture(array, index, n, eta, mode=mode, rng=rng,
-                               samples_per_k=samples, alpha=alpha),
+        _metrics.delta_mixture(array, index, n, eta, mode=mode),
     "delta_randomsum": lambda array, index, n, rng, samples, alpha, eta, mode:
-        _metrics.delta_randomsum(array, index, n, eta, mode=mode, rng=rng,
-                                 samples=samples, alpha=alpha),
+        _metrics.delta_randomsum(array, index, n, eta, mode=mode),
 }
 
 

@@ -8,21 +8,21 @@ lower bound sandwiching the iterated-integral upper evaluation.
 Sum laws of independent entries are represented exactly when every entry
 is normal or purely atomic: the atomic parts convolve into one finite
 atom list and the normal parts merge into a single Gaussian component.
-Everything else falls back to Monte Carlo with a
-Dvoretzky-Kiefer-Wolfowitz error bound.
+Any other sum law raises ``ConvolutionError``: ``engine.empirical_delta``
+samples such random sums, with a Dvoretzky-Kiefer-Wolfowitz bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby, islice
+from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
 
-from .arrays import TriangularArray, expand, take
+from .arrays import TriangularArray, expand
 from .conditions import (
     DEFAULT_ETA, IMPLICATION_SLACK, UNIT_ROUNDOFF, InequalityCheck, rounding_gamma
 )
@@ -405,7 +405,7 @@ def _extend_sum(
     if at is None:
         raise ConvolutionError(
             f"entry {dist!r} is neither normal nor atomic; "
-            "use the Monte Carlo path instead"
+            "its sampled distance is empirical_delta"
         )
     av, ap = at
     if values.size * av.size > ATOM_BUDGET:
@@ -722,41 +722,28 @@ def empirical_kolmogorov(
 # ---------------------------------------------------------------------------
 
 
-def _prefix_of(array: TriangularArray, n: int, k: int, mode: str) -> Tuple[int, int]:
-    """(row, length) of the partial sum that index value k selects:
-    positions 1..k of row n in prefix mode, all of row k in rows mode."""
-    return (n, k) if mode == "prefix" else (k, array.row_length(k))
-
-
 def _per_k_sums(
     array: TriangularArray,
     ks: np.ndarray,
     n: int,
     mode: str,
-) -> Iterator[Optional[_FoldState]]:
-    """Convolution states of the partial sums where exact, None where not,
-    one per k and produced as read.
+) -> Iterator[_FoldState]:
+    """Convolution states of the partial sums, one per k and produced as
+    read: prefix mode takes positions 1..k of row n, in one pass over the
+    row for all k, and rows mode takes all of row k.
 
-    Index values that read the same row share one pass over it: prefix
-    mode reads row n once for all of them, while rows mode reads each
-    complete row.  A row of centered normals is one variance vector, so
-    its laws take a cumulative sum and no fold; other rows run one
-    convolution, and past an entry that cannot be folded in a row has no
-    exact law.
+    A row of centered normals is one variance vector, so its laws take a
+    cumulative sum and no fold; other rows run one convolution, which
+    raises ``ConvolutionError`` at an entry it cannot fold in.
     """
-    prefixes = (_prefix_of(array, n, int(k), mode) for k in ks)
-    for row, group in groupby(prefixes, key=lambda prefix: prefix[0]):
-        lengths = [length for _, length in group]
-        made = 0
-        try:
-            for state in _row_sums(array, row, lengths):
-                made += 1
-                yield state
-        except ConvolutionError:
-            yield from [None] * (len(lengths) - made)
+    if mode == "prefix":
+        yield from _row_sums(array, n, ks)
+    else:
+        for k in ks.tolist():
+            yield from _row_sums(array, k, (array.row_length(k),))
 
 
-_Term = Tuple[float, float, float, bool]
+_Term = Tuple[float, float, float]
 
 
 def _settle(block: List[Tuple[float, np.ndarray, np.ndarray]], target: Normal) -> List[_Term]:
@@ -772,7 +759,7 @@ def _settle(block: List[Tuple[float, np.ndarray, np.ndarray]], target: Normal) -
     below[1:] = through_all[:-1]
     below[starts] = 0.0
     gaps = _atom_gaps(np.concatenate(atoms), below, through_all, target)
-    return [(w, d, 0.0, False) for w, d in zip(weights, np.maximum.reduceat(gaps, starts))]
+    return [(w, d, 0.0) for w, d in zip(weights, np.maximum.reduceat(gaps, starts))]
 
 
 def _per_k_distances(
@@ -782,28 +769,23 @@ def _per_k_distances(
     n: int,
     mode: str,
     target: ScalarDistribution,
-    rng: Optional[np.random.Generator],
-    samples_per_k: int,
-    alpha: float,
 ) -> Iterator[_Term]:
-    """(P(nu = k), Delta_k, its bound, whether it was sampled) for each k
-    of positive weight, in k order.
+    """(P(nu = k), Delta_k, its bound) for each k of positive weight, in k
+    order.
 
     A purely atomic fold state holds strictly increasing atoms, as
     ``_extend_sum`` leaves them, so against a normal target its distance
     is ``kolmogorov``'s exact-atomic value read off the state itself, with
     no ``SumLaw``.  Such laws wait in a block, settled once it holds
     MIXTURE_BLOCK_POINTS atoms and before any other k, so the terms keep
-    their order and no more than a block of laws is held.  Other exact
-    laws go through ``kolmogorov``, and rows with no exact law through
-    Monte Carlo: ``samples_per_k`` sums drawn by the engine's column by
-    column sampler, under its sampling contract.
+    their order and no more than a block of laws is held.  Other laws go
+    through ``kolmogorov``.
     """
     streams = isinstance(target, Normal)
     block: List[Tuple[float, np.ndarray, np.ndarray]] = []
     points = 0
-    for k, w, state in zip(ks, pmf, _per_k_sums(array, ks, n, mode)):
-        if streams and state is not None and state[2] == 0.0 and state[3] == 0.0:
+    for w, state in zip(pmf, _per_k_sums(array, ks, n, mode)):
+        if streams and state[2] == 0.0 and state[3] == 0.0:
             values, probs = state[0], state[1]
             _check_total(probs)
             if w == 0.0:
@@ -814,28 +796,14 @@ def _per_k_distances(
                 yield from _settle(block, target)
                 points = 0
             continue
-        law = None if state is None else SumLaw(*state)
+        law = SumLaw(*state)
         if w == 0.0:
             continue
         if block:
             yield from _settle(block, target)
             points = 0
-        if law is not None:
-            est = kolmogorov(law, target)
-        else:
-            if rng is None:
-                raise ConvolutionError(
-                    "row has no exact sum law; pass rng= for the Monte Carlo path"
-                )
-            # engine imports this module, so its sampler is imported on first use
-            from .engine import _columnwise_row_sums
-
-            row, length = _prefix_of(array, n, int(k), mode)
-            draws = _columnwise_row_sums(
-                take(array.runs(row), length), np.full(samples_per_k, length), rng
-            )
-            est = empirical_kolmogorov(draws, target, alpha)
-        yield w, est.value, est.bound, law is None
+        est = kolmogorov(law, target)
+        yield w, est.value, est.bound
     if block:
         yield from _settle(block, target)
 
@@ -847,9 +815,6 @@ def delta_mixture(
     eta: float = DEFAULT_ETA,
     *,
     mode: str = "prefix",
-    rng: Optional[np.random.Generator] = None,
-    samples_per_k: int = 50_000,
-    alpha: float = 0.01,
     reference: Optional[ScalarDistribution] = None,
 ) -> DistanceEstimate:
     """Index-weighted mixture of per-length Kolmogorov distances.
@@ -859,10 +824,9 @@ def delta_mixture(
     normal.  ``mode="prefix"`` takes partial sums within row ``n``;
     ``mode="rows"`` takes the complete row ``k`` sum for each ``k``
     (the normalized-sequence reading, where row k carries its own
-    normalizer).  Rows without an exact convolution use Monte Carlo with
-    a DKW bound and require ``rng``.  The bound is the index-weighted
-    per-k bounds plus the neglected index tail plus the rounding of the
-    K-term sum.
+    normalizer).  A row with no exact per-k law raises
+    ``ConvolutionError``.  The bound is the index-weighted per-k bounds
+    plus the neglected index tail plus the rounding of the K-term sum.
     """
     if mode not in ("prefix", "rows"):
         raise ValueError("mode must be 'prefix' or 'rows'")
@@ -872,13 +836,9 @@ def delta_mixture(
     pmf = np.asarray(index.pmf(ks), dtype=float)
     value = 0.0
     bound = float(index.tail_mass(trunc_k))  # each neglected Delta_k <= 1
-    sampled = False
-    for w, est_value, est_bound, est_sampled in _per_k_distances(
-        array, ks, pmf, n, mode, target, rng, samples_per_k, alpha
-    ):
+    for w, est_value, est_bound in _per_k_distances(array, ks, pmf, n, mode, target):
         value += w * est_value
         bound += w * est_bound
-        sampled = sampled or est_sampled
     # the K weighted terms round by at most gamma_K * sum_k p_k |Delta_k|
     # (Higham 2002, ch. 3); every term is nonnegative, so that sum is the value
     bound += rounding_gamma(int(trunc_k)) * value
@@ -886,11 +846,7 @@ def delta_mixture(
         float(value),
         float(bound),
         "mixture",
-        {
-            "eta": float(eta),
-            "truncation_k": float(trunc_k),
-            "per_k": 0.0 if sampled else 1.0,
-        },
+        {"eta": float(eta), "truncation_k": float(trunc_k)},
     )
 
 
@@ -901,19 +857,15 @@ def delta_randomsum(
     eta: float = DEFAULT_ETA,
     *,
     mode: str = "prefix",
-    rng: Optional[np.random.Generator] = None,
-    samples: int = 200_000,
-    alpha: float = 0.01,
     reference: Optional[ScalarDistribution] = None,
 ) -> DistanceEstimate:
     """Kolmogorov distance of the random-length sum itself.
 
     This is ``sup_x |P(S_nu < x) - Phi(x)|``: the supremum of the mixture
     CDF deviation, never larger than the mixture of suprema computed by
-    ``delta_mixture``.  When some partial sum up to the truncation point
-    has no exact law, the estimate is ``engine.empirical_delta``'s:
-    ``samples`` random sums drawn with ``rng`` (required) from the whole
-    index law, bounded by the DKW width at ``alpha``.
+    ``delta_mixture``.  The mixture is of the exact per-k laws up to the
+    truncation point, so a row with no exact per-k law raises
+    ``ConvolutionError``; ``engine.empirical_delta`` samples such a sum.
     """
     if mode not in ("prefix", "rows"):
         raise ValueError("mode must be 'prefix' or 'rows'")
@@ -921,25 +873,14 @@ def delta_randomsum(
     trunc_k = index.truncation(eta)
     ks = np.arange(1, trunc_k + 1)
     pmf = np.asarray(index.pmf(ks), dtype=float)
-    laws = [None if state is None else SumLaw(*state) for state in _per_k_sums(array, ks, n, mode)]
-
-    if all(law is not None for law in laws):
-        total = float(np.sum(pmf))
-        mixture = MixtureLaw(laws, pmf / total)
-        est = kolmogorov(mixture, target)
-        # the dropped index tail shifts the true mixture CDF by <= eta
-        bound = est.bound + float(index.tail_mass(trunc_k))
-        return DistanceEstimate(
-            est.value, bound, "mixture", {"eta": float(eta), "sup_of_mixture": 1.0}
-        )
-    if rng is None:
-        raise ConvolutionError(
-            "row has no exact sum law; pass rng= for the Monte Carlo path"
-        )
-    # engine imports this module, so its sampler is imported on first use
-    from .engine import empirical_delta
-
-    return empirical_delta(array, index, n, rng, samples, alpha, mode=mode, reference=target)
+    laws = [SumLaw(*state) for state in _per_k_sums(array, ks, n, mode)]
+    mixture = MixtureLaw(laws, pmf / float(np.sum(pmf)))
+    est = kolmogorov(mixture, target)
+    # the dropped index tail shifts the true mixture CDF by <= eta
+    bound = est.bound + float(index.tail_mass(trunc_k))
+    return DistanceEstimate(
+        est.value, bound, "mixture", {"eta": float(eta), "sup_of_mixture": 1.0}
+    )
 
 
 # ---------------------------------------------------------------------------

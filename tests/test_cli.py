@@ -345,20 +345,25 @@ class TestDistancesCommand:
         assert metrics == {"kolmogorov_row", "empirical_delta", "delta_mixture"}
 
     def test_failed_cell_annotation_and_strict(self, tmp_path, capsys):
-        # uniform entries have no exact convolution: kolmogorov_row fails
-        # per cell, is annotated, and --strict escalates to exit 3
+        # uniform entries have no exact convolution: each exact distance
+        # fails per cell, is annotated, and --strict escalates to exit 3
         doc = {
             "array": {"array": "iid", "base": {"family": "uniform", "low": -1.0, "high": 1.0}},
             "index": {"family": "geometric", "mean": "n"},
             "grids": {"n": [4]},
             "monte_carlo": {"M": 2000},
-            "distances": {"metrics": ["kolmogorov_row", "empirical_delta"]},
+            "distances": {"metrics": ["kolmogorov_row", "empirical_delta", "delta_mixture",
+                                      "delta_randomsum"]},
         }
         cfg = write_config(tmp_path, doc)
         code = main(["distances", "--config", cfg])
         out = capsys.readouterr().out
         assert code == EXIT_OK
-        assert any(",kolmogorov_row_error,,," in ln for ln in out.splitlines())
+        assert [ln.split(",")[2] for ln in out.splitlines()[1:]] == [
+            "kolmogorov_row_error", "empirical_delta", "delta_mixture_error",
+            "delta_randomsum_error",
+        ]
+        assert all(ln.endswith("_error,,,") for ln in out.splitlines()[1:] if "_error" in ln)
         code = main(["distances", "--config", cfg, "--strict"])
         capsys.readouterr()
         assert code == EXIT_NUMERIC
@@ -412,14 +417,13 @@ class TestDistanceTable:
     """The study and the distances command read one table, ``DISTANCES``."""
 
     ARRAYS = {
-        # no exact law: the two mixture distances fall back to Monte Carlo,
-        # whose DKW bound is taken at alpha
         "uniform": {"array": "iid", "base": {"family": "uniform", "low": -1.0, "high": 1.0}},
         "rare-jump": {"array": "rare-jump"},
     }
-    # the uniform row sum has no exact law, so kolmogorov_row fails there
+    # uniform sums have no exact law, so every distance but the sampled
+    # one fails there
     CASES = [case for case in itertools.product(DISTANCES, ARRAYS)
-             if case != ("kolmogorov_row", "uniform")]
+             if case[1] != "uniform" or case[0] == "empirical_delta"]
 
     @pytest.mark.parametrize("mode", ["prefix", "rows"])
     @pytest.mark.parametrize("name,array", CASES)
@@ -840,6 +844,33 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert f"config error: {path}: wrongly typed value" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "index,n_grid,message",
+        [
+            ({"family": "deterministic", "k": 2.5}, [4], '$.index.k: expected an integer or "n"'),
+            ({"family": "deterministic", "k": True}, [4], '$.index.k: expected an integer or "n"'),
+            ({"family": "finite", "values": [1, 1.5], "probs": [0.5, 0.5]}, [4],
+             '$.index.values[1]: expected an integer or "n"'),
+            ({"family": "poisson", "mean": "n"}, [4, 1],
+             "$.index: shifted Poisson requires mean > 1 at n = 1"),
+        ],
+        ids=["fractional-k", "bool-k", "fractional-value", "bad-at-second-n"],
+    )
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_index_is_checked_at_every_n_before_any_cell(
+        self, tmp_path, capsys, index, n_grid, message, dry_run
+    ):
+        doc = {"array": {"array": "rare-jump"}, "index": index, "grids": {"n": n_grid},
+               "distances": {"metrics": ["delta_mixture"]}}
+        cfg = write_config(tmp_path, doc)
+        code = main(["distances", "--config", cfg, "--out", str(tmp_path),
+                     *(["--dry-run"] if dry_run else [])])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert f"config error: {message}" in captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_invalid_row_is_numeric_failure(self, monkeypatch, capsys):
         def raise_invalid_row(*args):

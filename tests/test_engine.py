@@ -25,7 +25,6 @@ from randsum.distributions import (
     Rademacher,
     ShiftedPoisson,
     Uniform,
-    index_from_config,
 )
 from randsum.engine import (
     BUILTIN_PLAN_NAMES,
@@ -46,7 +45,9 @@ from randsum.engine import (
     spawn_streams,
     thread_cap,
 )
-from randsum.metrics import SumLaw, delta_randomsum, dkw_bound, empirical_kolmogorov
+from randsum.metrics import (
+    ConvolutionError, SumLaw, delta_randomsum, dkw_bound, empirical_kolmogorov
+)
 
 RAD = make_iid_array(Rademacher())
 SHIRYAEV = make_shiryaev_array()
@@ -551,22 +552,28 @@ class TestRunStudy:
 
 
 class TestDistances:
-    @pytest.mark.parametrize("name", ["delta_mixture", "delta_randomsum"])
-    def test_monte_carlo_fallback_reads_samples(self, name):
-        # uniform entries have no exact sum law, so both distances draw:
-        # M per index value k for the mixture, M in all for the random sum
+    @pytest.mark.parametrize("mode", ["prefix", "rows"])
+    def test_rows_with_no_exact_law_fail_the_exact_distances(self, mode):
+        # uniform entries have no exact sum law: the two mixture distances
+        # raise, the study records each as a failed cell, and only
+        # empirical_delta, which samples the random sum, reports a value
         array = make_iid_array(Uniform(-1.0, 1.0))
-        index = index_from_config({"family": "poisson", "mean": "n"}, 4)
-        bounds = {}
-        for m in (1_000, 4_000):
-            est = DISTANCES[name](array, index, 4, np.random.default_rng(3), m, 0.01,
-                                  1e-10, "prefix")
-            assert est.method == ("mixture" if name == "delta_mixture" else "empirical-KS")
-            if name == "delta_randomsum":
-                assert est.bound == dkw_bound(m, 0.01)
-            bounds[m] = est.bound
-        assert bounds[4_000] == pytest.approx(dkw_bound(4_000, 0.01), abs=1e-9)
-        assert bounds[1_000] == pytest.approx(2.0 * bounds[4_000], abs=1e-9)
+        for name in ("delta_mixture", "delta_randomsum"):
+            with pytest.raises(ConvolutionError):
+                DISTANCES[name](array, ShiftedPoisson(4.0), 4, np.random.default_rng(3),
+                                1_000, 0.01, 1e-10, mode)
+        res = run_study(small_plan(
+            array={"array": "iid", "base": {"family": "uniform", "low": -1.0, "high": 1.0}},
+            index={"family": "poisson", "mean": "n"}, mode=mode, functionals=(),
+            distances=("empirical_delta", "delta_mixture", "delta_randomsum"), checks=(),
+        ))
+        assert [(e["n"], e["stage"]) for e in res.errors] == [
+            (n, name) for n in (4, 8) for name in ("delta_mixture", "delta_randomsum")
+        ]
+        assert all(e["error"].startswith("ConvolutionError: ") for e in res.errors)
+        assert [(r["n"], r["metric"]) for r in res.rows if r["metric"] in DISTANCES] == [
+            (4, "empirical_delta"), (8, "empirical_delta")
+        ]
 
 
 class TestSelfcheck:

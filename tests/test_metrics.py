@@ -25,7 +25,6 @@ from randsum.arrays import (
 from randsum.conditions import rounding_gamma
 from randsum.distributions import (
     CenteredExponential,
-    Deterministic,
     FiniteDiscrete,
     FiniteIndex,
     Geometric,
@@ -39,7 +38,6 @@ from randsum.distributions import (
     scale,
     shift,
 )
-from randsum.engine import empirical_delta
 from randsum.metrics import (
     NDTR_ABS_ERR,
     ConvolutionError,
@@ -677,33 +675,19 @@ class TestMixtureDistances:
         # every complete shiryaev row sums to an exact standard normal
         assert est.value <= 1e-12
 
-    def test_monte_carlo_path_requires_rng(self):
-        uni = make_iid_array(Uniform(-1.0, 1.0))
-        with pytest.raises(ConvolutionError):
-            delta_mixture(uni, Deterministic(4), 4)
-        rng = np.random.default_rng(5)
-        est = delta_mixture(uni, Deterministic(4), 4, rng=rng, samples_per_k=4000)
-        assert est.method == "mixture"
-        assert est.bound >= dkw_bound(4000, 0.01)
-
     @pytest.mark.parametrize("mode", ["prefix", "rows"])
+    @pytest.mark.parametrize("distance", [delta_mixture, delta_randomsum],
+                             ids=["mixture", "randomsum"])
     @pytest.mark.parametrize(
         "array",
         [make_iid_array(Uniform(-1.0, 1.0)),
          from_series(SeriesForm(lambda j: Uniform(0.0, float(j)), label="ramp"))],
         ids=["iid-uniform", "ramp"],
     )
-    def test_monte_carlo_path_is_empirical_delta(self, array, mode):
-        # no exact sum law: the random sum's distance is estimated once,
-        # from random sums drawn over the whole index law
-        idx = ShiftedPoisson(8.0)
-        got = delta_randomsum(array, idx, 8, mode=mode, rng=np.random.default_rng(7),
-                              samples=3000, alpha=0.05)
-        want = empirical_delta(array, idx, 8, np.random.default_rng(7), 3000, 0.05, mode=mode)
-        assert got.method == "empirical-KS"
-        assert got.to_json_dict() == want.to_json_dict()
-        with pytest.raises(ValueError, match="1000 samples"):
-            delta_randomsum(array, idx, 8, mode=mode, rng=np.random.default_rng(7), samples=999)
+    def test_rows_with_no_exact_law_raise(self, array, distance, mode):
+        # uniform entries have no exact sum law; empirical_delta samples them
+        with pytest.raises(ConvolutionError, match="empirical_delta"):
+            distance(array, ShiftedPoisson(8.0), 8, mode=mode)
 
     def test_normal_rows_never_search_the_grid(self, monkeypatch):
         searched = []
@@ -755,7 +739,7 @@ class TestMixtureDistances:
         for array in (RARE, RAD, make_iid_array(TwoPoint(-1.0, 2.0, 0.6))):
             est = delta_mixture(array, idx, 12, mode=mode)
             assert (est.value, est.bound) == self.per_k_loop(array, idx, 12, mode)
-            assert est.params["per_k"] == 1.0
+            assert set(est.params) == {"eta", "truncation_k"}
 
     def test_atomic_reference_keeps_the_searched_distances(self):
         reference = FiniteDiscrete([-1.0, 0.0, 0.5, 1.0], [0.25, 0.25, 0.25, 0.25])
@@ -820,30 +804,6 @@ class TestMixtureDistances:
         assert est.method == "mixture"
         assert abs(est.value - self.rare_jump_random_sum_ks(n)) <= est.bound
 
-    @pytest.mark.parametrize("mode", ["prefix", "rows"])
-    def test_sampled_per_k_values_equal_a_position_loop(self, mode, monkeypatch):
-        # uniform rows have no exact law: each k with weight draws its sums
-        # position by position, m variates per position, from one stream
-        uni = make_iid_array(Uniform(-1.0, 1.0))
-        index, m = ShiftedPoisson(4.0), 500
-        sampled = []
-        statistic = metrics_module.empirical_kolmogorov
-        monkeypatch.setattr(metrics_module, "empirical_kolmogorov",
-                            lambda draws, *a: sampled.append(draws) or statistic(draws, *a))
-        delta_mixture(uni, index, 4, mode=mode, rng=np.random.default_rng(8), samples_per_k=m)
-        rng = np.random.default_rng(8)
-        ks = np.arange(1, index.truncation(1e-10) + 1)
-        want = []
-        for k in ks[index.pmf(ks) > 0]:
-            row = 4 if mode == "prefix" else int(k)
-            length = int(k) if mode == "prefix" else uni.row_length(row)
-            total = np.zeros(m)
-            for j in range(1, length + 1):
-                total += uni.entry(row, j).sample(rng, m)
-            want.append(total)
-        assert len(sampled) == len(want)
-        assert all(got.tobytes() == ref.tobytes() for got, ref in zip(sampled, want))
-
     def test_one_law_rows_build_no_entry(self, monkeypatch):
         built = []
         entry = TriangularArray.entry
@@ -852,10 +812,6 @@ class TestMixtureDistances:
         for mode in ("prefix", "rows"):
             delta_mixture(RAD, idx, 6, mode=mode)
             delta_randomsum(RARE, idx, 6, mode=mode)
-            rng = np.random.default_rng(2)
-            uni = make_iid_array(Uniform(-1.0, 1.0))
-            delta_mixture(uni, idx, 6, mode=mode, rng=rng, samples_per_k=200)
-            delta_randomsum(uni, idx, 6, mode=mode, rng=rng, samples=2000)
         row_sum_law(RARE, 12)
         assert built == []
 

@@ -13,8 +13,6 @@ import randsum
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-# about 19 s of Monte Carlo: only the names it reads are checked
-SLOW_DEMOS = {"03_random_sums.py"}
 SOURCES = sorted(
     [*(ROOT / "src" / "randsum").glob("*.py"), *(ROOT / "tests").glob("*.py"), *DEMOS]
 )
@@ -49,9 +47,7 @@ def test_demo_reads_only_exports(demo):
     assert names - set(randsum.__all__) == set()
 
 
-@pytest.mark.parametrize(
-    "demo", [d for d in DEMOS if d.name not in SLOW_DEMOS], ids=lambda p: p.name
-)
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     package_root = os.path.dirname(os.path.dirname(randsum.__file__))
     env = dict(os.environ)
@@ -227,3 +223,42 @@ def test_sample_call_check_sees_every_call_form():
 )
 def test_only_the_laws_and_the_engine_draw(path):
     assert sample_calls(PACKAGE[path]) == []
+
+
+def package_imports(tree: ast.Module) -> set:
+    """Package modules a module of ``randsum`` imports, at module level or
+    inside a function, as names relative to the package."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name[len("randsum."):] for a in node.names
+                      if a.name.startswith("randsum.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.startswith("randsum"):
+                module = module[len("randsum"):].lstrip(".")
+            elif node.level == 0:
+                continue
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found |= {a.name for a in node.names}
+    return found
+
+
+def test_package_import_check_sees_every_form():
+    tree = ast.parse(
+        "import numpy\n"
+        "from .arrays import take\n"
+        "from . import conditions as c\n"
+        "import randsum.cli\n"
+        "def f():\n"
+        "    from randsum.engine import DISTANCES\n"
+        "    from randsum import metrics\n"
+    )
+    assert package_imports(tree) == {"arrays", "conditions", "cli", "engine", "metrics"}
+
+
+def test_metrics_does_not_import_the_sampler():
+    # the exact distances stay free of the engine's Monte Carlo
+    assert "engine" not in package_imports(PACKAGE[ROOT / "src" / "randsum" / "metrics.py"])
