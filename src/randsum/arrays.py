@@ -550,7 +550,8 @@ def _series_from_config(cfg: dict) -> TriangularArray:
 
 ARRAY_KINDS = {
     "iid": ConfigEntry(
-        lambda c: make_iid_array(distribution_from_config(c["base"]), c.get("rows", "n")),
+        lambda c: make_iid_array(distribution_from_config(c["base"]), c.get("rows", "n"),
+                                 f"iid-{c['base']['family']}"),
         ("base",),
         ("rows",),
     ),

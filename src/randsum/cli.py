@@ -132,7 +132,7 @@ def _validate_index(cfg, path: str, n_grid: Sequence[int]) -> dict:
     """An index config whose integer fields hold integers or "n", built at
     every n of the grid, as the run builds it."""
     cfg = _validate_entry(cfg, path, INDEX_FAMILIES, "family", "index family")
-    # the builders read these with int(), which would run 2.5 as 2 and true as 1
+    # the builders reject these too, but only this check names the field
     fields = {"k": cfg["k"]} if "k" in cfg else {}
     if isinstance(cfg.get("values"), list):
         fields.update((f"values[{i}]", v) for i, v in enumerate(cfg["values"]))

@@ -601,15 +601,6 @@ def merge_atoms(
     return values[start], merged
 
 
-def _atom_steps(at: Optional[Tuple[np.ndarray, np.ndarray]]):
-    """Sorted atom values and the masses below each (plus the total), or None."""
-    if at is None:
-        return None
-    vals, probs = at
-    order = np.argsort(vals, kind="stable")
-    return vals[order], np.concatenate(([0.0], np.cumsum(probs[order])))
-
-
 def _choice_cut(probs: np.ndarray) -> np.ndarray:
     """The cut points ``Generator.choice`` builds: ``p``'s cumulative sum over its last entry."""
     cut = probs.cumsum()
@@ -843,22 +834,19 @@ class CenteredExponential(ScalarDistribution):
 
 
 class Scaled(ScalarDistribution):
-    """Law of factor * X for a base law X.  ``factor`` must be nonzero.
-
-    For an atomic base the CDF steps at the rounded atoms ``atoms()``
-    reports; ``x / factor`` need not land back on the base atom.
-    """
+    """Law of factor * X (factor nonzero) for a law X without atoms; ``scale()`` takes any law."""
 
     family = "scaled"
 
     def __init__(self, base: ScalarDistribution, factor: float):
         if factor == 0:
             raise DistributionError("scale factor must be nonzero")
+        if base.atoms() is not None:
+            raise DistributionError("Scaled needs a law without atoms; scale() takes atomic ones")
         self.base = base
         self.factor = float(factor)
         self.mean = self.factor * base.mean
         self.variance = self.factor * self.factor * base.variance
-        self._steps = _atom_steps(self.atoms())
 
     def descriptor(self) -> tuple:
         return ("scaled", self.base.descriptor(), self.factor)
@@ -867,8 +855,6 @@ class Scaled(ScalarDistribution):
         return f"Scaled({self.base!r}, {self.factor!r})"
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
-        if self._steps is not None:
-            return _step_cdf(self._steps, x, "left")
         x = np.asarray(x, dtype=float)
         if self.factor > 0:
             return self.base.cdf(x / self.factor)
@@ -876,8 +862,6 @@ class Scaled(ScalarDistribution):
         return 1.0 - self.base.prob_le(x / self.factor)
 
     def prob_le(self, x: ArrayLike) -> ArrayLike:
-        if self._steps is not None:
-            return _step_cdf(self._steps, x, "right")
         x = np.asarray(x, dtype=float)
         if self.factor > 0:
             return self.base.prob_le(x / self.factor)
@@ -890,15 +874,6 @@ class Scaled(ScalarDistribution):
     def char_fn(self, t: ArrayLike) -> Union[complex, np.ndarray]:
         return self.base.char_fn(np.asarray(t, dtype=float) * self.factor)
 
-    def atoms(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        at = self.base.atoms()
-        if at is None:
-            return None
-        vals, probs = at
-        vals = vals * self.factor
-        order = np.argsort(vals)
-        return vals[order], probs[order]
-
     def support(self) -> Tuple[float, float]:
         lo, hi = self.base.support()
         a, b = lo * self.factor, hi * self.factor
@@ -910,9 +885,6 @@ class Scaled(ScalarDistribution):
         return abs(self.factor) ** order * self.base.abs_moment(order)
 
     def _partial_moments(self, a: float, b: float, center: float, degree: int) -> List[float]:
-        if self._steps is not None:
-            # the rounded atoms, as cdf sees them
-            return super()._partial_moments(a, b, center, degree)
         c = self.factor
         # a < cY <= b puts Y between a/c and b/c, the other way round for
         # c < 0; which end is closed does not matter without atoms
@@ -925,20 +897,17 @@ class Scaled(ScalarDistribution):
 
 
 class Shifted(ScalarDistribution):
-    """Law of X + offset for a base law X.
-
-    For an atomic base the CDF steps at the rounded atoms ``atoms()``
-    reports; ``x - offset`` need not land back on the base atom.
-    """
+    """Law of X + offset for a law X without atoms; ``shift()`` takes any law."""
 
     family = "shifted"
 
     def __init__(self, base: ScalarDistribution, offset: float):
+        if base.atoms() is not None:
+            raise DistributionError("Shifted needs a law without atoms; shift() takes atomic ones")
         self.base = base
         self.offset = float(offset)
         self.mean = base.mean + self.offset
         self.variance = base.variance
-        self._steps = _atom_steps(self.atoms())
 
     def descriptor(self) -> tuple:
         return ("shifted", self.base.descriptor(), self.offset)
@@ -947,13 +916,9 @@ class Shifted(ScalarDistribution):
         return f"Shifted({self.base!r}, {self.offset!r})"
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
-        if self._steps is not None:
-            return _step_cdf(self._steps, x, "left")
         return self.base.cdf(np.asarray(x, dtype=float) - self.offset)
 
     def prob_le(self, x: ArrayLike) -> ArrayLike:
-        if self._steps is not None:
-            return _step_cdf(self._steps, x, "right")
         return self.base.prob_le(np.asarray(x, dtype=float) - self.offset)
 
     def pdf(self, x: ArrayLike) -> ArrayLike:
@@ -964,13 +929,6 @@ class Shifted(ScalarDistribution):
         out = np.exp(1j * t * self.offset) * self.base.char_fn(t)
         return complex(out) if np.ndim(out) == 0 else out
 
-    def atoms(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        at = self.base.atoms()
-        if at is None:
-            return None
-        vals, probs = at
-        return vals + self.offset, probs
-
     def support(self) -> Tuple[float, float]:
         lo, hi = self.base.support()
         return (lo + self.offset, hi + self.offset)
@@ -980,8 +938,6 @@ class Shifted(ScalarDistribution):
         return (lo + self.offset, hi + self.offset)
 
     def _partial_moments(self, a: float, b: float, center: float, degree: int) -> List[float]:
-        if self._steps is not None:
-            return super()._partial_moments(a, b, center, degree)
         o = self.offset
         return self.base.partial_moments(a - o, b - o, center - o, degree)
 
@@ -990,7 +946,8 @@ class Shifted(ScalarDistribution):
 
 
 def scale(dist: ScalarDistribution, factor: float) -> ScalarDistribution:
-    """factor * X with closed-form reductions where the family permits."""
+    """factor * X in closed form where the family permits: a ``TwoPoint`` for
+    Rademacher, a ``FiniteDiscrete`` for any other law with atoms, else ``Scaled``."""
     if factor == 0:
         raise DistributionError("scale factor must be nonzero")
     if factor == 1.0:
@@ -1004,9 +961,9 @@ def scale(dist: ScalarDistribution, factor: float) -> ScalarDistribution:
         return Uniform(min(a, b), max(a, b))
     if isinstance(dist, Rademacher):
         return TwoPoint(-abs(factor), abs(factor), 0.5)
-    if isinstance(dist, (TwoPoint, FiniteDiscrete)):
-        vals, probs = dist.atoms()
-        return FiniteDiscrete(vals * factor, probs)
+    at = dist.atoms()
+    if at is not None:
+        return FiniteDiscrete(at[0] * factor, at[1])
     if isinstance(dist, CenteredExponential) and factor > 0:
         return CenteredExponential(dist.rate / factor)
     if isinstance(dist, Scaled):
@@ -1015,16 +972,17 @@ def scale(dist: ScalarDistribution, factor: float) -> ScalarDistribution:
 
 
 def shift(dist: ScalarDistribution, offset: float) -> ScalarDistribution:
-    """X + offset with closed-form reductions where the family permits."""
+    """X + offset in closed form where the family permits: a ``FiniteDiscrete``
+    for any law with atoms, else ``Shifted``."""
     if offset == 0.0:
         return dist
     if isinstance(dist, Normal):
         return Normal(dist.mean + offset, dist.variance)
     if isinstance(dist, Uniform):
         return Uniform(dist.low + offset, dist.high + offset)
-    if isinstance(dist, (Rademacher, TwoPoint, FiniteDiscrete)):
-        vals, probs = dist.atoms()
-        return FiniteDiscrete(vals + offset, probs)
+    at = dist.atoms()
+    if at is not None:
+        return FiniteDiscrete(at[0] + offset, at[1])
     if isinstance(dist, Shifted):
         return shift(dist.base, dist.offset + offset)
     return Shifted(dist, offset)
@@ -1061,11 +1019,11 @@ DISTRIBUTION_FAMILIES = {
         lambda c: FiniteDiscrete(c["values"], c["probs"]), ("values", "probs")
     ),
     "scaled": ConfigEntry(
-        lambda c: Scaled(distribution_from_config(c["base"]), c["factor"]),
+        lambda c: scale(distribution_from_config(c["base"]), c["factor"]),
         ("base", "factor"),
     ),
     "shifted": ConfigEntry(
-        lambda c: Shifted(distribution_from_config(c["base"]), c["offset"]),
+        lambda c: shift(distribution_from_config(c["base"]), c["offset"]),
         ("base", "offset"),
     ),
 }
@@ -1132,16 +1090,21 @@ class RandomIndex:
         raise NotImplementedError
 
 
+def _index_value(value) -> int:
+    """``value`` as an int; DistributionError unless it is a whole number >= 1, not a bool."""
+    if isinstance(value, (bool, np.bool_)) or not float(value).is_integer() or value < 1:
+        raise DistributionError(f"index values must be integers >= 1, got {value!r}")
+    return int(value)
+
+
 class Deterministic(RandomIndex):
     """Index equal to a fixed k with probability one."""
 
     family = "deterministic"
 
     def __init__(self, k: int):
-        if k < 1 or int(k) != k:
-            raise DistributionError("deterministic index requires integer k >= 1")
-        self.k = int(k)
-        self.mean = float(k)
+        self.k = _index_value(k)
+        self.mean = float(self.k)
 
     def descriptor(self) -> tuple:
         return ("deterministic", self.k)
@@ -1291,12 +1254,10 @@ class FiniteIndex(RandomIndex):
     family = "finite"
 
     def __init__(self, values: Sequence[int], probs: Sequence[float]):
-        vals = np.asarray(values, dtype=np.int64)
         prb = np.asarray(probs, dtype=float)
-        if vals.ndim != 1 or vals.shape != prb.shape or vals.size == 0:
+        if np.shape(values) != prb.shape or prb.ndim != 1 or prb.size == 0:
             raise DistributionError("finite index needs matching value/prob arrays")
-        if np.any(vals < 1):
-            raise DistributionError("index values must be >= 1")
+        vals = np.array([_index_value(v) for v in values], dtype=np.int64)
         if np.any(prb < 0) or abs(prb.sum() - 1.0) > 1e-9:
             raise DistributionError("probabilities must be nonnegative and sum to 1")
         order = np.argsort(vals)
@@ -1348,7 +1309,7 @@ def _negative_binomial_from_config(cfg: dict, resolve) -> ShiftedNegativeBinomia
 # builders take the config and a resolver for the literal "n"
 INDEX_FAMILIES = {
     "deterministic": ConfigEntry(
-        lambda c, resolve: Deterministic(int(resolve(c.get("k", "n")))), (), ("k",)
+        lambda c, resolve: Deterministic(resolve(c.get("k", "n"))), (), ("k",)
     ),
     "poisson": ConfigEntry(
         lambda c, resolve: ShiftedPoisson(float(resolve(c.get("mean", "n")))),
@@ -1358,7 +1319,7 @@ INDEX_FAMILIES = {
     "geometric": ConfigEntry(_geometric_from_config, (), ("mean", "p")),
     "negative-binomial": ConfigEntry(_negative_binomial_from_config, (), ("mean", "r", "p")),
     "finite": ConfigEntry(
-        lambda c, resolve: FiniteIndex([int(resolve(v)) for v in c["values"]], c["probs"]),
+        lambda c, resolve: FiniteIndex([resolve(v) for v in c["values"]], c["probs"]),
         ("values", "probs"),
     ),
 }

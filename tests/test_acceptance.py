@@ -49,6 +49,7 @@ from randsum.distributions import (
     ShiftedPoisson,
     TwoPoint,
     Uniform,
+    scale,
 )
 from randsum.engine import (
     builtin_plan,
@@ -83,7 +84,7 @@ ZETA_SANDWICH_PAIRS = [
     (_RAD, Uniform(-1.0, 1.0), 1),
     (CenteredExponential(1.0), _STD_NORMAL, 1),
     (TwoPoint(-0.25, 1.0, 0.8), Normal(0.0, 0.25), 1),
-    (Scaled(_RAD, 0.5), Uniform(-0.5, 0.5), 1),
+    (scale(_RAD, 0.5), Uniform(-0.5, 0.5), 1),
     (FiniteDiscrete([-2.0, 0.0, 1.0], [0.25, 0.25, 0.5]), _STD_NORMAL, 1),
     (_RAD, _STD_NORMAL, 2),
     (Uniform(-1.0, 1.0), _STD_NORMAL, 2),
@@ -97,7 +98,7 @@ ZETA_SANDWICH_PAIRS = [
     (THREE_ATOM, _RAD, 3),
     (CenteredExponential(1.0), _STD_NORMAL, 3),
     (TwoPoint(-0.5, 2.0, 0.8), _STD_NORMAL, 3),
-    (Scaled(_RAD, 2.0), Normal(0.0, 4.0), 3),
+    (scale(_RAD, 2.0), Normal(0.0, 4.0), 3),
 ]
 
 
@@ -250,13 +251,13 @@ def test_criterion_5_zolotarev_metric_properties():
     # homogeneity of order s under scaling by c
     base = {s: zeta(rad, std_normal, s).value for s in (1, 2, 3)}
     for c, s in product((0.5, 2.0, -3.0), (1, 2, 3)):
-        scaled = zeta(Scaled(rad, c), Scaled(std_normal, c), s).value
+        scaled = zeta(scale(rad, c), Scaled(std_normal, c), s).value
         assert scaled == pytest.approx(abs(c) ** s * base[s], rel=1e-8)
 
     # regularity: convolving both sides with the same independent law
     # cannot increase the distance (exact atomic convolution, <= 8 atoms)
     three_atom = THREE_ATOM
-    z_law = Scaled(Rademacher(), 0.5)
+    z_law = scale(Rademacher(), 0.5)
     lhs_laws = (sum_of_independent([rad, z_law]),
                 sum_of_independent([three_atom, z_law]))
     for s in (1, 2, 3):
@@ -266,7 +267,7 @@ def test_criterion_5_zolotarev_metric_properties():
 
     # semi-additivity over independent sums, fixed and random length
     sigmas = (1.0, 0.75, 0.5)
-    x_entries = [Scaled(Rademacher(), a) for a in sigmas]
+    x_entries = [scale(Rademacher(), a) for a in sigmas]
     y_entries = [TwoPoint(-a / 2.0, 2.0 * a, 0.8) for a in sigmas]
     checks = semi_additivity_check(
         x_entries, y_entries, (1, 2, 3),

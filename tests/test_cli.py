@@ -286,6 +286,28 @@ class TestConditionsCommand:
         assert got == [EXIT_OK, []]
         assert ",rand_rotar," in (tmp_path / "conditions.csv").read_text()
 
+    def test_scaled_uniform_rows_run_no_quadrature(self, tmp_path, monkeypatch, capsys):
+        # the "scaled" family builds what scale() returns, here Uniform(0, 2),
+        # whose Rotar integral is a closed form
+        calls = []
+        real = distributions_module._quad
+        monkeypatch.setattr(distributions_module, "_quad",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        base = {"family": "scaled", "factor": 2.0,
+                "base": {"family": "uniform", "low": 0.0, "high": 1.0}}
+        doc = {
+            "array": {"array": "iid", "base": base},
+            "index": {"family": "poisson", "mean": "n"},
+            "grids": {"n": [4, 16], "epsilon": [0.5], "delta": [1.0]},
+            "outputs": {"format": "json"},
+        }
+        code = main(["conditions", "--config", write_config(tmp_path, doc)])
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert code == EXIT_OK
+        assert len(calls) == 0
+        assert {row["label"] for row in rows} == {"iid-scaled"}
+        assert {"rotar", "rand_rotar"} <= {row["functional"] for row in rows}
+
     def test_underflowing_shiryaev_row_names_the_entry(self, tmp_path, capsys):
         # entry (1100, 1) has variance 2^-1099, below the smallest double
         doc = {

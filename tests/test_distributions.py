@@ -11,7 +11,7 @@ from scipy.special import gammaln
 from scipy.stats import nbinom, poisson
 
 import randsum.distributions as distributions_module
-from randsum.arrays import make_iid_array
+from randsum.arrays import array_from_config, make_iid_array
 from randsum.distributions import (
     CenteredExponential,
     Deterministic,
@@ -33,6 +33,7 @@ from randsum.distributions import (
     scale,
     shift,
 )
+from randsum.metrics import MixtureLaw, SumLaw
 
 
 def quad_tsm(pdf, eps, hi):
@@ -272,7 +273,7 @@ PARTIAL_MOMENT_LAWS = [
     (Scaled(CenteredExponential(2.0), -0.7), exponential_density(2.0, -0.7), [0.35]),
     (Scaled(Uniform(0.0, 1.0), -3.0), lambda x: mpmath.mpf(1) / 3 if -3 <= x <= 0 else 0,
      [-3.0, 0.0]),
-    (Scaled(Rademacher(), 0.5), None, []),
+    (scale(Rademacher(), 0.5), None, []),
     (Shifted(CenteredExponential(1.0), 0.4), exponential_density(1.0, 1.0, 0.4), [-0.6]),
 ]
 
@@ -485,6 +486,31 @@ class TestTransforms:
         d = scale(Uniform(1.0, 2.0), -1.0)
         assert d.support() == (-2.0, -1.0)
 
+    def test_wrappers_reject_atomic_bases(self):
+        atomic = (
+            Rademacher(),
+            FiniteDiscrete([-2.0, 0.0, 1.0], [0.25, 0.25, 0.5]),
+            SumLaw([-1.0, 0.5], [0.3, 0.7]),
+        )
+        for base in atomic:
+            with pytest.raises(DistributionError, match=r"scale\(\)"):
+                Scaled(base, 0.5)
+        with pytest.raises(DistributionError, match=r"shift\(\)"):
+            Shifted(TwoPoint(-0.25, 1.0, 0.8), 0.4)
+
+    @pytest.mark.parametrize("law", [
+        SumLaw([-1.0, 0.5, 2.0], [0.2, 0.5, 0.3]),
+        MixtureLaw([Rademacher(), TwoPoint(-0.25, 1.0, 0.8)], [0.5, 0.5]),
+    ], ids=["sum", "mixture"])
+    def test_atomic_sum_and_mixture_laws_become_finite_discrete(self, law):
+        vals, probs = law.atoms()
+        for got, want in ((scale(law, -2.0), vals * -2.0), (shift(law, 0.4), vals + 0.4)):
+            assert type(got) is FiniteDiscrete
+            order = np.argsort(want, kind="stable")
+            got_vals, got_probs = got.atoms()
+            assert got_vals.tolist() == want[order].tolist()
+            assert got_probs.tolist() == pytest.approx(probs[order].tolist(), rel=1e-15)
+
 
 class TestIndices:
     def test_deterministic(self):
@@ -543,6 +569,24 @@ class TestIndices:
         assert f.tail_mass(7) == 0.0
         assert f.tail_mass(100) == 0.0
         assert all(f.tail_mass(k) >= 0.0 for k in range(0, 8))
+
+    def test_index_values_are_integers(self):
+        bad = (
+            lambda: FiniteIndex([2.7, 5], [0.5, 0.5]),
+            lambda: FiniteIndex([True, 2], [0.5, 0.5]),
+            lambda: Deterministic(True),
+            lambda: Deterministic(float("nan")),
+            lambda: FiniteIndex([0, 2], [0.5, 0.5]),
+            lambda: index_from_config({"family": "deterministic", "k": 2.5}),
+            lambda: index_from_config({"family": "finite", "values": [1.5, "n"],
+                                       "probs": [0.5, 0.5]}, 4),
+        )
+        for build in bad:
+            with pytest.raises(DistributionError, match="integer"):
+                build()
+        # whole numbers of any numeric type are held as ints
+        assert Deterministic(4.0).k == 4 and type(Deterministic(np.int64(4)).k) is int
+        assert FiniteIndex(np.array([1.0, 3.0]), [0.5, 0.5]).descriptor()[1] == (1, 3)
 
     def test_fractional_tail_sampling(self):
         rng = np.random.default_rng(11)
@@ -724,6 +768,23 @@ class TestConfig:
             {"family": "scaled", "base": {"family": "rademacher"}, "factor": 0.5}
         )
         assert d.variance == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("base", [
+        {"family": "normal", "mean": 0.3, "var": 2.0},
+        {"family": "uniform", "low": 0.0, "high": 1.0},
+        {"family": "two-point", "low": -0.25, "high": 1.0, "p_low": 0.8},
+        {"family": "rademacher"},
+        {"family": "exponential-centered", "rate": 1.5},
+    ], ids=lambda base: base["family"])
+    @pytest.mark.parametrize("family, key, value", [
+        ("scaled", "factor", 2.0), ("scaled", "factor", -0.7), ("shifted", "offset", 0.4),
+    ])
+    def test_scaled_and_shifted_build_through_the_factories(self, base, family, key, value):
+        cfg = {"family": family, "base": base, key: value}
+        want = (scale if family == "scaled" else shift)(distribution_from_config(base), value)
+        got = distribution_from_config(cfg)
+        assert type(got) is type(want) and got.descriptor() == want.descriptor()
+        assert array_from_config({"array": "iid", "base": cfg}).label == f"iid-{family}"
 
     def test_index_placeholder_resolution(self):
         idx = index_from_config({"family": "poisson", "mean": "n"}, 12)
