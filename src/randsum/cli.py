@@ -104,11 +104,25 @@ def _validate_entry(cfg, path: str, table: dict, kind_key: str, what: str) -> di
         if key not in cfg:
             raise ConfigError(f"{path}.{key}: required for {what} {kind!r}")
     if "base" in cfg:
-        _validate_entry(
+        base = _validate_entry(
             cfg["base"], f"{path}.base", DISTRIBUTION_FAMILIES, "family",
             "distribution family",
         )
+        _check_numbers(base, f"{path}.base")
     return cfg
+
+
+def _check_numbers(cfg: dict, path: str) -> None:
+    """Every field of a distribution config but its family and base holds a
+    number, or a list of numbers; a bool is not a number."""
+    for key, value in cfg.items():
+        if key in ("family", "base"):
+            continue
+        items = enumerate(value) if isinstance(value, list) else [(None, value)]
+        for i, item in items:
+            if isinstance(item, bool) or not isinstance(item, (int, float)):
+                where = key if i is None else f"{key}[{i}]"
+                raise ConfigError(f"{path}.{where}: expected a number")
 
 
 def _check_value_types(build, cfg: dict, path: str) -> None:
@@ -497,8 +511,8 @@ def cmd_distances(args, cfg: dict) -> int:
         for metric in section["metrics"]:
             try:
                 # the section sets no eta: the plan-less default applies
-                est = _engine.DISTANCES[metric](
-                    array, index, n, rng, mc["M"], mc["alpha"], _DEFAULT_PLAN.eta,
+                est = _engine.distance(
+                    metric, array, index, n, rng, mc["M"], mc["alpha"], _DEFAULT_PLAN.eta,
                     section["mode"],
                 )
             except Exception as exc:

@@ -255,6 +255,15 @@ DISTANCES = {
 }
 
 
+def distance(name: str, *args) -> "_metrics.DistanceEstimate":
+    """``DISTANCES[name](*args)``, raising ArithmeticError on a nan value or
+    bound: the cell that would hold it fails instead."""
+    est = DISTANCES[name](*args)
+    if math.isnan(est.value) or math.isnan(est.bound):
+        raise ArithmeticError(f"{name} evaluated to nan")
+    return est
+
+
 # ---------------------------------------------------------------------------
 # study plans
 # ---------------------------------------------------------------------------
@@ -483,8 +492,8 @@ def _study_cell(
 
     for dist_name in plan.distances:
         try:
-            est = DISTANCES[dist_name](
-                array, index, n, rng, plan.samples, plan.alpha, plan.eta, plan.mode
+            est = distance(
+                dist_name, array, index, n, rng, plan.samples, plan.alpha, plan.eta, plan.mode
             )
             emit(dist_name, est.value, est.bound)
         except Exception as exc:

@@ -8,8 +8,12 @@ lower bound sandwiching the iterated-integral upper evaluation.
 Sum laws of independent entries are represented exactly when every entry
 is normal or purely atomic: the atomic parts convolve into one finite
 atom list and the normal parts merge into a single Gaussian component.
-Any other sum law raises ``ConvolutionError``: ``engine.empirical_delta``
-samples such random sums, with a Dvoretzky-Kiefer-Wolfowitz bound.
+One law type, ``SumLaw``, holds every exact sum and mixture: a finite
+normal mixture sum_i p_i N(v_i, s_i^2) whose locations with s_i^2 = 0 are
+atoms.  A random-length sum's law is one such mixture over the per-length
+sums.  Any other sum law, or a normal part whose variance is not finite,
+raises ``ConvolutionError``: ``engine.empirical_delta`` samples such
+random sums, with a Dvoretzky-Kiefer-Wolfowitz bound.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from .distributions import (
     Normal,
     RandomIndex,
     ScalarDistribution,
+    _atom_moments,
     _normal_partial_moments,
-    _step_cdf,
     merge_atoms,
 )
 
@@ -41,7 +45,6 @@ __all__ = [
     "ConvolutionError",
     "dkw_bound",
     "SumLaw",
-    "MixtureLaw",
     "sum_of_independent",
     "row_sum_law",
     "kolmogorov",
@@ -148,190 +151,129 @@ def _check_total(probs: np.ndarray) -> None:
         raise ValueError("atom probabilities must sum to one")
 
 
-class SumLaw(ScalarDistribution):
-    """Law of a sum of independent entries, each atomic or normal.
+def _variance_runs(variances: np.ndarray) -> List[np.ndarray]:
+    """The indices of each distinct variance, in increasing variance, and in
+    order within each."""
+    order = np.argsort(variances, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(variances[order])) + 1)
 
-    Internally one finite atomic component (exact convolution of the
-    atomic entries) plus one Gaussian component collecting the normal
-    entries; the law is the independent sum of the two.
+
+# the atom part of a law without atoms: locations, masses, masses through each
+_NO_ATOMS = (np.empty(0), np.empty(0), np.zeros(1))
+
+
+class SumLaw(ScalarDistribution):
+    """The finite normal mixture sum_i p_i N(v_i, s_i^2), where a location
+    with s_i^2 = 0 is an atom.
+
+    ``SumLaw(atoms, probs, mean, var)`` is the law of a sum of independent
+    atomic and normal entries, held as a fold state: the locations are the
+    atomic part's atoms plus the normal part's mean, each with the normal
+    part's variance.  ``normal_var`` may instead give each location its
+    own variance, as the law of a mixture does (``_mixture``).  The atoms
+    form the atom part; the normal part is evaluated one distinct variance
+    at a time.
     """
 
     family = "sum"
 
     def __init__(self, atom_values: Sequence[float], atom_probs: Sequence[float],
-                 normal_mean: float = 0.0, normal_var: float = 0.0):
+                 normal_mean: float = 0.0, normal_var=0.0):
         v = np.asarray(atom_values, dtype=float)
         p = np.asarray(atom_probs, dtype=float)
         if v.size == 0:
             v = np.array([0.0])
             p = np.array([1.0])
         _check_total(p)
-        self._normal_mean = float(normal_mean)
-        self._normal_var = float(normal_var)
-        if self._normal_var < 0.0:
-            raise ValueError("normal variance must be nonnegative")
-        if self._normal_var == 0.0 and self._normal_mean != 0.0:
-            # no normal part: the shift moves the atoms themselves
-            v = v + self._normal_mean
-            self._normal_mean = 0.0
+        if normal_mean != 0.0:
+            v = v + normal_mean
         order = np.argsort(v, kind="stable")
         self._values = v[order]
         self._probs = p[order]
-        self._cum = np.concatenate([[0.0], np.cumsum(self._probs)])
-        atom_mean = float(np.dot(self._values, self._probs))
-        atom_var = float(np.dot(np.square(self._values - atom_mean), self._probs))
-        self.mean = atom_mean + self._normal_mean
-        self.variance = atom_var + self._normal_var
+        if np.ndim(normal_var):
+            var = np.asarray(normal_var, dtype=float)[order]
+            parts = [(float(var[i[0]]), self._values[i], self._probs[i]) for i in _variance_runs(var)]
+            normal_var = float(np.dot(var, self._probs))
+        else:
+            normal_var = float(normal_var)
+            parts = [(normal_var, self._values, self._probs)]
+        if parts[0][0] < 0.0:
+            raise ValueError("normal variance must be nonnegative")
+        if parts[0][0] == 0.0:
+            _, values, probs = parts[0]
+            self._atom_part = (values, probs, np.concatenate([[0.0], np.cumsum(probs)]))
+        else:
+            self._atom_part = _NO_ATOMS
+        # (variance, sd, locations, masses), in increasing variance
+        self._normal_parts = [(s2, math.sqrt(s2), locs, w) for s2, locs, w in parts if s2 > 0.0]
+        self.mean = float(np.dot(self._values, self._probs))
+        self.variance = float(np.dot(np.square(self._values - self.mean), self._probs)) + normal_var
 
     def descriptor(self) -> tuple:
-        return ("sum", self._values.size, self._normal_mean, self._normal_var)
+        return ("sum", self._values.size, self.mean, self.variance)
 
     def __repr__(self) -> str:
-        return (
-            f"SumLaw({self._values.size} atoms, "
-            f"normal_var={self._normal_var:.6g})"
-        )
+        return f"SumLaw({self._values.size} locations, {len(self._normal_parts)} normal variances)"
 
-    @property
-    def is_atomic(self) -> bool:
-        return self._normal_var == 0.0
+    def _mixed(self, x, side: str, kernel):
+        """The atom part's steps, limits from ``side``, plus the normal part's
+        ``kernel((x - location) / sd, sd)`` weighted by the masses."""
+        x = np.asarray(x, dtype=float)
+        values, _, cum = self._atom_part
+        out = cum[np.searchsorted(values, x, side=side)]
+        for _, sd, locs, probs in self._normal_parts:
+            out = out + kernel((x[..., None] - locs) / sd, sd) @ probs
+        return out if out.ndim else float(out)
 
     def cdf(self, x):
-        if self.is_atomic:
-            return _step_cdf((self._values, self._cum), x, "left")
-        x = np.asarray(x, dtype=float)
-        s = math.sqrt(self._normal_var)
-        z = (x[..., None] - self._values - self._normal_mean) / s
-        out = ndtr(z) @ self._probs
-        return out if out.ndim else float(out)
+        return self._mixed(x, "left", lambda z, sd: ndtr(z))
 
     def prob_le(self, x):
-        if not self.is_atomic:
-            return self.cdf(x)
-        return _step_cdf((self._values, self._cum), x, "right")
+        return self._mixed(x, "right", lambda z, sd: ndtr(z))
 
     def pdf(self, x):
-        if self.is_atomic:
+        if self._atom_part[0].size:
             return super().pdf(x)
-        x = np.asarray(x, dtype=float)
-        s = math.sqrt(self._normal_var)
-        z = (x[..., None] - self._values - self._normal_mean) / s
-        dens = np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
-        out = dens @ self._probs
-        return out if out.ndim else float(out)
+        return self._mixed(
+            x, "left", lambda z, sd: np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
+        )
 
     def char_fn(self, t):
         t = np.asarray(t, dtype=float)
-        atom_cf = np.exp(1j * np.multiply.outer(t, self._values)) @ self._probs
-        normal_cf = np.exp(1j * t * self._normal_mean - 0.5 * self._normal_var * t * t)
-        out = atom_cf * normal_cf
+        values, probs, _ = self._atom_part
+        out = np.exp(1j * np.multiply.outer(t, values)) @ probs
+        for s2, _, locs, w in self._normal_parts:
+            out = out + np.exp(-0.5 * s2 * t * t) * (np.exp(1j * np.multiply.outer(t, locs)) @ w)
         return out if out.ndim else complex(out)
 
     def atoms(self):
-        if self.is_atomic:
-            return self._values.copy(), self._probs.copy()
-        return None
+        if self._normal_parts:
+            return None
+        return self._values.copy(), self._probs.copy()
 
     def normal_params(self) -> Optional[Tuple[float, float]]:
-        # one atom of mass 1 shifts the normal part: mean and variance are
-        # then exactly the normal law's
-        if self._values.size == 1 and self._probs[0] == 1.0 and not self.is_atomic:
-            return self.mean, self.variance
+        # one location: N(location, variance), whatever its mass rounded to
+        if self._values.size == 1 and self._normal_parts:
+            return float(self._values[0]), self._normal_parts[0][0]
         return None
 
     def support(self) -> Tuple[float, float]:
-        if self.is_atomic:
-            return float(self._values[0]), float(self._values[-1])
-        return (-math.inf, math.inf)
+        if self._normal_parts:
+            return (-math.inf, math.inf)
+        return float(self._values[0]), float(self._values[-1])
 
     def _partial_moments(self, a, b, center, degree):
-        if self.is_atomic:
-            return super()._partial_moments(a, b, center, degree)
-        moments = _normal_partial_moments(
-            self._values + self._normal_mean, math.sqrt(self._normal_var), a, b, center, degree
-        )
-        return [float(np.dot(m, self._probs)) for m in moments]
+        values, probs, _ = self._atom_part
+        keep = (values > a) & (values <= b)
+        out = _atom_moments(values[keep] - center, probs[keep], degree)
+        for _, sd, locs, w in self._normal_parts:
+            moments = _normal_partial_moments(locs, sd, a, b, center, degree)
+            out = [o + float(np.dot(m, w)) for o, m in zip(out, moments)]
+        return out
 
     def _quad_cut(self) -> Tuple[float, float]:
-        spread = 12.0 * max(math.sqrt(self._normal_var), 1e-300)
-        lo = float(self._values[0]) + self._normal_mean - spread
-        hi = float(self._values[-1]) + self._normal_mean + spread
-        return lo, hi
-
-
-class MixtureLaw(ScalarDistribution):
-    """Finite mixture of laws with the given weights."""
-
-    family = "mixture"
-
-    def __init__(self, components: Sequence[ScalarDistribution], weights: Sequence[float]):
-        if len(components) == 0 or len(components) != len(weights):
-            raise ValueError("components and weights must be nonempty and match")
-        w = np.asarray(weights, dtype=float)
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        total = float(np.sum(w))
-        if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
-            raise ValueError("weights must sum to one")
-        self._components = tuple(components)
-        self._weights = w / total
-        self.mean = float(np.dot(self._weights, [c.mean for c in self._components]))
-        second = float(
-            np.dot(self._weights, [c.variance + c.mean * c.mean for c in self._components])
-        )
-        self.variance = second - self.mean * self.mean
-
-    def descriptor(self) -> tuple:
-        return ("mixture", len(self._components))
-
-    def __repr__(self) -> str:
-        return f"MixtureLaw({len(self._components)} components)"
-
-    def _combine(self, attr: str, x):
-        x = np.asarray(x, dtype=float)
-        acc = np.zeros(x.shape)
-        for c, w in zip(self._components, self._weights):
-            acc = acc + w * np.asarray(getattr(c, attr)(x), dtype=float)
-        return acc if acc.ndim else float(acc)
-
-    def cdf(self, x):
-        return self._combine("cdf", x)
-
-    def prob_le(self, x):
-        return self._combine("prob_le", x)
-
-    def pdf(self, x):
-        return self._combine("pdf", x)
-
-    def char_fn(self, t):
-        t = np.asarray(t, dtype=float)
-        acc = np.zeros(t.shape, dtype=complex)
-        for c, w in zip(self._components, self._weights):
-            acc = acc + w * np.asarray(c.char_fn(t), dtype=complex)
-        return acc if acc.ndim else complex(acc)
-
-    def atoms(self):
-        parts = [c.atoms() for c in self._components]
-        if any(p is None for p in parts):
-            return None
-        # exact-duplicate merge only; components may legitimately share atoms
-        return merge_atoms(
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] * w for p, w in zip(parts, self._weights)]),
-        )
-
-    def support(self) -> Tuple[float, float]:
-        los, his = zip(*(c.support() for c in self._components))
-        return min(los), max(his)
-
-    def expectation(self, fn, breakpoints: Sequence[float] = ()):
-        return float(
-            np.dot(self._weights, [c.expectation(fn, breakpoints) for c in self._components])
-        )
-
-    def _partial_moments(self, a, b, center, degree):
-        parts = [c.partial_moments(a, b, center, degree) for c in self._components]
-        return [float(m) for m in np.dot(self._weights, parts)]
+        spread = 12.0 * max((part[1] for part in self._normal_parts), default=1e-300)
+        return float(self._values[0]) - spread, float(self._values[-1]) + spread
 
 
 # A running convolution state: the atoms of the atomic part, strictly
@@ -400,7 +342,10 @@ def _extend_sum(
 ) -> _FoldState:
     """Fold one more independent entry into a running convolution state."""
     if isinstance(dist, Normal):
-        return values, probs, n_mean + dist.mean, n_var + dist.variance
+        n_var = n_var + dist.variance
+        if not math.isfinite(n_var):
+            raise ConvolutionError("the sum's normal variance is not finite")
+        return values, probs, n_mean + dist.mean, n_var
     at = dist.atoms()
     if at is None:
         raise ConvolutionError(
@@ -434,25 +379,26 @@ def _partial_sums(
         yield state
 
 
-def _partial_sum_laws(
-    laws: Iterable[ScalarDistribution], lengths: Iterable[int]
-) -> Iterator[SumLaw]:
-    """Exact laws of the partial sums of ``laws`` at the increasing ``lengths``."""
-    return (SumLaw(*state) for state in _partial_sums(laws, lengths))
-
-
 def _row_sums(array: TriangularArray, n: int, lengths: Sequence[int]) -> Iterator[_FoldState]:
     """Convolution states of the sums of row n up to the increasing
     ``lengths``.
 
     A row of centered normals up to the last length sums to N(0, prefix
     variance), the variances added left to right as the running
-    convolution adds them; any other row is folded entry by entry.
+    convolution adds them; any other row is folded entry by entry.  Both
+    raise ``ConvolutionError`` once the normal part's variance is not
+    finite.
     """
     variances = array.normal_variances(n, int(lengths[-1]))
     if variances is None:
         return _partial_sums(expand(array.runs(n)), lengths)
-    totals = np.cumsum(variances)
+    with np.errstate(over="ignore"):
+        totals = np.cumsum(variances)
+    if not math.isfinite(totals[-1]):
+        raise ConvolutionError(
+            f"row {n}'s prefix variance is not finite from position "
+            f"{int(np.argmin(np.isfinite(totals))) + 1}"
+        )
     origin = (np.array([0.0]), np.array([1.0]))
     return ((*origin, 0.0, totals[int(length) - 1]) for length in lengths)
 
@@ -465,7 +411,32 @@ def sum_of_independent(entries: Sequence[ScalarDistribution]) -> SumLaw:
     """
     if len(entries) == 0:
         raise ValueError("need at least one entry")
-    return next(_partial_sum_laws(entries, (len(entries),)))
+    return SumLaw(*next(_partial_sums(entries, (len(entries),))))
+
+
+def _mixture(states: Iterable[_FoldState], weights: np.ndarray) -> SumLaw:
+    """The mixture of the fold states' laws with the given weights, scaled
+    to sum to one, as one SumLaw.
+
+    A state's locations are its atoms plus its normal part's mean, each
+    with that part's variance and mass weight times the atom's.  Equal
+    (location, variance) pairs merge once, their masses added in state
+    order: ``merge_atoms`` over each variance's locations.  So an atomic
+    mixture holds the atoms ``merge_atoms`` finds over the states' atoms.
+    """
+    weights = np.asarray(weights, dtype=float) / float(np.sum(weights))
+    locs, masses, variances, sizes = zip(*(
+        (values + mean, probs * w, var, values.size)
+        for (values, probs, mean, var), w in zip(states, weights)
+    ))
+    locs, masses = np.concatenate(locs), np.concatenate(masses)
+    variances = np.repeat(variances, sizes)
+    runs = _variance_runs(variances)
+    if len(runs) == 1:  # one variance: no copies, and the scalar form
+        return SumLaw(*merge_atoms(locs, masses), 0.0, variances[0])
+    merged = [merge_atoms(locs[i], masses[i]) for i in runs]
+    return SumLaw(*map(np.concatenate, zip(*merged)), 0.0,
+                  np.repeat([variances[i[0]] for i in runs], [m[0].size for m in merged]))
 
 
 def row_sum_law(array: TriangularArray, n: int, k: Optional[int] = None) -> SumLaw:
@@ -864,8 +835,12 @@ def delta_randomsum(
     This is ``sup_x |P(S_nu < x) - Phi(x)|``: the supremum of the mixture
     CDF deviation, never larger than the mixture of suprema computed by
     ``delta_mixture``.  The mixture is of the exact per-k laws up to the
-    truncation point, so a row with no exact per-k law raises
-    ``ConvolutionError``; ``engine.empirical_delta`` samples such a sum.
+    truncation point, held as one ``SumLaw`` (``_mixture``), so a row with
+    no exact per-k law raises ``ConvolutionError``;
+    ``engine.empirical_delta`` samples such a sum.  When every per-k law
+    is the same normal law, as complete rows of centered normals of unit
+    variance give in rows mode, the mixture is that one law and
+    ``kolmogorov`` takes its exact-normal path.
     """
     if mode not in ("prefix", "rows"):
         raise ValueError("mode must be 'prefix' or 'rows'")
@@ -873,9 +848,10 @@ def delta_randomsum(
     trunc_k = index.truncation(eta)
     ks = np.arange(1, trunc_k + 1)
     pmf = np.asarray(index.pmf(ks), dtype=float)
-    laws = [SumLaw(*state) for state in _per_k_sums(array, ks, n, mode)]
-    mixture = MixtureLaw(laws, pmf / float(np.sum(pmf)))
-    est = kolmogorov(mixture, target)
+    # normalized here and again in _mixture: the reported values carry
+    # both roundings, and the second moves some weights by an ulp
+    weights = pmf / float(np.sum(pmf))
+    est = kolmogorov(_mixture(_per_k_sums(array, ks, n, mode), weights), target)
     # the dropped index tail shifts the true mixture CDF by <= eta
     bound = est.bound + float(index.tail_mass(trunc_k))
     return DistanceEstimate(
@@ -1155,14 +1131,13 @@ def semi_additivity_check(
         )
     ks = np.arange(1, trunc_k + 1)
     pmf = np.asarray(index.pmf(ks), dtype=float)
-    weights = pmf / float(np.sum(pmf))
     x_iid = all(d.descriptor() == x_entries[0].descriptor() for d in x_entries)
     y_iid = all(d.descriptor() == y_entries[0].descriptor() for d in y_entries)
-    x_laws = list(_partial_sum_laws(x_entries, ks))
-    y_laws = list(_partial_sum_laws(y_entries, ks))
+    x_mix = _mixture(_partial_sums(x_entries, ks), pmf)
+    y_mix = _mixture(_partial_sums(y_entries, ks), pmf)
     for s in s_values:
-        lhs = zeta(MixtureLaw(x_laws, weights), MixtureLaw(y_laws, weights), s).value
-        prefix_sums = np.cumsum(per_entry[s])
+        lhs = zeta(x_mix, y_mix, s).value
+        prefix_sums = np.cumsum(per_entry[s][:trunc_k])
         rhs = float(np.dot(pmf, prefix_sums))
         checks.append(
             InequalityCheck(

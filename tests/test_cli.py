@@ -42,7 +42,7 @@ from randsum.distributions import (
     index_from_config,
 )
 from randsum.engine import BUILTIN_PLAN_NAMES, DISTANCES, StudyPlan, builtin_plan
-from randsum.metrics import zeta
+from randsum.metrics import DistanceEstimate, zeta
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -389,6 +389,45 @@ class TestDistancesCommand:
         code = main(["distances", "--config", cfg, "--strict"])
         capsys.readouterr()
         assert code == EXIT_NUMERIC
+
+    def test_a_nan_distance_is_an_error_cell(self, tmp_path, capsys, monkeypatch):
+        nan = DistanceEstimate(float("nan"), float("nan"), "mixture")
+        monkeypatch.setitem(DISTANCES, "delta_mixture", lambda *args: nan)
+        doc = {
+            "array": {"array": "rare-jump"},
+            "index": {"family": "poisson", "mean": "n"},
+            "grids": {"n": [4]},
+            "distances": {"metrics": ["kolmogorov_row", "delta_mixture"]},
+        }
+        code = main(["distances", "--config", write_config(tmp_path, doc), "--strict"])
+        out = capsys.readouterr().out
+        assert code == EXIT_NUMERIC
+        assert "nan" not in out
+        assert [ln.split(",")[2] for ln in out.splitlines()[1:]] == [
+            "kolmogorov_row", "delta_mixture_error"
+        ]
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_overflowing_prefix_variance_is_an_error_cell(self, tmp_path, capsys, strict):
+        # row 64's prefix variances sum past the largest float at position
+        # 1,088, inside the index's truncation: error cells, never nan
+        doc = {
+            "array": {"array": "shiryaev"},
+            "index": {"family": "geometric", "mean": "n"},
+            "grids": {"n": [16, 64]},
+            "distances": {"metrics": ["delta_mixture", "delta_randomsum"], "mode": "prefix"},
+        }
+        code = main(["distances", "--config", write_config(tmp_path, doc),
+                     *(["--strict"] if strict else [])])
+        captured = capsys.readouterr()
+        assert code == (EXIT_NUMERIC if strict else EXIT_OK)
+        assert "nan" not in captured.out
+        assert captured.out.splitlines()[1:] == [
+            "shiryaev,16,delta_mixture,0.3960100724049796,9.858708952792261e-11,mixture",
+            "shiryaev,16,delta_randomsum,2.711158297863392e-09,0.49999999738741197,mixture",
+            "shiryaev,64,delta_mixture_error,,,",
+            "shiryaev,64,delta_randomsum_error,,,",
+        ]
 
     def test_repeated_metric_is_a_config_error(self, tmp_path, capsys):
         # each name once: a repeat would write two rows for one cell
@@ -851,7 +890,7 @@ class TestExitCodes:
         "doc,path",
         [
             ({"array": {"array": "iid",
-                        "base": {"family": "uniform", "low": "a", "high": 1}}}, "$.array"),
+                        "base": {"family": "uniform", "low": [0.0], "high": 1}}}, "$.array"),
             ({"array": {"array": "iid",
                         "base": {"family": "exponential-centered", "rate": [1.0]}}},
              "$.array"),
@@ -866,6 +905,37 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert f"config error: {path}: wrongly typed value" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "base,field",
+        [
+            ({"family": "scaled", "base": {"family": "normal"}, "factor": True}, "factor"),
+            ({"family": "normal", "var": True}, "var"),
+            ({"family": "exponential-centered", "rate": True}, "rate"),
+            ({"family": "shifted", "base": {"family": "exponential-centered"}, "offset": "1"},
+             "offset"),
+            ({"family": "uniform", "low": "a", "high": 1}, "low"),
+            ({"family": "finite-discrete", "values": [0.0, "1"], "probs": [0.5, 0.5]},
+             "values[1]"),
+            ({"family": "scaled", "base": {"family": "normal", "mean": None}, "factor": 2.0},
+             "base.mean"),
+        ],
+        ids=["bool-factor", "bool-var", "bool-rate", "string-offset", "string-low",
+             "string-value", "nested-null-mean"],
+    )
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_non_number_in_a_numeric_field_is_located(
+        self, tmp_path, capsys, base, field, dry_run
+    ):
+        doc = {"array": {"array": "iid", "base": base}, "grids": {"n": [4]}}
+        cfg = write_config(tmp_path, doc)
+        code = main(["conditions", "--config", cfg, "--out", str(tmp_path),
+                     *(["--dry-run"] if dry_run else [])])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert f"config error: $.array.base.{field}: expected a number" in captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize(
         "index,n_grid,message",

@@ -33,7 +33,7 @@ from randsum.distributions import (
     scale,
     shift,
 )
-from randsum.metrics import MixtureLaw, SumLaw
+from randsum.metrics import SumLaw, _mixture
 
 
 def quad_tsm(pdf, eps, hi):
@@ -500,7 +500,8 @@ class TestTransforms:
 
     @pytest.mark.parametrize("law", [
         SumLaw([-1.0, 0.5, 2.0], [0.2, 0.5, 0.3]),
-        MixtureLaw([Rademacher(), TwoPoint(-0.25, 1.0, 0.8)], [0.5, 0.5]),
+        _mixture([(*law.atoms(), 0.0, 0.0) for law in (Rademacher(), TwoPoint(-0.25, 1.0, 0.8))],
+                 np.array([0.5, 0.5])),
     ], ids=["sum", "mixture"])
     def test_atomic_sum_and_mixture_laws_become_finite_discrete(self, law):
         vals, probs = law.atoms()

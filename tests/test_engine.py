@@ -46,7 +46,7 @@ from randsum.engine import (
     thread_cap,
 )
 from randsum.metrics import (
-    ConvolutionError, SumLaw, delta_randomsum, dkw_bound, empirical_kolmogorov
+    ConvolutionError, DistanceEstimate, SumLaw, delta_randomsum, dkw_bound, empirical_kolmogorov
 )
 
 RAD = make_iid_array(Rademacher())
@@ -574,6 +574,19 @@ class TestDistances:
         assert [(r["n"], r["metric"]) for r in res.rows if r["metric"] in DISTANCES] == [
             (4, "empirical_delta"), (8, "empirical_delta")
         ]
+
+    def test_a_nan_distance_is_a_failed_cell(self, monkeypatch):
+        nan = DistanceEstimate(float("nan"), 0.0, "exact-atomic")
+        monkeypatch.setitem(DISTANCES, "kolmogorov_row", lambda *args: nan)
+        with pytest.raises(ArithmeticError, match="kolmogorov_row evaluated to nan"):
+            engine_module.distance("kolmogorov_row", RAD, ShiftedPoisson(4.0), 4, None,
+                                   1_000, 0.01, 1e-10, "prefix")
+        res = run_study(small_plan(functionals=(), distances=("kolmogorov_row",), checks=()))
+        assert [(e["n"], e["stage"], e["error"]) for e in res.errors] == [
+            (n, "kolmogorov_row", "ArithmeticError: kolmogorov_row evaluated to nan")
+            for n in (4, 8)
+        ]
+        assert not any(r["metric"] == "kolmogorov_row" for r in res.rows)
 
 
 class TestSelfcheck:

@@ -41,7 +41,6 @@ from randsum.distributions import (
 from randsum.metrics import (
     NDTR_ABS_ERR,
     ConvolutionError,
-    MixtureLaw,
     MomentMismatchError,
     SumLaw,
     delta_mixture,
@@ -60,6 +59,12 @@ RAD = make_iid_array(Rademacher())
 SHIRYAEV = make_shiryaev_array()
 RARE = make_rare_jump_array()
 PHI = Normal(0.0, 1.0)
+
+
+def mixture(laws, weights):
+    """The one-law mixture of normal or atomic laws, each as its one-entry fold state."""
+    states = (next(metrics_module._partial_sums([law], (1,))) for law in laws)
+    return metrics_module._mixture(states, np.asarray(weights, dtype=float))
 
 
 def binomial_ks_oracle(k: int) -> float:
@@ -100,7 +105,7 @@ class TestKolmogorov:
 
     def test_shiryaev_row_sum_is_standard_normal(self):
         law = row_sum_law(SHIRYAEV, 8)
-        assert law.is_atomic is False
+        assert law.atoms() is None
         assert kolmogorov(law, PHI).value <= 1e-12
 
     def test_atomic_pair_is_exact(self):
@@ -187,11 +192,11 @@ class TestKolmogorovNormalPair:
         assert shifted.normal_params() == (2.5, 2.0)
         assert sum_of_independent([Rademacher(), PHI]).normal_params() is None
         assert RARE_SIX.normal_params() is None
-        assert MixtureLaw([PHI, Normal(1.0, 1.0)], [0.5, 0.5]).normal_params() is None
+        assert mixture([PHI, Normal(1.0, 1.0)], [0.5, 0.5]).normal_params() is None
         assert Uniform(-1.0, 1.0).normal_params() is None
 
     def test_other_continuous_pairs_keep_the_grid(self):
-        for f, g in ((Uniform(-1.0, 1.0), PHI), (MixtureLaw([PHI, Normal(1.0, 1.0)], [0.5, 0.5]), PHI)):
+        for f, g in ((Uniform(-1.0, 1.0), PHI), (mixture([PHI, Normal(1.0, 1.0)], [0.5, 0.5]), PHI)):
             assert kolmogorov(f, g).method == "exact-grid"
 
     def test_pairs_past_float_resolution_fall_back_to_the_grid(self):
@@ -233,7 +238,7 @@ class TestKolmogorovAtomPath:
             (FiniteDiscrete(*SHARED_ATOMS), step_cdf(*SHARED_ATOMS),
              (np.array(SHARED_ATOMS[0]),)),
             # atoms() is None, yet the CDF jumps at the lattice points
-            (MixtureLaw([LATTICE, PHI], [0.5, 0.5]),
+            (mixture([LATTICE, PHI], [0.5, 0.5]),
              lambda x: 0.5 * step_cdf(*LATTICE.atoms())(x) + 0.5 * ndtr(x),
              (LATTICE.atoms()[0],)),
         ],
@@ -269,7 +274,7 @@ class TestKolmogorovAtomPath:
     @pytest.mark.parametrize(
         "other",
         [PHI, Uniform(-1.5, 2.5), FiniteDiscrete(*SHARED_ATOMS),
-         MixtureLaw([LATTICE, PHI], [0.5, 0.5]), row_sum_law(SHIRYAEV, 3)],
+         mixture([LATTICE, PHI], [0.5, 0.5]), row_sum_law(SHIRYAEV, 3)],
         ids=["normal", "uniform", "atomic", "jumping-mixture", "normal-sum"],
     )
     def test_own_atoms_give_the_searched_gaps_bit_for_bit(self, other):
@@ -297,7 +302,7 @@ class TestKolmogorovAtomPath:
         # exact path sums the merged masses, so they agree up to rounding
         ks = np.arange(1, 41)
         pmf = Geometric.from_mean(8.0).pmf(ks)
-        mix = MixtureLaw([row_sum_law(RARE, 8, int(k)) for k in ks], pmf / pmf.sum())
+        mix = metrics_module._mixture(metrics_module._per_k_sums(RARE, ks, 8, "prefix"), pmf)
         values, _ = mix.atoms()
         expected = brute_force_ks(mix.prob_le, ndtr, (values,))
         for est in (kolmogorov(mix, PHI), kolmogorov(PHI, mix)):
@@ -368,13 +373,17 @@ class TestSumLaw:
 
     def test_mixed_atoms_and_normals(self):
         law = sum_of_independent([Rademacher(), Normal(0.5, 2.0)])
-        assert law.is_atomic is False
+        assert law.atoms() is None
         assert law.mean == pytest.approx(0.5)
         assert law.variance == pytest.approx(3.0)
         # P(S < 0) = 0.5 [Phi((-1-0.5)/s) + Phi((1-0.5)/s)]
         s = math.sqrt(2.0)
         expected = 0.5 * (ndtr(-1.5 / s) + ndtr(0.5 / s))
         assert float(law.cdf(0.0)) == pytest.approx(expected, abs=1e-14)
+
+    def test_infinite_normal_variance_is_not_folded(self):
+        with pytest.raises(ConvolutionError, match="normal variance is not finite"):
+            sum_of_independent([Normal(0.0, 1e308), Normal(0.0, 1e308)])
 
     def test_merge_keeps_lattice_atoms(self):
         # rare-jump prefixes revisit lattice points through different
@@ -562,7 +571,7 @@ class TestZetaSandwich:
             Scaled(CenteredExponential(2.0), -0.7), scale(Rademacher(), 0.5),
             Shifted(CenteredExponential(1.0), 0.4),
             SumLaw([-1.0, 0.5], [0.3, 0.7], normal_mean=0.2, normal_var=0.5),
-            MixtureLaw([PHI, Uniform(-1.0, 1.0)], [0.5, 0.5]),
+            mixture([PHI, Rademacher()], [0.5, 0.5]),
         ]
         for law in laws:
             assert zeta_lower_bound(law, PHI, s).value > 0.0
@@ -576,7 +585,7 @@ def mp_normal_density(mean, var):
 
 
 _SUM_PARTS = (mp_normal_density(-0.8, 0.5), mp_normal_density(0.7, 0.5))
-_MIXTURE_PART = mp_normal_density(1.0, 2.0)
+_MIXTURE_PARTS = (mp_normal_density(1.0, 2.0), mp_normal_density(-0.5, 0.5))
 
 
 class TestPartialMomentsOfSums:
@@ -585,8 +594,8 @@ class TestPartialMomentsOfSums:
     @pytest.mark.parametrize("law, pdf", [
         (SumLaw([-1.0, 0.5], [0.3, 0.7], normal_mean=0.2, normal_var=0.5),
          lambda x: 0.3 * _SUM_PARTS[0](x) + 0.7 * _SUM_PARTS[1](x)),
-        (MixtureLaw([Normal(1.0, 2.0), Uniform(-1.0, 1.0)], [0.25, 0.75]),
-         lambda x: 0.25 * _MIXTURE_PART(x) + (mpmath.mpf(0.375) if -1 <= x <= 1 else 0)),
+        (mixture([Normal(1.0, 2.0), Normal(-0.5, 0.5)], [0.25, 0.75]),
+         lambda x: 0.25 * _MIXTURE_PARTS[0](x) + 0.75 * _MIXTURE_PARTS[1](x)),
     ], ids=["sum", "mixture"])
     def test_against_mpmath(self, law, pdf):
         for a, b in [(-math.inf, math.inf), (-math.inf, 0.3), (0.3, math.inf), (-2.0, 0.5)]:
@@ -623,6 +632,20 @@ class TestSemiAdditivity:
         assert "zeta2_sum<=entrywise_sum" in names
         assert "zeta2_randomsum<=mixture_bound" in names
 
+    def test_builds_one_sum_law_per_side_per_mixture(self, monkeypatch):
+        built = []
+        init = SumLaw.__init__
+        monkeypatch.setattr(SumLaw, "__init__", lambda *a, **k: built.append(1) or init(*a, **k))
+        x_entries, y_entries = [Rademacher()] * 4, [Normal(0.0, 1.0)] * 4
+        semi_additivity_check(x_entries, y_entries, s_values=(1, 2))
+        assert len(built) == 2  # the two full sums
+        built.clear()
+        # an index shorter than the entry lists reads only its prefixes
+        checks = semi_additivity_check(x_entries, y_entries, s_values=(1, 2),
+                                       index=FiniteIndex([1, 2, 3], [0.25, 0.25, 0.5]))
+        assert all(c.ok for c in checks)
+        assert len(built) == 4  # and one mixture per side, whatever the s values
+
     def test_rejects_mismatched_lists(self):
         with pytest.raises(ValueError):
             semi_additivity_check([Rademacher()], [])
@@ -648,7 +671,8 @@ class TestSemiAdditivity:
         entries = [Rademacher(), FiniteDiscrete([-0.3, 0.1, 0.7], [0.2, 0.5, 0.3]),
                    Normal(0.0, 0.5), Rademacher()]
         ks = [1, 2, 4]
-        for k, law in zip(ks, metrics_module._partial_sum_laws(entries, ks)):
+        for k, state in zip(ks, metrics_module._partial_sums(entries, ks)):
+            law = SumLaw(*state)
             scratch = sum_of_independent(entries[:k])
             assert np.array_equal(law._values, scratch._values)
             assert np.array_equal(law._probs, scratch._probs)
@@ -815,6 +839,36 @@ class TestMixtureDistances:
         row_sum_law(RARE, 12)
         assert built == []
 
+    @pytest.mark.parametrize("array", [RARE, SHIRYAEV], ids=["rare-jump", "shiryaev"])
+    @pytest.mark.parametrize("mode", ["prefix", "rows"])
+    def test_randomsum_builds_one_sum_law(self, monkeypatch, array, mode):
+        built = []
+        init = SumLaw.__init__
+        monkeypatch.setattr(SumLaw, "__init__", lambda *a, **k: built.append(1) or init(*a, **k))
+        delta_randomsum(array, ShiftedPoisson(6.0), 6, mode=mode)
+        assert built == [1]
+
+    def test_randomsum_of_normal_rows_is_one_normal_law(self):
+        # every complete Shiryaev row sums to N(0, 1): the per-k laws merge
+        # into that one law, whose distance is exact; what the bound keeps
+        # is the index tail past the truncation
+        index = Geometric.from_mean(16.0)
+        trunc_k = index.truncation(1e-6)
+        ks = np.arange(1, trunc_k + 1)
+        law = metrics_module._mixture(
+            metrics_module._per_k_sums(SHIRYAEV, ks, 16, "rows"), index.pmf(ks)
+        )
+        assert law.normal_params() == (0.0, 1.0)
+        est = delta_randomsum(SHIRYAEV, index, 16, 1e-6, mode="rows")
+        assert est.value <= 1e-14
+        assert est.bound - float(index.tail_mass(trunc_k)) <= 1e-14
+
+    @pytest.mark.parametrize("distance", [delta_mixture, delta_randomsum])
+    def test_overflowing_prefix_variance_raises(self, distance):
+        # row 64's prefix variances sum past the largest float at 1,088
+        with pytest.raises(ConvolutionError, match="not finite from position 1088"):
+            distance(SHIRYAEV, Geometric.from_mean(64.0), 64, mode="prefix")
+
     def test_rows_mode_normal_rows_fold_nothing(self, monkeypatch):
         built = []
         entry = TriangularArray.entry
@@ -841,10 +895,8 @@ class TestMixtureDistances:
         idx = ShiftedPoisson(12.0)
         lengths = np.arange(1, idx.truncation(1e-10) + 1)
         laws = [SumLaw(*state) for state in metrics_module._per_k_sums(array, lengths, 12, "prefix")]
-        folded = metrics_module._partial_sum_laws(
-            (array.entry(12, j) for j in lengths), lengths
-        )
-        assert [law.descriptor() for law in laws] == [law.descriptor() for law in folded]
+        folded = metrics_module._partial_sums((array.entry(12, j) for j in lengths), lengths)
+        assert [law.descriptor() for law in laws] == [SumLaw(*state).descriptor() for state in folded]
 
     def test_estimate_serialization(self):
         est = delta_mixture(RAD, FiniteIndex([4], [1.0]), 4)
@@ -852,9 +904,9 @@ class TestMixtureDistances:
         assert set(d) >= {"value", "bound", "method"}
 
 
-class TestMixtureLaw:
+class TestMixture:
     def test_cdf_is_convex_combination(self):
-        mix = MixtureLaw([PHI, Normal(1.0, 1.0)], [0.25, 0.75])
+        mix = mixture([PHI, Normal(1.0, 1.0)], [0.25, 0.75])
         xs = np.linspace(-3, 4, 11)
         expected = 0.25 * ndtr(xs) + 0.75 * ndtr(xs - 1.0)
         assert np.allclose(mix.cdf(xs), expected, atol=1e-14)
@@ -869,9 +921,10 @@ class TestMixtureLaw:
             FiniteDiscrete([2.0, 1.0 / 3.0], [0.2, 0.8]),
             FiniteDiscrete([1.0 / 3.0, 0.0, -1.0], [0.6, 0.3, 0.1]),
         ]
-        mix = MixtureLaw(parts, [0.25, 0.25, 0.5])
+        weights = [0.25, 0.25, 0.5]
+        mix = mixture(parts, weights)
         pairs = sorted(
-            ((v, p * w) for c, w in zip(parts, mix._weights) for v, p in zip(*c.atoms())),
+            ((v, p * w) for c, w in zip(parts, weights) for v, p in zip(*c.atoms())),
             key=lambda vp: vp[0],
         )
         expected = {}
@@ -885,7 +938,7 @@ class TestMixtureLaw:
     def test_atoms_merge_across_components(self):
         a = FiniteDiscrete([0.0, 1.0], [0.5, 0.5])
         b = FiniteDiscrete([1.0, 2.0], [0.5, 0.5])
-        mix = MixtureLaw([a, b], [0.5, 0.5])
+        mix = mixture([a, b], [0.5, 0.5])
         values, probs = mix.atoms()
         assert list(values) == [0.0, 1.0, 2.0]
         assert list(probs) == pytest.approx([0.25, 0.5, 0.25])
