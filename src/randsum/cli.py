@@ -31,8 +31,8 @@ from . import metrics as _metrics
 from .distributions import (
     DISTRIBUTION_FAMILIES,
     INDEX_FAMILIES,
-    DistributionError,
     Normal,
+    distribution_from_config,
     index_from_config,
 )
 
@@ -91,7 +91,9 @@ def _positive_int(value, path: str) -> int:
 
 
 def _validate_entry(cfg, path: str, table: dict, kind_key: str, what: str) -> dict:
-    """Check a config mapping against its family's entry in a registry table."""
+    """Check a config mapping against its family's entry in a registry
+    table; a nested distribution under "base" is checked and built alone,
+    so what its builder rejects is reported at its own path."""
     cfg = _expect_mapping(cfg, path)
     kind = cfg.get(kind_key)
     if not isinstance(kind, str) or kind not in table:
@@ -104,33 +106,48 @@ def _validate_entry(cfg, path: str, table: dict, kind_key: str, what: str) -> di
         if key not in cfg:
             raise ConfigError(f"{path}.{key}: required for {what} {kind!r}")
     if "base" in cfg:
+        base_path = f"{path}.base"
         base = _validate_entry(
-            cfg["base"], f"{path}.base", DISTRIBUTION_FAMILIES, "family",
-            "distribution family",
+            cfg["base"], base_path, DISTRIBUTION_FAMILIES, "family", "distribution family",
         )
-        _check_numbers(base, f"{path}.base")
+        _check_numbers(base, base_path)
+        _check_build(distribution_from_config, base, base_path)
     return cfg
 
 
-def _check_numbers(cfg: dict, path: str) -> None:
-    """Every field of a distribution config but its family and base holds a
-    number, or a list of numbers; a bool is not a number."""
+# the fields of the registry tables that hold a list; every other field
+# holds one value
+_LIST_FIELDS = ("values", "probs")
+
+
+def _check_numbers(cfg: dict, path: str, placeholders: Sequence[str] = ()) -> None:
+    """Every field of a family config but its family and base holds a finite
+    number, and "values" and "probs" a list of them; a bool is not a
+    number, and a string in ``placeholders`` stands for one."""
     for key, value in cfg.items():
         if key in ("family", "base"):
             continue
-        items = enumerate(value) if isinstance(value, list) else [(None, value)]
-        for i, item in items:
+        if key in _LIST_FIELDS:
+            items = [(f"{key}[{i}]", v) for i, v in enumerate(_expect_list(value, f"{path}.{key}"))]
+        else:
+            items = [(key, value)]
+        for where, item in items:
+            if isinstance(item, str) and item in placeholders:
+                continue
             if isinstance(item, bool) or not isinstance(item, (int, float)):
-                where = key if i is None else f"{key}[{i}]"
                 raise ConfigError(f"{path}.{where}: expected a number")
+            # json reads NaN and Infinity as floats
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ConfigError(f"{path}.{where}: expected a finite number")
 
 
-def _check_value_types(build, cfg: dict, path: str) -> None:
-    """Build ``cfg`` once, so a wrongly typed value is a config error."""
+def _check_build(build, cfg: dict, path: str, where: str = "") -> None:
+    """Build ``cfg`` once, so a value its builder rejects is a config error
+    located at ``path``."""
     try:
         build(cfg)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: wrongly typed value: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}{where}") from None
 
 
 def _validate_array(cfg, path: str) -> dict:
@@ -153,11 +170,9 @@ def _validate_index(cfg, path: str, n_grid: Sequence[int]) -> dict:
     for name, value in fields.items():
         if value != "n" and (isinstance(value, bool) or not isinstance(value, int)):
             raise ConfigError(f'{path}.{name}: expected an integer or "n"')
+    _check_numbers(cfg, path, ("n",))
     for n in n_grid:
-        try:
-            _check_value_types(lambda c: index_from_config(c, n), cfg, path)
-        except DistributionError as exc:
-            raise ConfigError(f"{path}: {exc} at n = {n}") from None
+        _check_build(lambda c: index_from_config(c, n), cfg, path, f" at n = {n}")
     return cfg
 
 
@@ -326,8 +341,8 @@ def effective_config(raw: dict, command: str) -> dict:
         else None
     )
 
-    # the checks above read key names; one build reads the values' types
-    _check_value_types(_arrays.array_from_config, cfg["array"], "$.array")
+    # the checks above read the distributions; one build reads the rest
+    _check_build(_arrays.array_from_config, cfg["array"], "$.array")
 
     if command == "distances" and cfg["index"] is None:
         raise ConfigError("$.index: required for the distances task")

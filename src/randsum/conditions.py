@@ -264,8 +264,9 @@ def _rotar_entry(dist: ScalarDistribution, eps: float) -> float:
     the truncated second moments of both laws certify a remainder below
     _ROTAR_TAIL_TARGET, and ``_quad`` integrates to QUAD_ABS_TOL between
     the sign changes of F - Phi that a 65-point probe and ``_brentq`` find.
-    This path, taken by the centered exponential and by wrapped or summed
-    continuous laws, is the only one that imports scipy.integrate.
+    This path, taken by the exponential family, by non-centered normals
+    and by sums with a normal part, is the only one that imports
+    scipy.integrate.
     """
     if isinstance(dist, Normal) and dist.mean == 0.0:
         return 0.0

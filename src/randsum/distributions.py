@@ -35,8 +35,6 @@ __all__ = [
     "TwoPoint",
     "CenteredExponential",
     "FiniteDiscrete",
-    "Scaled",
-    "Shifted",
     "scale",
     "scaled_normal_variance",
     "shift",
@@ -184,7 +182,9 @@ class ScalarDistribution:
     laws, a closed form each continuous family supplies.  Absolute
     moments of other orders read ``_abs_moment_closed_form`` where a
     family has one; they and ``expectation`` fall back to atom sums or
-    adaptive quadrature.
+    adaptive quadrature over ``_quad_cut``.  ``scale()`` and ``shift()``
+    map every leaf family onto itself, so a normalized entry
+    (X - a) / B is again a law of X's family.
     """
 
     family: str = "abstract"
@@ -362,7 +362,8 @@ def _ratio_series(moments: Iterable[float]) -> float:
 
 
 def _positive_variance(var: float) -> float:
-    if var <= 0:
+    # an infinite variance is the saturated law of divergent extensions
+    if not var > 0:
         raise DistributionError("normal variance must be positive")
     return float(var)
 
@@ -381,6 +382,8 @@ class Normal(ScalarDistribution):
     family = "normal"
 
     def __init__(self, mean: float = 0.0, var: float = 1.0):
+        if not math.isfinite(mean):
+            raise DistributionError("normal mean must be finite")
         self.mean = float(mean)
         self.variance = _positive_variance(var)
         self._sigma = math.sqrt(self.variance)
@@ -503,8 +506,8 @@ class Uniform(ScalarDistribution):
     family = "uniform"
 
     def __init__(self, low: float, high: float):
-        if not high > low:
-            raise DistributionError("uniform requires high > low")
+        if not -math.inf < low < high < math.inf:
+            raise DistributionError("uniform requires finite low < high")
         self.low = float(low)
         self.high = float(high)
         self.mean = 0.5 * (self.low + self.high)
@@ -643,7 +646,7 @@ class _AtomicMixin:
         if not np.all(np.isfinite(vals)):
             # merge_atoms would fold a nan into the atom before it
             raise DistributionError("atom values must be finite")
-        if np.any(prb < 0):
+        if not np.all(prb >= 0):
             raise DistributionError("atom probabilities must be nonnegative")
         total = float(prb.sum())
         if abs(total - 1.0) > 1e-9:
@@ -736,53 +739,89 @@ class FiniteDiscrete(_AtomicMixin, ScalarDistribution):
 
 
 class CenteredExponential(ScalarDistribution):
-    """Exponential(rate) shifted to zero mean: X = E - 1/rate.
+    """The law offset + sign (E - 1) / rate with E ~ Exp(1), sign 1 or -1:
+    an exponential law moved to mean ``offset``, mirrored for sign -1.
 
-    Support is (-1/rate, inf); variance is 1/rate^2.
+    Its support ends at the edge offset - sign/rate and runs away from
+    it, to +inf for sign 1 and to -inf for sign -1; variance is 1/rate^2.
+    ``scale()`` and ``shift()`` map the family onto itself.
     """
 
     family = "exponential-centered"
 
-    def __init__(self, rate: float = 1.0):
-        if rate <= 0:
-            raise DistributionError("rate must be positive")
+    def __init__(self, rate: float = 1.0, *, offset: float = 0.0, sign: int = 1):
+        if not 0.0 < rate < math.inf:
+            raise DistributionError("rate must be positive and finite")
+        if not math.isfinite(offset):
+            raise DistributionError("offset must be finite")
+        if sign not in (1, -1):
+            raise DistributionError("sign must be 1 or -1")
         self.rate = float(rate)
-        self.mean = 0.0
+        self.offset = float(offset)
+        self.sign = int(sign)
+        self.mean = self.offset
         self.variance = 1.0 / (self.rate * self.rate)
         self._shift = 1.0 / self.rate
+        self._edge = self.offset - self._shift if self.sign > 0 else self.offset + self._shift
 
     def descriptor(self) -> tuple:
-        return ("exponential-centered", self.rate)
+        moved = (self.offset, self.sign) if self.offset or self.sign < 0 else ()
+        return ("exponential-centered", self.rate, *moved)
 
     def __repr__(self) -> str:
-        return f"CenteredExponential(rate={self.rate!r})"
+        offset = f", offset={self.offset!r}" if self.offset else ""
+        sign = ", sign=-1" if self.sign < 0 else ""
+        return f"CenteredExponential(rate={self.rate!r}{offset}{sign})"
+
+    def _standard(self, x: ArrayLike) -> ArrayLike:
+        """The value of E at which X = x."""
+        x = np.asarray(x, dtype=float)
+        if self.offset:
+            x = x - self.offset
+        if self.sign < 0:
+            x = -x
+        return self.rate * (x + self._shift)
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, dtype=float)
-        y = self.rate * (x + self._shift)
-        out = np.where(y > 0, -np.expm1(-np.maximum(y, 0.0)), 0.0)
+        y = self._standard(x)
+        if self.sign > 0:
+            out = np.where(y > 0, -np.expm1(-np.maximum(y, 0.0)), 0.0)
+        else:
+            # X < x exactly when E > y
+            out = np.where(y > 0, np.exp(-np.maximum(y, 0.0)), 1.0)
         return float(out) if out.ndim == 0 else out
 
     def pdf(self, x: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, dtype=float)
-        y = self.rate * (x + self._shift)
+        y = self._standard(x)
         out = np.where(y >= 0, self.rate * np.exp(-np.maximum(y, 0.0)), 0.0)
         return float(out) if out.ndim == 0 else out
 
     def char_fn(self, t: ArrayLike) -> Union[complex, np.ndarray]:
         t = np.asarray(t, dtype=float)
-        out = np.exp(-1j * t * self._shift) / (1.0 - 1j * t / self.rate)
+        # a branch, not t * sign, which would turn a 0-d t into a numpy
+        # scalar and move the bits
+        if self.sign > 0:
+            out = np.exp(-1j * t * self._shift) / (1.0 - 1j * t / self.rate)
+        else:
+            out = np.exp(1j * t * self._shift) / (1.0 + 1j * t / self.rate)
+        if self.offset:
+            out = np.exp(1j * t * self.offset) * out
         return complex(out) if out.ndim == 0 else out
 
     def support(self) -> Tuple[float, float]:
-        return (-self._shift, math.inf)
+        return (self._edge, math.inf) if self.sign > 0 else (-math.inf, self._edge)
 
     def _quad_cut(self) -> Tuple[float, float]:
         # exp tail: e^{-60} ~ 9e-27 keeps moment tails far below tolerance
-        return (-self._shift, -self._shift + 60.0 / self.rate)
+        reach = 60.0 / self.rate
+        if self.sign > 0:
+            return (self._edge, self._edge + reach)
+        return (self._edge - reach, self._edge)
 
     def _abs_moment_closed_form(self, order: float) -> Optional[float]:
-        # X = (E - 1) / rate with E ~ Exp(1), and E|E - 1|^p is
+        if self.offset:
+            return None
+        # |X| = |E - 1| / rate with E ~ Exp(1), and E|E - 1|^p is
         # e^-1 (sum_k 1/(k! (p + k + 1)) + Gamma(p + 1)): the series is
         # the integral of t^p e^t over [0, 1], from E below 1, and
         # Gamma(p + 1) comes from E above 1
@@ -808,6 +847,16 @@ class CenteredExponential(ScalarDistribution):
         )
 
     def _partial_moments(self, a: float, b: float, center: float, degree: int) -> List[float]:
+        # onto Y = sign (X - offset), the law at offset 0 and sign 1; which
+        # end of the interval is closed does not matter without atoms
+        o = self.offset
+        if self.sign > 0:
+            return self._centered_moments(a - o, b - o, center - o, degree)
+        moments = self._centered_moments(o - b, o - a, o - center, degree)
+        return [-v if m % 2 else v for m, v in enumerate(moments)]
+
+    def _centered_moments(self, a: float, b: float, center: float, degree: int) -> List[float]:
+        """E[(Y - center)^m 1{a < Y <= b}], m = 0..degree, for Y = (E - 1) / rate."""
         lo = max(a, -self._shift)
         if not b > lo:
             return [0.0] * (degree + 1)
@@ -829,127 +878,20 @@ class CenteredExponential(ScalarDistribution):
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         draws = rng.exponential(self._shift, size=size)
-        draws -= self._shift
+        if self.sign < 0:
+            draws *= -1.0
+        draws += self._edge
         return draws
 
 
-class Scaled(ScalarDistribution):
-    """Law of factor * X (factor nonzero) for a law X without atoms; ``scale()`` takes any law."""
-
-    family = "scaled"
-
-    def __init__(self, base: ScalarDistribution, factor: float):
-        if factor == 0:
-            raise DistributionError("scale factor must be nonzero")
-        if base.atoms() is not None:
-            raise DistributionError("Scaled needs a law without atoms; scale() takes atomic ones")
-        self.base = base
-        self.factor = float(factor)
-        self.mean = self.factor * base.mean
-        self.variance = self.factor * self.factor * base.variance
-
-    def descriptor(self) -> tuple:
-        return ("scaled", self.base.descriptor(), self.factor)
-
-    def __repr__(self) -> str:
-        return f"Scaled({self.base!r}, {self.factor!r})"
-
-    def cdf(self, x: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, dtype=float)
-        if self.factor > 0:
-            return self.base.cdf(x / self.factor)
-        # P(cX < x) = P(X > x/c) = 1 - P(X <= x/c) for c < 0
-        return 1.0 - self.base.prob_le(x / self.factor)
-
-    def prob_le(self, x: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, dtype=float)
-        if self.factor > 0:
-            return self.base.prob_le(x / self.factor)
-        return 1.0 - self.base.cdf(x / self.factor)
-
-    def pdf(self, x: ArrayLike) -> ArrayLike:
-        x = np.asarray(x, dtype=float)
-        return self.base.pdf(x / self.factor) / abs(self.factor)
-
-    def char_fn(self, t: ArrayLike) -> Union[complex, np.ndarray]:
-        return self.base.char_fn(np.asarray(t, dtype=float) * self.factor)
-
-    def support(self) -> Tuple[float, float]:
-        lo, hi = self.base.support()
-        a, b = lo * self.factor, hi * self.factor
-        return (min(a, b), max(a, b))
-
-    def abs_moment(self, order: float) -> float:
-        if order < 1:
-            raise DistributionError("moment order must be >= 1")
-        return abs(self.factor) ** order * self.base.abs_moment(order)
-
-    def _partial_moments(self, a: float, b: float, center: float, degree: int) -> List[float]:
-        c = self.factor
-        # a < cY <= b puts Y between a/c and b/c, the other way round for
-        # c < 0; which end is closed does not matter without atoms
-        lo, hi = (a / c, b / c) if c > 0 else (b / c, a / c)
-        moments = self.base.partial_moments(lo, hi, center / c, degree)
-        return [c ** m * v for m, v in enumerate(moments)]
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        return self.factor * self.base.sample(rng, size=size)
-
-
-class Shifted(ScalarDistribution):
-    """Law of X + offset for a law X without atoms; ``shift()`` takes any law."""
-
-    family = "shifted"
-
-    def __init__(self, base: ScalarDistribution, offset: float):
-        if base.atoms() is not None:
-            raise DistributionError("Shifted needs a law without atoms; shift() takes atomic ones")
-        self.base = base
-        self.offset = float(offset)
-        self.mean = base.mean + self.offset
-        self.variance = base.variance
-
-    def descriptor(self) -> tuple:
-        return ("shifted", self.base.descriptor(), self.offset)
-
-    def __repr__(self) -> str:
-        return f"Shifted({self.base!r}, {self.offset!r})"
-
-    def cdf(self, x: ArrayLike) -> ArrayLike:
-        return self.base.cdf(np.asarray(x, dtype=float) - self.offset)
-
-    def prob_le(self, x: ArrayLike) -> ArrayLike:
-        return self.base.prob_le(np.asarray(x, dtype=float) - self.offset)
-
-    def pdf(self, x: ArrayLike) -> ArrayLike:
-        return self.base.pdf(np.asarray(x, dtype=float) - self.offset)
-
-    def char_fn(self, t: ArrayLike) -> Union[complex, np.ndarray]:
-        t = np.asarray(t, dtype=float)
-        out = np.exp(1j * t * self.offset) * self.base.char_fn(t)
-        return complex(out) if np.ndim(out) == 0 else out
-
-    def support(self) -> Tuple[float, float]:
-        lo, hi = self.base.support()
-        return (lo + self.offset, hi + self.offset)
-
-    def _quad_cut(self) -> Tuple[float, float]:
-        lo, hi = self.base._quad_cut()
-        return (lo + self.offset, hi + self.offset)
-
-    def _partial_moments(self, a: float, b: float, center: float, degree: int) -> List[float]:
-        o = self.offset
-        return self.base.partial_moments(a - o, b - o, center - o, degree)
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        return self.base.sample(rng, size=size) + self.offset
-
-
 def scale(dist: ScalarDistribution, factor: float) -> ScalarDistribution:
-    """factor * X in closed form where the family permits: a ``TwoPoint`` for
-    Rademacher, a ``FiniteDiscrete`` for any other law with atoms, else ``Scaled``."""
-    if factor == 0:
-        raise DistributionError("scale factor must be nonzero")
+    """factor * X, for a nonzero factor, in the family of X: normal, uniform
+    and exponential laws map their parameters, Rademacher becomes a
+    ``TwoPoint`` and any other law with atoms a ``FiniteDiscrete``.  A law
+    no family closes over, a ``SumLaw`` with a normal part, raises
+    DistributionError."""
+    if not abs(factor) > 0:
+        raise DistributionError(f"scale factor must be nonzero, got {factor!r}")
     if factor == 1.0:
         return dist
     if isinstance(dist, Normal):
@@ -964,16 +906,21 @@ def scale(dist: ScalarDistribution, factor: float) -> ScalarDistribution:
     at = dist.atoms()
     if at is not None:
         return FiniteDiscrete(at[0] * factor, at[1])
-    if isinstance(dist, CenteredExponential) and factor > 0:
-        return CenteredExponential(dist.rate / factor)
-    if isinstance(dist, Scaled):
-        return scale(dist.base, dist.factor * factor)
-    return Scaled(dist, factor)
+    if isinstance(dist, CenteredExponential):
+        return CenteredExponential(
+            dist.rate / abs(factor),
+            # an offset of 0 stays 0, not -0.0
+            offset=dist.offset * factor if dist.offset else 0.0,
+            sign=dist.sign if factor > 0 else -dist.sign,
+        )
+    raise DistributionError(f"scale() has no closed form for {dist!r}")
 
 
 def shift(dist: ScalarDistribution, offset: float) -> ScalarDistribution:
-    """X + offset in closed form where the family permits: a ``FiniteDiscrete``
-    for any law with atoms, else ``Shifted``."""
+    """X + offset in the family of X: normal, uniform and exponential laws
+    move their parameters, and any law with atoms becomes a
+    ``FiniteDiscrete``.  A law no family closes over, a ``SumLaw`` with a
+    normal part, raises DistributionError."""
     if offset == 0.0:
         return dist
     if isinstance(dist, Normal):
@@ -983,9 +930,9 @@ def shift(dist: ScalarDistribution, offset: float) -> ScalarDistribution:
     at = dist.atoms()
     if at is not None:
         return FiniteDiscrete(at[0] + offset, at[1])
-    if isinstance(dist, Shifted):
-        return shift(dist.base, dist.offset + offset)
-    return Shifted(dist, offset)
+    if isinstance(dist, CenteredExponential):
+        return CenteredExponential(dist.rate, offset=dist.offset + offset, sign=dist.sign)
+    raise DistributionError(f"shift() has no closed form for {dist!r}")
 
 
 class ConfigEntry(NamedTuple):
@@ -1132,7 +1079,7 @@ class ShiftedPoisson(RandomIndex):
     family = "poisson"
 
     def __init__(self, mean: float):
-        if mean <= 1.0:
+        if not 1.0 < mean < math.inf:
             raise DistributionError("shifted Poisson requires mean > 1")
         self.mean = float(mean)
         self.lam = self.mean - 1.0
@@ -1209,7 +1156,7 @@ class ShiftedNegativeBinomial(RandomIndex):
     family = "negative-binomial"
 
     def __init__(self, r: float, p: float):
-        if r <= 0:
+        if not 0 < r < math.inf:
             raise DistributionError("negative binomial requires r > 0")
         if not 0.0 < p < 1.0:
             raise DistributionError("negative binomial requires p in (0, 1)")
@@ -1258,7 +1205,7 @@ class FiniteIndex(RandomIndex):
         if np.shape(values) != prb.shape or prb.ndim != 1 or prb.size == 0:
             raise DistributionError("finite index needs matching value/prob arrays")
         vals = np.array([_index_value(v) for v in values], dtype=np.int64)
-        if np.any(prb < 0) or abs(prb.sum() - 1.0) > 1e-9:
+        if not np.all(prb >= 0) or abs(prb.sum() - 1.0) > 1e-9:
             raise DistributionError("probabilities must be nonnegative and sum to 1")
         order = np.argsort(vals)
         self._values = vals[order]

@@ -44,7 +44,6 @@ from randsum.distributions import (
     Normal,
     Rademacher,
     ScalarDistribution,
-    Scaled,
     ShiftedNegativeBinomial,
     ShiftedPoisson,
     TwoPoint,
@@ -90,7 +89,7 @@ ZETA_SANDWICH_PAIRS = [
     (Uniform(-1.0, 1.0), _STD_NORMAL, 2),
     (CenteredExponential(2.0), Normal(0.0, 0.25), 2),
     (TwoPoint(-0.25, 1.0, 0.8), _RAD, 2),
-    (Scaled(Uniform(-1.0, 1.0), 2.0), _STD_NORMAL, 2),
+    (scale(Uniform(-1.0, 1.0), 2.0), _STD_NORMAL, 2),
     (FiniteDiscrete([-1.0, 0.0, 1.0], [0.3, 0.4, 0.3]), Normal(0.0, 0.6), 2),
     (Normal(0.0, 1.0), Normal(0.0, 2.0), 2),
     (_RAD, _STD_NORMAL, 3),
@@ -251,7 +250,7 @@ def test_criterion_5_zolotarev_metric_properties():
     # homogeneity of order s under scaling by c
     base = {s: zeta(rad, std_normal, s).value for s in (1, 2, 3)}
     for c, s in product((0.5, 2.0, -3.0), (1, 2, 3)):
-        scaled = zeta(scale(rad, c), Scaled(std_normal, c), s).value
+        scaled = zeta(scale(rad, c), scale(std_normal, c), s).value
         assert scaled == pytest.approx(abs(c) ** s * base[s], rel=1e-8)
 
     # regularity: convolving both sides with the same independent law

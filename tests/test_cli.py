@@ -4,6 +4,7 @@ import argparse
 import copy
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -43,6 +44,10 @@ from randsum.distributions import (
 )
 from randsum.engine import BUILTIN_PLAN_NAMES, DISTANCES, StudyPlan, builtin_plan
 from randsum.metrics import DistanceEstimate, zeta
+
+
+def iid(base: dict) -> dict:
+    return {"array": "iid", "base": base}
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -887,24 +892,53 @@ class TestExitCodes:
         assert "$.grids.epsilonn: unknown key" in err
 
     @pytest.mark.parametrize(
-        "doc,path",
+        "doc,message",
         [
-            ({"array": {"array": "iid",
-                        "base": {"family": "uniform", "low": [0.0], "high": 1}}}, "$.array"),
-            ({"array": {"array": "iid",
-                        "base": {"family": "exponential-centered", "rate": [1.0]}}},
-             "$.array"),
-            ({"index": {"family": "poisson", "mean": [4]}}, "$.index"),
+            # a list on a one-value field, one value on a list field
+            ({"array": iid({"family": "uniform", "low": [0.0], "high": 1})},
+             "$.array.base.low: expected a number"),
+            ({"array": iid({"family": "exponential-centered", "rate": [1.0]})},
+             "$.array.base.rate: expected a number"),
+            ({"index": {"family": "poisson", "mean": [4]}}, "$.index.mean: expected a number"),
+            ({"array": iid({"family": "finite-discrete", "values": 1.0, "probs": [1.0]})},
+             "$.array.base.values: expected an array"),
+            # json reads NaN and Infinity
+            ({"index": {"family": "poisson", "mean": math.nan}},
+             "$.index.mean: expected a finite number"),
+            ({"index": {"family": "finite", "values": [1, 2], "probs": [math.nan, 0.5]}},
+             "$.index.probs[0]: expected a finite number"),
+            ({"array": iid({"family": "normal", "var": math.inf})},
+             "$.array.base.var: expected a finite number"),
+            ({"array": iid({"family": "scaled", "factor": math.nan,
+                            "base": {"family": "uniform", "low": 0.0, "high": 1.0}})},
+             "$.array.base.factor: expected a finite number"),
+            ({"array": iid({"family": "finite-discrete", "values": [0.0, -math.inf],
+                            "probs": [0.5, 0.5]})},
+             "$.array.base.values[1]: expected a finite number"),
+            # values a builder rejects, at the mapping that holds them
+            ({"array": iid({"family": "exponential-centered", "rate": -1})},
+             "$.array.base: rate must be positive"),
+            ({"array": iid({"family": "scaled", "factor": 2.0,
+                            "base": {"family": "uniform", "low": 1.0, "high": 0.0}})},
+             "$.array.base.base: uniform requires finite low < high"),
+            ({"array": {"array": "series", "base_seq": "x"}},
+             "$.array: unknown series base sequence 'x'"),
         ],
+        ids=["list-low", "list-rate", "list-index-mean", "scalar-values", "nan-index-mean",
+             "nan-index-prob", "inf-var", "nan-factor", "inf-value", "negative-rate",
+             "nested-inverted-uniform", "unknown-series"],
     )
     @pytest.mark.parametrize("dry_run", [False, True])
-    def test_wrongly_typed_value_is_config_error(self, tmp_path, capsys, doc, path, dry_run):
+    def test_wrongly_typed_value_is_config_error(self, tmp_path, capsys, doc, message, dry_run):
         cfg = write_config(tmp_path, {"grids": {"n": [4]}, **doc})
-        code = main(["conditions", "--config", cfg, *(["--dry-run"] if dry_run else [])])
-        err = capsys.readouterr().err
+        code = main(["conditions", "--config", cfg, "--out", str(tmp_path),
+                     *(["--dry-run"] if dry_run else [])])
+        captured = capsys.readouterr()
         assert code == EXIT_CONFIG
-        assert f"config error: {path}: wrongly typed value" in err
-        assert "Traceback" not in err
+        assert f"config error: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize(
         "base,field",

@@ -12,6 +12,7 @@ from scipy.special import ndtr
 import randsum.conditions as cond
 from randsum.arrays import (
     SeriesForm,
+    array_from_config,
     TriangularArray,
     from_series,
     make_iid_array,
@@ -155,9 +156,8 @@ class TestRotar:
 
 
 def rotar_mpmath(law, eps):
-    """Rotar's integral of one uniform, atomic or centered exponential law
-    by 30-digit quadrature, split at the atoms, at the support's ends, at
-    +-eps and at every sign change of F - Phi."""
+    """Rotar's integral of one uniform, atomic or centered exponential law;
+    see ``rotar_oracle``."""
     with mpmath.workdps(30):
         if isinstance(law, Uniform):
             lo, hi = mpmath.mpf(law.low), mpmath.mpf(law.high)
@@ -176,7 +176,16 @@ def rotar_mpmath(law, eps):
             # exactly 1 past the last atom, or the right tail diverges
             cdf = lambda x: mpmath.mpf(1) if x > breaks[-1] else sum(
                 (m for v, m in zip(breaks, masses) if v < x), mpmath.mpf(0))
-        sigma = mpmath.sqrt(mpmath.mpf(law.variance))
+        return rotar_oracle(cdf, breaks, law.variance, eps)
+
+
+def rotar_oracle(cdf, breaks, variance, eps):
+    """Rotar's integral of the law with distribution function ``cdf`` and
+    the given variance by 30-digit quadrature, split at ``breaks`` (its
+    atoms and the ends of its support), at +-eps and at every sign change
+    of F - Phi."""
+    with mpmath.workdps(30):
+        sigma = mpmath.sqrt(mpmath.mpf(variance))
         gap = lambda x: cdf(x) - mpmath.ncdf(x / sigma)
         oracle = mpmath.mpf(0)
         for side in (1, -1):
@@ -194,6 +203,52 @@ def rotar_mpmath(law, eps):
                 cuts.append(v)
             oracle += mpmath.quad(lambda x: x * abs(gap(side * x)), cuts + [mpmath.inf])
         return float(oracle)
+
+
+def exponential_row_oracles(sign, n, eps, delta):
+    """30-digit infinitesimality_ratio, lyapunov at ``delta`` and rotar at
+    ``eps`` of row n of i.i.d. entries X = sign (E - 1) / sqrt(n), E ~ Exp(1)."""
+    with mpmath.workdps(30):
+        root = mpmath.sqrt(n)
+
+        def mean_of(g):
+            # E g(X), split at E = 1, where X = 0
+            return mpmath.quad(lambda e: g(sign * (e - 1) / root) * mpmath.exp(-e),
+                               [0, 1, mpmath.inf])
+
+        # the support ends at sign * edge, and F - Phi keeps its sign past
+        # 40 standard deviations
+        edge = -1 / root
+        if sign > 0:
+            cdf = lambda x: -mpmath.expm1(-(root * x + 1)) if x > edge else mpmath.mpf(0)
+        else:
+            cdf = lambda x: mpmath.exp(root * x - 1) if x < -edge else mpmath.mpf(1)
+        return {
+            "infinitesimality_ratio": float(mean_of(lambda x: x * x / (1 + x * x))),
+            "lyapunov": float(n * mean_of(lambda x: abs(x) ** (2 + mpmath.mpf(delta)))),
+            "rotar": n * rotar_oracle(cdf, [sign * edge, sign * 40 / root], 1 / mpmath.mpf(n), eps),
+        }
+
+
+# base configs whose i.i.d. rows have entries sign (E - 1) / sqrt(n):
+# name -> (config, sign)
+_EXP = {"family": "exponential-centered", "rate": 1.0}
+EXPONENTIAL_FAMILY_BASES = {
+    "mirrored": ({"family": "scaled", "factor": -0.7, "base": {**_EXP, "rate": 1.5}}, -1),
+    "shifted": ({"family": "shifted", "offset": 0.4, "base": _EXP}, 1),
+    "nested": ({"family": "scaled", "factor": 2.0,
+                "base": {"family": "shifted", "offset": 0.4, "base": _EXP}}, 1),
+}
+
+
+@pytest.mark.parametrize("name", EXPONENTIAL_FAMILY_BASES)
+def test_exponential_family_rows_lie_within_their_bounds(name):
+    base, sign = EXPONENTIAL_FAMILY_BASES[name]
+    n, eps, delta = 4, 0.3, 0.5
+    rep = evaluate_report(array_from_config({"array": "iid", "base": base}), n, eps, delta,
+                          functionals=("infinitesimality_ratio", "lyapunov", "rotar"))
+    for functional, oracle in exponential_row_oracles(sign, n, eps, delta).items():
+        assert abs(rep.values[functional] - oracle) <= rep.error_bounds[functional], functional
 
 
 def rotar_gap(alpha, beta, sigma):

@@ -13,6 +13,7 @@ from scipy.stats import nbinom, poisson
 import randsum.distributions as distributions_module
 from randsum.arrays import array_from_config, make_iid_array
 from randsum.distributions import (
+    DISTRIBUTION_FAMILIES,
     CenteredExponential,
     Deterministic,
     DistributionError,
@@ -21,8 +22,6 @@ from randsum.distributions import (
     Geometric,
     Normal,
     Rademacher,
-    Scaled,
-    Shifted,
     ShiftedNegativeBinomial,
     ShiftedPoisson,
     TwoPoint,
@@ -270,11 +269,11 @@ PARTIAL_MOMENT_LAWS = [
     (Rademacher(), None, []),
     (TwoPoint(-0.25, 1.0, 0.8), None, []),
     (FiniteDiscrete([-2.0, 0.0, 1.0], [0.25, 0.25, 0.5]), None, []),
-    (Scaled(CenteredExponential(2.0), -0.7), exponential_density(2.0, -0.7), [0.35]),
-    (Scaled(Uniform(0.0, 1.0), -3.0), lambda x: mpmath.mpf(1) / 3 if -3 <= x <= 0 else 0,
+    (scale(CenteredExponential(2.0), -0.7), exponential_density(2.0, -0.7), [0.35]),
+    (scale(Uniform(0.0, 1.0), -3.0), lambda x: mpmath.mpf(1) / 3 if -3 <= x <= 0 else 0,
      [-3.0, 0.0]),
     (scale(Rademacher(), 0.5), None, []),
-    (Shifted(CenteredExponential(1.0), 0.4), exponential_density(1.0, 1.0, 0.4), [-0.6]),
+    (shift(CenteredExponential(1.0), 0.4), exponential_density(1.0, 1.0, 0.4), [-0.6]),
 ]
 
 
@@ -464,12 +463,43 @@ class TestFractionalAbsMoments:
             assert abs(got - float(ref)) <= 1e-13 * float(ref)
 
     def test_laws_without_a_closed_form_keep_quadrature(self):
-        law = Shifted(CenteredExponential(1.0), 0.4)
+        law = shift(CenteredExponential(1.0), 0.4)
         pdf, kinks = exponential_density(1.0, 1.0, 0.4), [-0.6]
         with mpmath.workdps(20):
             ref = mpmath.quad(lambda x: abs(x) ** mpmath.mpf(2.5) * pdf(x),
                               [mpmath.mpf(-0.6), 0, mpmath.inf])
         assert law.abs_moment(2.5) == pytest.approx(float(ref), abs=1e-9)
+
+
+# one config per leaf family of DISTRIBUTION_FAMILIES, the families without a base
+LEAF_CONFIGS = [
+    {"family": "normal", "mean": 0.3, "var": 2.0},
+    {"family": "uniform", "low": -1.0, "high": 2.0},
+    {"family": "rademacher"},
+    {"family": "two-point", "low": -0.25, "high": 1.0, "p_low": 0.8},
+    {"family": "exponential-centered", "rate": 1.5},
+    {"family": "finite-discrete", "values": [-2.0, 0.0, 1.0], "probs": [0.25, 0.25, 0.5]},
+]
+LEAF_CLASSES = (Normal, Uniform, Rademacher, TwoPoint, CenteredExponential, FiniteDiscrete)
+
+
+def scaled(base: dict, factor: float) -> dict:
+    return {"family": "scaled", "base": base, "factor": factor}
+
+
+def shifted(base: dict, offset: float) -> dict:
+    return {"family": "shifted", "base": base, "offset": offset}
+
+
+# name -> (wrap a base config, P(Y < x) for the wrapped law Y read off the base law)
+CLOSURE_TRANSFORMS = {
+    "factor 2.0": (lambda cfg: scaled(cfg, 2.0), lambda law, x: law.cdf(x / 2.0)),
+    # P(cX < x) = 1 - P(X <= x/c) for c < 0
+    "factor -0.7": (lambda cfg: scaled(cfg, -0.7), lambda law, x: 1.0 - law.prob_le(x / -0.7)),
+    "offset 0.4": (lambda cfg: shifted(cfg, 0.4), lambda law, x: law.cdf(x - 0.4)),
+    "scaled(shifted)": (lambda cfg: scaled(shifted(cfg, 0.4), 2.0),
+                        lambda law, x: law.cdf(x / 2.0 - 0.4)),
+}
 
 
 class TestTransforms:
@@ -486,17 +516,26 @@ class TestTransforms:
         d = scale(Uniform(1.0, 2.0), -1.0)
         assert d.support() == (-2.0, -1.0)
 
-    def test_wrappers_reject_atomic_bases(self):
-        atomic = (
-            Rademacher(),
-            FiniteDiscrete([-2.0, 0.0, 1.0], [0.25, 0.25, 0.5]),
-            SumLaw([-1.0, 0.5], [0.3, 0.7]),
-        )
-        for base in atomic:
-            with pytest.raises(DistributionError, match=r"scale\(\)"):
-                Scaled(base, 0.5)
-        with pytest.raises(DistributionError, match=r"shift\(\)"):
-            Shifted(TwoPoint(-0.25, 1.0, 0.8), 0.4)
+    @pytest.mark.parametrize("base", LEAF_CONFIGS, ids=lambda cfg: cfg["family"])
+    @pytest.mark.parametrize("transform", CLOSURE_TRANSFORMS)
+    def test_scale_and_shift_stay_in_the_leaf_families(self, base, transform):
+        wrap, mapped_cdf = CLOSURE_TRANSFORMS[transform]
+        got = distribution_from_config(wrap(base))
+        assert type(got) in LEAF_CLASSES
+        xs = np.array([-2.1, -0.9, -0.3, 0.05, 0.35, 1.2, 2.7])
+        want = mapped_cdf(distribution_from_config(base), xs)
+        assert np.allclose(got.cdf(xs), want, rtol=0.0, atol=1e-14)
+
+    def test_closure_cases_cover_every_leaf_family(self):
+        leaves = {name for name, entry in DISTRIBUTION_FAMILIES.items()
+                  if "base" not in entry.required}
+        assert leaves == {cfg["family"] for cfg in LEAF_CONFIGS}
+
+    @pytest.mark.parametrize("factory, value", [(scale, 2.0), (shift, 0.4)])
+    def test_a_sum_with_a_normal_part_has_no_family(self, factory, value):
+        law = SumLaw([-1.0, 0.5], [0.3, 0.7], normal_mean=0.2, normal_var=0.5)
+        with pytest.raises(DistributionError, match=r"SumLaw\("):
+            factory(law, value)
 
     @pytest.mark.parametrize("law", [
         SumLaw([-1.0, 0.5, 2.0], [0.2, 0.5, 0.3]),
@@ -759,6 +798,28 @@ class TestMergeAtoms:
     def test_atomic_laws_reject_nonfinite_values(self):
         with pytest.raises(DistributionError, match="finite"):
             FiniteDiscrete([0.0, math.nan], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Normal(mean=math.inf),
+    lambda: Normal(var=math.nan),
+    lambda: Uniform(-math.inf, 0.0),
+    lambda: CenteredExponential(rate=math.nan),
+    lambda: CenteredExponential(rate=math.inf),
+    lambda: CenteredExponential(offset=math.nan),
+    lambda: FiniteDiscrete([0.0, 1.0], [math.nan, 0.5]),
+    lambda: scale(Normal(), math.nan),
+    lambda: ShiftedPoisson(math.nan),
+    lambda: ShiftedPoisson(math.inf),
+    lambda: ShiftedNegativeBinomial(math.nan, 0.5),
+    lambda: FiniteIndex([1, 2], [math.nan, 0.5]),
+], ids=["normal-mean", "normal-var", "uniform", "exp-rate-nan", "exp-rate-inf", "exp-offset",
+        "finite-discrete", "scale-factor", "poisson-nan", "poisson-inf", "negative-binomial",
+        "finite-index"])
+def test_constructors_reject_non_finite_numbers(build):
+    # Normal(var=inf) stays: it is the saturated law of divergent extensions
+    with pytest.raises(DistributionError):
+        build()
 
 
 class TestConfig:

@@ -30,8 +30,6 @@ from randsum.distributions import (
     Geometric,
     Normal,
     Rademacher,
-    Scaled,
-    Shifted,
     ShiftedPoisson,
     TwoPoint,
     Uniform,
@@ -568,8 +566,8 @@ class TestZetaSandwich:
         laws = [
             Normal(0.3, 2.0), Uniform(-1.0, 2.0), CenteredExponential(1.5), Rademacher(),
             TwoPoint(-0.25, 1.0, 0.8), FiniteDiscrete([-2.0, 0.0, 1.0], [0.25, 0.25, 0.5]),
-            Scaled(CenteredExponential(2.0), -0.7), scale(Rademacher(), 0.5),
-            Shifted(CenteredExponential(1.0), 0.4),
+            scale(CenteredExponential(2.0), -0.7), scale(Rademacher(), 0.5),
+            shift(CenteredExponential(1.0), 0.4),
             SumLaw([-1.0, 0.5], [0.3, 0.7], normal_mean=0.2, normal_var=0.5),
             mixture([PHI, Rademacher()], [0.5, 0.5]),
         ]

@@ -194,52 +194,6 @@ def test_every_private_definition_is_read_in_the_package(path):
     assert unread == []
 
 
-def wrapper_calls(tree: ast.Module) -> list:
-    """(line, name) of every call of ``Scaled`` or ``Shifted`` outside the
-    bodies of ``scale()`` and ``shift()``, which build every scaled or
-    shifted law and wrap only laws without atoms."""
-    inside = {
-        id(sub) for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name in ("scale", "shift")
-        for sub in ast.walk(node)
-    }
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and id(node) not in inside:
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in ("Scaled", "Shifted"):
-                found.append((node.lineno, name))
-    return sorted(found)
-
-
-def test_wrapper_call_check_flags_config_builders_that_skip_the_factories():
-    # the "scaled" and "shifted" config builders as they once were
-    tree = ast.parse(
-        "def scale(dist, factor):\n"
-        "    return Scaled(dist, factor)\n"
-        "def shift(dist, offset):\n"
-        "    return Shifted(dist, offset)\n"
-        "DISTRIBUTION_FAMILIES = {\n"
-        "    'scaled': ConfigEntry(\n"
-        "        lambda c: Scaled(distribution_from_config(c['base']), c['factor']),\n"
-        "        ('base', 'factor'),\n"
-        "    ),\n"
-        "    'shifted': ConfigEntry(\n"
-        "        lambda c: Shifted(distribution_from_config(c['base']), c['offset']),\n"
-        "        ('base', 'offset'),\n"
-        "    ),\n"
-        "}\n"
-        "law = distributions.Scaled(Uniform(0.0, 1.0), 2.0)\n"
-    )
-    assert wrapper_calls(tree) == [(7, "Scaled"), (11, "Shifted"), (15, "Scaled")]
-
-
-@pytest.mark.parametrize("path", sorted(PACKAGE), ids=lambda p: p.name)
-def test_only_scale_and_shift_build_the_wrappers(path):
-    assert wrapper_calls(PACKAGE[path]) == []
-
-
 # the modules that draw: the laws themselves, and the engine's samplers,
 # which hold the sampling contract (see the engine's module docstring)
 DRAWING_MODULES = {"distributions.py", "engine.py"}
