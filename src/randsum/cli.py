@@ -567,18 +567,17 @@ def cmd_study(args, cfg: dict) -> int:
 
 _CE_N_GRID = (4, 8, 16, 32)
 _CE_EPSILONS = (0.1, 0.5, 1.0)
-# standard normals the Lindeberg oracle draws at once, whatever the row
-# length, so its memory stays flat in the number of draws
-_CE_BLOCK_DRAWS = 2 ** 17
 
 
 def _lindeberg_draws(rng: np.random.Generator, sigmas: np.ndarray, draws: int,
                      eps: float) -> np.ndarray:
     """sum_j X_j^2 1{|X_j| >= eps} for ``draws`` rows X = Z * sigmas of
-    standard normals Z, drawn in blocks of rows.  The stream is read in
-    the order of one ``(draws, k)`` draw, and each row is summed alone,
-    so the result has that draw's bits."""
-    rows = max(1, _CE_BLOCK_DRAWS // sigmas.size)
+    standard normals Z, drawn in blocks of rows of at most the engine's
+    ``CHUNK_DRAWS`` variates (or one row, if longer), so memory stays flat
+    in ``draws``.  The stream is read in the order of one ``(draws, k)``
+    draw, and each row is summed alone, so the result has that draw's
+    bits."""
+    rows = max(1, _engine.CHUNK_DRAWS // sigmas.size)
     stat = np.empty(draws)
     for lo in range(0, draws, rows):
         x = rng.standard_normal((min(rows, draws - lo), sigmas.size))

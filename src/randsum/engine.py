@@ -60,10 +60,10 @@ __all__ = [
     "csv_text",
 ]
 
-# cap on scalar draws materialized at once (8 MB of float64); chunks end
-# at row boundaries and the generators stream the same variates whether
-# drawn in one call or in many, so the cap never changes a draw
-CHUNK_DRAWS = 1 << 20
+# cap on scalar draws materialized at once (512 KiB of float64, which a core's
+# L2 cache holds with its temporaries); chunks end at row boundaries and numpy
+# streams the same variates however a draw is split, so the cap never changes a draw
+CHUNK_DRAWS = 1 << 16
 # default worker count before the RANDSUM_THREADS cap is applied
 _DEFAULT_WORKERS = 4
 

@@ -17,6 +17,7 @@ import pytest
 
 import randsum
 import randsum.distributions as distributions_module
+import randsum.engine as engine_module
 from randsum.arrays import ARRAY_KINDS, array_from_config
 
 from randsum.cli import (
@@ -721,8 +722,10 @@ class TestCounterexampleCommand:
                         "--seed", "0")
         assert got == [EXIT_OK, []]
 
+    @pytest.mark.parametrize("cap", [1, 7, 1 << 20])
     @pytest.mark.parametrize("k,draws", [(32, 10_000), (5, 30_000), (4, 7)])
-    def test_blocked_lindeberg_draws_match_one_draw(self, k, draws):
+    def test_blocked_lindeberg_draws_match_one_draw(self, monkeypatch, k, draws, cap):
+        monkeypatch.setattr(engine_module, "CHUNK_DRAWS", cap)
         sigmas = np.sqrt(np.linspace(0.5, 0.01, k))
         rng, twin = np.random.default_rng(k), np.random.default_rng(k)
         got = _lindeberg_draws(rng, sigmas, draws, 0.5)

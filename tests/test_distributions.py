@@ -233,14 +233,32 @@ class TestSampling:
     def test_scaled_rademacher_is_two_point(self):
         assert isinstance(scale(Rademacher(), 0.5), TwoPoint)
 
+    @pytest.mark.parametrize(
+        "law, sign, offset",
+        [
+            (CenteredExponential(3.0), 1, 0.0),
+            (scale(CenteredExponential(1.5), -0.7), -1, 0.0),
+            (shift(scale(CenteredExponential(1.0), 2.0), 0.4), 1, 0.4),
+            (shift(scale(CenteredExponential(1.5), -0.7), -1.25), -1, -1.25),
+        ],
+        ids=["centered", "mirrored", "scaled-shifted", "mirrored-shifted"],
+    )
     @pytest.mark.parametrize("size", [None, 1, 100_003])
-    def test_centered_exponential_draws(self, size):
+    def test_centered_exponential_draws(self, law, sign, offset, size):
+        assert (law.sign, law.offset) == (sign, offset)
         rng, twin = np.random.default_rng(31), np.random.default_rng(31)
-        got = CenteredExponential(3.0).sample(rng, size)
-        want = twin.exponential(1 / 3, size) - 1 / 3
+        got = law.sample(rng, size)
+        # numpy's exponential at scale 1/rate, mirrored, then moved to the
+        # law's finite edge
+        want = twin.exponential(1.0 / law.rate, size)
+        if sign < 0:
+            want = -want
+        want = want + law.support()[0 if sign > 0 else 1]
         assert type(got) is type(want)
-        assert np.array_equal(got, want)
-        assert rng.random() == twin.random()
+        assert np.asarray(got).dtype == np.float64
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        # the same variates were consumed
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def exponential_density(rate, factor=1.0, offset=0.0):

@@ -17,6 +17,7 @@ from randsum.arrays import (
     shiryaev_series,
     take,
 )
+from randsum.cli import _lindeberg_draws
 from randsum.distributions import (
     CenteredExponential,
     FiniteIndex,
@@ -34,6 +35,7 @@ from randsum.engine import (
     _chunk_boundaries,
     _columnwise_row_sums,
     _evaluate_check,
+    _iid_row_sums,
     _normal_row_sums,
     _prefix_sums,
     builtin_plan,
@@ -259,6 +261,76 @@ class TestChunkBoundaries:
         reference = draws(1 << 24)
         for cap in (1 << 20, 1000, 7, 1):
             assert np.array_equal(draws(cap), reference), cap
+
+
+class RecordingUniform(Uniform):
+    """Uniform(-1, 1) that records the size of every draw asked of it."""
+
+    def __init__(self):
+        super().__init__(-1.0, 1.0)
+        self.sizes = []
+
+    def sample(self, rng, size=None):
+        self.sizes.append(size)
+        return super().sample(rng, size)
+
+
+class CountingRng:
+    """A generator's standard normals, recording how many each draw asks for."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def standard_normal(self, size=None):
+        self.sizes.append(int(np.prod(size)))
+        return self._rng.standard_normal(size)
+
+
+LONG_ROW = 70_000
+# rows of 1 to 399 entries (an index is at least 1), about 3e5 draws in
+# all; then the same with one row longer than the default cap among them
+SHORT_ROWS = np.random.default_rng(5).integers(1, 400, 1500).astype(np.int64)
+WITH_LONG_ROW = np.insert(SHORT_ROWS, 700, LONG_ROW)
+DRAW_CAPS = [1, 7, 1000, engine_module.CHUNK_DRAWS]
+
+
+class TestDrawMemoryBound:
+    """No single draw asks for more than max(CHUNK_DRAWS, longest row)
+    variates, and every summand is drawn exactly once."""
+
+    @pytest.mark.parametrize("cap", DRAW_CAPS)
+    @pytest.mark.parametrize("ks", [SHORT_ROWS, WITH_LONG_ROW], ids=["short", "long-row"])
+    def test_iid_row_sums(self, monkeypatch, cap, ks):
+        monkeypatch.setattr(engine_module, "CHUNK_DRAWS", cap)
+        law = RecordingUniform()
+        _iid_row_sums(law, ks, np.random.default_rng(1))
+        assert max(law.sizes) <= max(cap, int(ks.max()))
+        assert sum(law.sizes) == int(ks.sum())
+
+    @pytest.mark.parametrize("cap", DRAW_CAPS)
+    @pytest.mark.parametrize(
+        "ks",
+        [np.full(800, 377, dtype=np.int64), np.full(3, LONG_ROW, dtype=np.int64),
+         SHORT_ROWS, WITH_LONG_ROW],
+        ids=["equal", "equal-long", "ragged", "ragged-long-row"],
+    )
+    def test_normal_row_sums(self, monkeypatch, cap, ks):
+        monkeypatch.setattr(engine_module, "CHUNK_DRAWS", cap)
+        rng = CountingRng(1)
+        _normal_row_sums(np.sqrt(np.linspace(1.0, 0.01, int(ks.max()))), ks, rng)
+        assert max(rng.sizes) <= max(cap, int(ks.max()))
+        assert sum(rng.sizes) == int(ks.sum())
+
+    @pytest.mark.parametrize("cap", DRAW_CAPS)
+    @pytest.mark.parametrize("k, draws", [(32, 10_000), (377, 800), (LONG_ROW, 2)])
+    def test_lindeberg_draws(self, monkeypatch, cap, k, draws):
+        monkeypatch.setattr(engine_module, "CHUNK_DRAWS", cap)
+        rng = CountingRng(1)
+        stat = _lindeberg_draws(rng, np.sqrt(np.linspace(0.5, 0.01, k)), draws, 0.5)
+        assert stat.shape == (draws,)
+        assert max(rng.sizes) <= max(cap, k)
+        assert sum(rng.sizes) == draws * k
 
 
 class TestStudyPlan:
