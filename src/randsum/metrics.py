@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -280,6 +280,12 @@ class SumLaw(ScalarDistribution):
 # increasing (``merge_atoms`` leaves runs more than the snap tolerance
 # apart), their masses, and the normal part's mean and variance.
 _FoldState = Tuple[np.ndarray, np.ndarray, float, float]
+# Consecutive fold states with one normal part: row i of the 2-D atoms and
+# masses holds state i in its first sizes[i] columns, with masses 0 past
+# them.  No block is written to once it is handed out.
+_Block = Tuple[np.ndarray, np.ndarray, np.ndarray, float, float]
+# an entry with two atoms a < b, as (a, b, P(a), P(b))
+_Step = Tuple[float, float, float, float]
 
 
 def _merge_fold(
@@ -301,36 +307,153 @@ def _merge_fold(
     return new_values[keep], new_probs[keep]
 
 
-def _two_atom_fold(
-    values: np.ndarray, probs: np.ndarray, av: np.ndarray, ap: np.ndarray
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """``_merge_fold`` of an entry with atoms a < b into a state of at least
-    two atoms, bit for bit, when the sums form a band; None otherwise.
+def _two_atoms(dist: ScalarDistribution) -> Optional[_Step]:
+    """``dist`` as a step of a two-atom stretch, or None."""
+    at = None if isinstance(dist, Normal) else dist.atoms()
+    if at is None or at[0].size != 2 or not at[0][0] < at[0][1]:
+        return None
+    return (*at[0].tolist(), *at[1].tolist())
+
+
+def _off_band(states: np.ndarray, sizes: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """For each row of ``states`` (strictly increasing atoms v in its first
+    ``sizes`` columns, +inf past them) and the step in the same row of
+    ``steps``, whether the band might group the sums otherwise than
+    ``_merge_fold`` does.
 
     The sums are lo = v + a and hi = v + b, and sorted they would meet
-    hi[i-1] next to lo[i].  When each such pair lies within the snap
-    tolerance and each group (lo[0], the pairs, hi[-1]) sits more than the
-    tolerance above the largest member of the group before it, the runs
-    ``merge_atoms`` finds are exactly these groups.  A pair keeps its
-    smaller member, hi[i-1] on a tie since it comes first in stable order,
-    and its mass p[i-1] pb + p[i] pa: a two-term sum, the same in the order
-    ``np.add.at`` adds it.  If the groups are in order, lo[0] and hi[-1] are
-    the extreme sums, so the tolerance computed from them is the generic one.
+    hi[j-1] next to lo[j].  The runs ``merge_atoms`` finds are exactly the
+    groups lo[0], the pairs and hi[-1] when each pair lies within the snap
+    tolerance tol and each group sits more than tol above the largest
+    member of the group before it; tol comes from lo[0] and hi[-1], the
+    extreme sums when the groups are in order.  This tests a little more,
+    in fewer passes: every spacing v[j] - v[j-1] lies within 0.99 tol of
+    b - a, and b - a exceeds 4 tol.  Every sum lies between lo[0] and
+    hi[-1], so it rounds by at most 1.2e-3 tol; then each pair spreads by
+    less than tol, and each group clears the one before by more than
+    (b - a) - 2 tol > tol.  A row refused here that the band would have
+    served costs one generic fold.  Past a row's atoms the spacings read
+    nan and pass; a row whose extreme sums are not finite is refused.
     """
-    lo = values + av[0]
-    hi = values + av[1]
-    tol = 1e-13 * max(1.0, abs(float(lo[0])), abs(float(hi[-1])))
-    first, second = hi[:-1], lo[1:]
-    first_low = first <= second
-    atoms = np.concatenate((lo[:1], np.where(first_low, first, second), hi[-1:]))
-    tops = np.concatenate((lo[:1], np.where(first_low, second, first), hi[-1:]))
-    if not ((tops - atoms <= tol).all() and (atoms[1:] - tops[:-1] > tol).all()):
-        return None
-    low_mass = probs * ap[0]
-    high_mass = probs * ap[1]
-    masses = np.concatenate((low_mass[:1], high_mass[:-1] + low_mass[1:], high_mass[-1:]))
+    rows = np.arange(sizes.size)
+    gap = steps[:, 1] - steps[:, 0]
+    lo, hi = states[:, 0] + steps[:, 0], states[rows, sizes - 1] + steps[:, 1]
+    tol = 1e-13 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
+    with np.errstate(invalid="ignore"):
+        spacing = states[:, 1:] - states[:, :-1]
+        # hi[-1] meets the padding: the top group, with nothing to test
+        spacing[rows, sizes - 1] = gap
+        np.subtract(spacing, gap[:, None], out=spacing)
+        off = np.abs(spacing, out=spacing) > 0.99 * tol[:, None]
+    # a tolerance that is not finite fails the second test
+    return off.any(axis=1) | ~(gap > 4.0 * tol)
+
+
+def _drop_zeros(atoms: np.ndarray, masses: np.ndarray) -> int:
+    """Move the atoms of positive mass to the front, pad the rest as a
+    block row is padded, and return how many are left."""
     keep = masses > 0
-    return atoms[keep], masses[keep]
+    size = int(np.count_nonzero(keep))
+    atoms[:size] = atoms[keep]
+    masses[:size] = masses[keep]
+    atoms[size:] = np.inf
+    masses[size:] = 0.0
+    return size
+
+
+def _fold_stretch(
+    values: np.ndarray,
+    probs: np.ndarray,
+    steps: Sequence[_Step],
+    wanted: Sequence[bool],
+    mean: float = 0.0,
+    var: float = 0.0,
+) -> Generator[_Block, None, Tuple[np.ndarray, np.ndarray]]:
+    """Fold the two-atom ``steps`` one after another into the atomic part
+    (values, probs); yield the states after the steps flagged ``wanted``,
+    in blocks, and return the last state.
+
+    Each block is a fresh pair of buffers, atoms and masses, of at most
+    MIXTURE_BLOCK_POINTS numbers together.  Row 0 holds the state it starts from and row r the state after its
+    r-th step, with +inf atoms and zero masses past each state.  A step
+    writes the row below from the row above, each sum one array
+    operation: with the padding as a sentinel, atom j is hi[j-1] when
+    hi[j-1] <= lo[j] (the first in stable order, also on a signed-zero
+    tie) and lo[j] otherwise, and its mass p[j] P(a) + p[j-1] P(b).  A
+    zero mass at either end is dropped at once.  After the block,
+    ``_off_band`` and a count of zero masses find the first step at which
+    the band could differ from ``_merge_fold``; that step is folded by
+    ``_merge_fold`` and the next block starts from it.  So every state is
+    ``_merge_fold``'s, bit for bit.
+    """
+    wanted = np.asarray(wanted, dtype=bool)
+    add, multiply, less_equal, copyto = np.add, np.multiply, np.less_equal, np.copyto
+    last = None
+    done = 0
+    while done < len(steps):
+        m = values.size
+        if 2 * m > ATOM_BUDGET:
+            raise ConvolutionError(f"atomic convolution exceeds {ATOM_BUDGET} atoms")
+        # a state grows by at most one atom a step, so rows + 1 states of
+        # width m + rows + 1 hold them all and their sentinels, atoms and
+        # masses together in MIXTURE_BLOCK_POINTS numbers; no step of the
+        # block starts from more than ATOM_BUDGET / 2 atoms
+        rows = int((math.sqrt(m * m + 2.0 * MIXTURE_BLOCK_POINTS) - m - 2) // 2)
+        rows = max(1, min(rows, len(steps) - done, ATOM_BUDGET // 2 - m + 1))
+        width = m + rows + 1
+        atoms = np.full((rows + 1, width), np.inf)
+        masses = np.zeros((rows + 1, width))
+        atoms[0, :m] = values
+        masses[0, :m] = probs
+        hi = np.full(width + 1, np.inf)
+        hi_mass = np.zeros(width + 1)
+        first_low = np.empty(width, dtype=bool)
+        sizes = [m]
+        block = steps[done:done + rows]
+        for r, step in enumerate(block, 1):
+            if step is not last:
+                # 0-d arrays: the cheapest operands for the ufuncs below
+                last, (a, b, pa, pb) = step, map(np.array, step)
+            k = m + 1
+            row, out = atoms[r - 1, :k], atoms[r, :k]
+            add(row, a, out)
+            add(row, b, hi[1:k + 1])
+            top = hi[:k]
+            copyto(out, top, where=less_equal(top, out, first_low[:k]))
+            row, out = masses[r - 1, :k], masses[r, :k]
+            multiply(row, pa, out)
+            multiply(row, pb, hi_mass[1:k + 1])
+            add(out, hi_mass[:k], out)
+            if out[0] and out[m]:
+                m = k
+            elif out[0] and out[m - 1]:
+                # only the top mass underflowed: the state ends one atom short
+                atoms[r, m] = np.inf
+            else:
+                m = _drop_zeros(atoms[r, :k], out)
+            sizes.append(m)
+        sizes = np.array(sizes)
+        off = _off_band(atoms[:-1], sizes[:-1], np.array(block))
+        if np.count_nonzero(masses) < sizes.sum():
+            # a zero mass inside a state, which the merge would have dropped
+            off |= np.count_nonzero(masses[1:], axis=1) < sizes[1:]
+        good = int(np.argmax(off)) if off.any() else rows
+        keep = np.flatnonzero(wanted[done:done + good]) + 1
+        if keep.size == good > 0:
+            yield atoms[1:good + 1], masses[1:good + 1], sizes[1:good + 1], mean, var
+        elif keep.size:
+            yield atoms[keep], masses[keep], sizes[keep], mean, var
+        # copies, so that no more than one block is held while the next is folded
+        values, probs = atoms[good, :sizes[good]].copy(), masses[good, :sizes[good]].copy()
+        del atoms, masses
+        done += good
+        if good < rows:
+            step = steps[done]
+            values, probs = _merge_fold(values, probs, np.array(step[:2]), np.array(step[2:]))
+            done += 1
+            if wanted[done - 1]:
+                yield values[None], probs[None], np.array([values.size]), mean, var
+    return values, probs
 
 
 def _extend_sum(
@@ -355,43 +478,75 @@ def _extend_sum(
     av, ap = at
     if values.size * av.size > ATOM_BUDGET:
         raise ConvolutionError(f"atomic convolution exceeds {ATOM_BUDGET} atoms")
-    folded = None
-    if av.size == 2 and values.size >= 2 and av[0] < av[1]:
-        folded = _two_atom_fold(values, probs, av, ap)
-    if folded is None:
-        folded = _merge_fold(values, probs, av, ap)
-    return folded[0], folded[1], n_mean, n_var
+    return (*_merge_fold(values, probs, av, ap), n_mean, n_var)
+
+
+def _fold_blocks(
+    laws: Iterable[ScalarDistribution], lengths: Iterable[int]
+) -> Iterator[_Block]:
+    """Convolution states of the partial sums of ``laws`` at the strictly
+    increasing ``lengths``, in blocks: one running convolution folds each
+    law in once and reads none past the last length.
+
+    Once the atomic part holds two atoms, each stretch of entries with two
+    atoms goes through ``_fold_stretch``, its states in blocks.  Any other
+    entry goes through ``_extend_sum``, and its state comes alone.
+    """
+    laws = iter(laws)
+    values, probs, mean, var = np.array([0.0]), np.array([1.0]), 0.0, 0.0
+    steps: List[_Step] = []
+    wanted: List[bool] = []
+    last = step = None
+    done = 0
+    for length in lengths:
+        for dist in islice(laws, int(length) - done):
+            if dist is not last:
+                last, step = dist, _two_atoms(dist)
+            if step is not None and (steps or values.size >= 2):
+                steps.append(step)
+                wanted.append(False)
+                continue
+            if steps:
+                values, probs = yield from _fold_stretch(values, probs, steps, wanted, mean, var)
+                steps, wanted = [], []
+            values, probs, mean, var = _extend_sum(values, probs, mean, var, dist)
+        done = int(length)
+        if steps:
+            wanted[-1] = True
+        else:
+            yield values[None], probs[None], np.array([values.size]), mean, var
+    if steps:
+        yield from _fold_stretch(values, probs, steps, wanted, mean, var)
+
+
+def _states(blocks: Iterable[_Block]) -> Iterator[_FoldState]:
+    """The fold states of ``blocks``, one at a time."""
+    for atoms, masses, sizes, mean, var in blocks:
+        for row, mass, size in zip(atoms, masses, sizes.tolist()):
+            yield row[:size], mass[:size], mean, var
 
 
 def _partial_sums(
     laws: Iterable[ScalarDistribution], lengths: Iterable[int]
 ) -> Iterator[_FoldState]:
-    """Convolution states of the partial sums of ``laws`` at the increasing
-    ``lengths``: one running convolution folds each law in once and reads
-    none past the last length."""
-    laws = iter(laws)
-    state = (np.array([0.0]), np.array([1.0]), 0.0, 0.0)
-    done = 0
-    for length in lengths:
-        for dist in islice(laws, int(length) - done):
-            state = _extend_sum(*state, dist)
-        done = int(length)
-        yield state
+    """Convolution states of the partial sums of ``laws`` at the strictly
+    increasing ``lengths`` (``_fold_blocks``), one at a time."""
+    return _states(_fold_blocks(laws, lengths))
 
 
-def _row_sums(array: TriangularArray, n: int, lengths: Sequence[int]) -> Iterator[_FoldState]:
-    """Convolution states of the sums of row n up to the increasing
-    ``lengths``.
+def _row_blocks(array: TriangularArray, n: int, lengths: Sequence[int]) -> Iterator[_Block]:
+    """Convolution states of the sums of row n up to the strictly
+    increasing ``lengths``, in blocks.
 
     A row of centered normals up to the last length sums to N(0, prefix
     variance), the variances added left to right as the running
-    convolution adds them; any other row is folded entry by entry.  Both
-    raise ``ConvolutionError`` once the normal part's variance is not
-    finite.
+    convolution adds them, one state a block; any other row is folded
+    entry by entry (``_fold_blocks``).  Both raise ``ConvolutionError``
+    once the normal part's variance is not finite.
     """
     variances = array.normal_variances(n, int(lengths[-1]))
     if variances is None:
-        return _partial_sums(expand(array.runs(n)), lengths)
+        return _fold_blocks(expand(array.runs(n)), lengths)
     with np.errstate(over="ignore"):
         totals = np.cumsum(variances)
     if not math.isfinite(totals[-1]):
@@ -399,7 +554,7 @@ def _row_sums(array: TriangularArray, n: int, lengths: Sequence[int]) -> Iterato
             f"row {n}'s prefix variance is not finite from position "
             f"{int(np.argmin(np.isfinite(totals))) + 1}"
         )
-    origin = (np.array([0.0]), np.array([1.0]))
+    origin = (np.zeros((1, 1)), np.ones((1, 1)), np.ones(1, dtype=int))
     return ((*origin, 0.0, totals[int(length) - 1]) for length in lengths)
 
 
@@ -448,7 +603,7 @@ def row_sum_law(array: TriangularArray, n: int, k: Optional[int] = None) -> SumL
         k = array.row_length(n)
     if k < 1:
         raise ValueError("k must be >= 1")
-    return SumLaw(*next(_row_sums(array, n, (k,))))
+    return SumLaw(*next(_states(_row_blocks(array, n, (k,)))))
 
 
 # ---------------------------------------------------------------------------
@@ -573,13 +728,16 @@ def _atom_gaps(
     law F whose masses below and through each atom are ``below`` and
     ``through``: there ``F.cdf`` and ``F.prob_le`` are those masses, so no
     search runs.  G's CDF is evaluated once when its ``prob_le`` is the
-    inherited ``cdf``."""
+    inherited ``cdf``.  The gaps are written over ``below`` and
+    ``through``."""
     g_below = np.asarray(g_law.cdf(values), dtype=float)
     if type(g_law).prob_le is ScalarDistribution.prob_le:
         g_through = g_below
     else:
         g_through = np.asarray(g_law.prob_le(values), dtype=float)
-    return np.maximum(np.abs(below - g_below), np.abs(through - g_through))
+    gaps = np.subtract(below, g_below, out=below)
+    upper = np.subtract(through, g_through, out=through)
+    return np.maximum(np.abs(gaps, out=gaps), np.abs(upper, out=upper), out=gaps)
 
 
 def kolmogorov(f_law: ScalarDistribution, g_law: ScalarDistribution) -> DistanceEstimate:
@@ -693,44 +851,82 @@ def empirical_kolmogorov(
 # ---------------------------------------------------------------------------
 
 
-def _per_k_sums(
+def _per_k_blocks(
     array: TriangularArray,
     ks: np.ndarray,
     n: int,
     mode: str,
-) -> Iterator[_FoldState]:
+) -> Iterator[_Block]:
     """Convolution states of the partial sums, one per k and produced as
-    read: prefix mode takes positions 1..k of row n, in one pass over the
-    row for all k, and rows mode takes all of row k.
+    read, in blocks: prefix mode takes positions 1..k of row n, in one pass
+    over the row for all k, and rows mode takes all of row k.
 
     A row of centered normals is one variance vector, so its laws take a
     cumulative sum and no fold; other rows run one convolution, which
     raises ``ConvolutionError`` at an entry it cannot fold in.
     """
     if mode == "prefix":
-        yield from _row_sums(array, n, ks)
+        yield from _row_blocks(array, n, ks)
     else:
         for k in ks.tolist():
-            yield from _row_sums(array, k, (array.row_length(k),))
+            yield from _row_blocks(array, k, (array.row_length(k),))
+
+
+def _per_k_sums(array: TriangularArray, ks: np.ndarray, n: int, mode: str) -> Iterator[_FoldState]:
+    """The states of ``_per_k_blocks``, one at a time."""
+    return _states(_per_k_blocks(array, ks, n, mode))
 
 
 _Term = Tuple[float, float, float]
 
 
-def _settle(block: List[Tuple[float, np.ndarray, np.ndarray]], target: Normal) -> List[_Term]:
-    """The terms of a block of atomic per-k laws, each given as its weight,
-    its strictly increasing atoms and the masses through each atom, in
-    order; empties the block.  One call of the target CDF serves them all,
-    and the masses below each atom are those through the one before."""
-    weights, atoms, through = zip(*block)
-    block.clear()
-    starts = np.cumsum([0] + [part.size for part in atoms[:-1]])
-    through_all = np.concatenate(through)
-    below = np.empty_like(through_all)
-    below[1:] = through_all[:-1]
-    below[starts] = 0.0
-    gaps = _atom_gaps(np.concatenate(atoms), below, through_all, target)
-    return [(w, d, 0.0) for w, d in zip(weights, np.maximum.reduceat(gaps, starts))]
+class _Waiting:
+    """Atomic per-k laws waiting to be settled against a normal target.
+
+    Their atoms and the masses through each atom lie flat in buffers kept
+    from one settling to the next, beside each law's weight and size, so
+    no block is held past its arrival."""
+
+    def __init__(self, target: Normal):
+        self.target = target
+        self.atoms = self.through = np.empty(0)
+        self.weights: List[float] = []
+        self.sizes: List[int] = []
+        self.points = 0
+
+    def add(self, weights: np.ndarray, atoms: np.ndarray, through: np.ndarray,
+            sizes: np.ndarray) -> None:
+        """Append the rows of a block: weights, atoms and masses through each
+        atom (rows as in a block), and sizes."""
+        end = self.points + int(sizes.sum())
+        if end > self.atoms.size:
+            size = max(end, MIXTURE_BLOCK_POINTS + int(sizes.max()))
+            self.atoms, self.through = (
+                np.concatenate((part[:self.points], np.empty(size - self.points)))
+                for part in (self.atoms, self.through)
+            )
+        inside = (np.arange(atoms.shape[1]) < sizes[:, None]).ravel()
+        np.compress(inside, atoms.ravel(), out=self.atoms[self.points:end])
+        np.compress(inside, through.ravel(), out=self.through[self.points:end])
+        self.weights += weights.tolist()
+        self.sizes += sizes.tolist()
+        self.points = end
+
+    def settle(self) -> List[_Term]:
+        """The terms of the waiting laws, in order; empties the wait.  One
+        call of the target CDF serves them all, the masses below each atom
+        are those through the one before, and one maximum over each law's
+        atoms gives its distance."""
+        through = self.through[:self.points]
+        starts = np.cumsum([0] + self.sizes[:-1])
+        below = np.empty_like(through)
+        below[1:] = through[:-1]
+        below[starts] = 0.0
+        gaps = _atom_gaps(self.atoms[:self.points], below, through, self.target)
+        distances = np.maximum.reduceat(gaps, starts).tolist()
+        terms = [(w, d, 0.0) for w, d in zip(self.weights, distances)]
+        self.weights, self.sizes, self.points = [], [], 0
+        return terms
 
 
 def _per_k_distances(
@@ -744,39 +940,51 @@ def _per_k_distances(
     """(P(nu = k), Delta_k, its bound) for each k of positive weight, in k
     order.
 
-    A purely atomic fold state holds strictly increasing atoms, as
-    ``_extend_sum`` leaves them, so against a normal target its distance
-    is ``kolmogorov``'s exact-atomic value read off the state itself, with
-    no ``SumLaw``.  Such laws wait in a block, settled once it holds
-    MIXTURE_BLOCK_POINTS atoms and before any other k, so the terms keep
-    their order and no more than a block of laws is held.  Other laws go
-    through ``kolmogorov``.
+    A purely atomic fold state holds strictly increasing atoms, so against
+    a normal target its distance is ``kolmogorov``'s exact-atomic value
+    read off the state itself, with no ``SumLaw``.  Such states come in
+    blocks (``_per_k_blocks``).  A block takes one cumulative sum of its
+    masses along the rows, whose totals are checked to be one as
+    ``SumLaw`` checks them, and its rows of positive weight wait
+    (``_Waiting``).  They are settled once MIXTURE_BLOCK_POINTS atoms
+    wait, and before any other k, so the terms keep their order and no
+    more than a block of atoms and one state wait.  Other laws go through
+    ``kolmogorov``.
     """
-    streams = isinstance(target, Normal)
-    block: List[Tuple[float, np.ndarray, np.ndarray]] = []
-    points = 0
-    for w, state in zip(pmf, _per_k_sums(array, ks, n, mode)):
-        if streams and state[2] == 0.0 and state[3] == 0.0:
-            values, probs = state[0], state[1]
-            _check_total(probs)
-            if w == 0.0:
-                continue
-            block.append((w, values, probs.cumsum()))
-            points += values.size
-            if points >= MIXTURE_BLOCK_POINTS:
-                yield from _settle(block, target)
-                points = 0
+    waiting = _Waiting(target) if isinstance(target, Normal) else None
+    start = 0
+    for atoms, masses, sizes, mean, var in _per_k_blocks(array, ks, n, mode):
+        weights = pmf[start:start + sizes.size]
+        start += sizes.size
+        if waiting is None or mean != 0.0 or var != 0.0:
+            for w, state in zip(weights, _states([(atoms, masses, sizes, mean, var)])):
+                law = SumLaw(*state)
+                if w == 0.0:
+                    continue
+                if waiting is not None and waiting.points:
+                    yield from waiting.settle()
+                est = kolmogorov(law, target)
+                yield w, est.value, est.bound
             continue
-        law = SumLaw(*state)
-        if w == 0.0:
-            continue
-        if block:
-            yield from _settle(block, target)
-            points = 0
-        est = kolmogorov(law, target)
-        yield w, est.value, est.bound
-    if block:
-        yield from _settle(block, target)
+        through = np.cumsum(masses, axis=1)
+        if (np.abs(through[np.arange(sizes.size), sizes - 1] - 1.0) > 1e-9).any():
+            raise ValueError("atom probabilities must sum to one")
+        if not weights.all():
+            keep = weights != 0.0
+            weights, atoms, through, sizes = weights[keep], atoms[keep], through[keep], sizes[keep]
+        while sizes.size:
+            # the first row at which the waiting atoms fill a block
+            reach = waiting.points + np.cumsum(sizes)
+            cut = int(np.searchsorted(reach, MIXTURE_BLOCK_POINTS)) + 1
+            waiting.add(weights[:cut], atoms[:cut], through[:cut], sizes[:cut])
+            if cut > sizes.size:
+                break
+            yield from waiting.settle()
+            weights, atoms, through, sizes = weights[cut:], atoms[cut:], through[cut:], sizes[cut:]
+        # the block is all in the wait: let it go before the next is folded
+        del atoms, masses, through
+    if waiting is not None and waiting.points:
+        yield from waiting.settle()
 
 
 def delta_mixture(

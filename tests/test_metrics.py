@@ -399,67 +399,158 @@ class TestSumLaw:
             sum_of_independent([Uniform(-1.0, 1.0), Rademacher()])
 
 
-def fold_both_ways(entry, steps, state=None):
-    """Fold ``entry`` in ``steps`` times, comparing the two-atom band with
-    the generic merge at each step; yields the band's result or None."""
-    values, probs = state if state is not None else (np.array([0.0]), np.array([1.0]))
-    av, ap = entry.atoms()
-    for _ in range(steps):
-        generic = metrics_module._merge_fold(values, probs, av, ap)
-        banded = metrics_module._two_atom_fold(values, probs, av, ap) if values.size >= 2 else None
-        if banded is not None:
-            assert banded[0].tobytes() == generic[0].tobytes()
-            assert banded[1].tobytes() == generic[1].tobytes()
-        yield banded
-        values, probs = generic
+def fold_both_ways(monkeypatch, entries, state=None):
+    """Fold the two-atom ``entries`` one after another through the run
+    kernel from ``state`` (by default the first entry alone, as the first
+    fold leaves it), checking every state bit for bit against the generic
+    merge chain.  Returns the kernel's states and the steps, counted from
+    1, that it handed to the generic merge."""
+    if state is None:
+        state = metrics_module._merge_fold(np.array([0.0]), np.array([1.0]), *entries[0].atoms())
+        entries = entries[1:]
+    chain = [state]
+    for entry in entries:
+        chain.append(metrics_module._merge_fold(*chain[-1], *entry.atoms()))
+    inputs = [values.tobytes() for values, _ in chain]
+    handed = []
+    merge = metrics_module._merge_fold
+    monkeypatch.setattr(metrics_module, "_merge_fold",
+                        lambda values, *rest: handed.append(values.tobytes()) or merge(values, *rest))
+    stretch = metrics_module._fold_stretch(
+        *state, [metrics_module._two_atoms(entry) for entry in entries], [True] * len(entries)
+    )
+    states = [(values, probs) for values, probs, _, _ in metrics_module._states(stretch)]
+    monkeypatch.setattr(metrics_module, "_merge_fold", merge)
+    assert len(states) == len(entries)
+    for (values, probs), (want_values, want_probs) in zip(states, chain[1:]):
+        assert values.tobytes() == want_values.tobytes()
+        assert probs.tobytes() == want_probs.tobytes()
+    return states, [inputs.index(values) + 1 for values in handed]
 
 
 class TestBandedFold:
     @pytest.mark.parametrize("n", [4, 64, 256])
-    def test_rare_jump_rows_band_bit_for_bit(self, n):
+    def test_rare_jump_rows_band_bit_for_bit(self, monkeypatch, n):
         steps = Geometric(1.0 / n).truncation(1e-10)
-        sizes = [b[0].size for b in fold_both_ways(RARE.entry(n, 1), steps) if b is not None]
+        states, handed = fold_both_ways(monkeypatch, [RARE.entry(n, 1)] * steps)
         # every fold past the first takes the band
-        assert len(sizes) == steps - 1
+        assert handed == []
         if n >= 64:
             # the upper masses underflow and are dropped, so the state stops growing
-            assert sizes[-1] < steps + 1
+            assert states[-1][0].size < steps + 1
 
-    @pytest.mark.parametrize("p_low", [0.5, 0.6, 0.7])
-    def test_standardized_two_point_bands_bit_for_bit(self, p_low):
+    @pytest.mark.parametrize("p_low", [0.5, 0.6, 0.7, 0.999, 0.001])
+    def test_standardized_two_point_bands_bit_for_bit(self, monkeypatch, p_low):
         entry = make_iid_array(TwoPoint(-1.0, 2.0, p_low)).entry(32, 1)
-        assert all(b is not None for b in list(fold_both_ways(entry, 64))[1:])
+        states, handed = fold_both_ways(monkeypatch, [entry] * 200)
+        assert handed == []
+        if p_low in (0.999, 0.001):
+            # masses underflow at the top (p_low near 1) or at the bottom
+            # and are dropped, so the state stops growing
+            assert states[-1][0].size < 150
 
     @pytest.mark.parametrize("factor", [1.0, 1e3])
-    def test_scaled_rademacher_bands_bit_for_bit(self, factor):
+    def test_scaled_rademacher_bands_bit_for_bit(self, monkeypatch, factor):
         # at 1e3 the pairs differ by more than 1e-13: only the tolerance
         # scaled by the largest sum keeps them in the band
         entry = scale(Rademacher(), factor / math.sqrt(7.0))
-        assert all(b is not None for b in list(fold_both_ways(entry, 40))[1:])
+        assert fold_both_ways(monkeypatch, [entry] * 40)[1] == []
 
-    def test_signed_zero_tie_keeps_the_first_in_stable_order(self):
+    def test_signed_zero_tie_keeps_the_first_in_stable_order(self, monkeypatch):
         # hi[0] = -0.0 + -0.0 ties lo[1] = 1.0 + -1.0 = +0.0; the merge keeps -0.0
         state = (np.array([-0.0, 1.0]), np.array([0.5, 0.5]))
-        (banded,) = fold_both_ways(TwoPoint(-1.0, -0.0, 0.5), 1, state)
-        assert np.signbit(banded[0]).tolist() == [True, True, False]
+        states, handed = fold_both_ways(monkeypatch, [TwoPoint(-1.0, -0.0, 0.5)], state)
+        assert handed == []
+        assert np.signbit(states[0][0]).tolist() == [True, True, False]
 
-    def test_crowded_sums_take_the_generic_fold(self):
+    @pytest.mark.parametrize("points", [1, 7, 1 << 15, 1 << 20])
+    def test_signed_zero_ties_inside_a_block(self, monkeypatch, points):
+        # every step ties -0.0 with +0.0 somewhere inside the state
+        monkeypatch.setattr(metrics_module, "MIXTURE_BLOCK_POINTS", points)
+        state = (np.array([-0.0, 1.0]), np.array([0.5, 0.5]))
+        states, handed = fold_both_ways(monkeypatch, [TwoPoint(-1.0, -0.0, 0.5)] * 30, state)
+        assert handed == []
+        assert all(np.signbit(values[values == 0.0]).all() for values, _ in states)
+
+    @pytest.mark.parametrize("points", [1, 7, 1 << 20])
+    def test_block_size_moves_no_state(self, monkeypatch, points):
+        monkeypatch.setattr(metrics_module, "MIXTURE_BLOCK_POINTS", points)
+        assert fold_both_ways(monkeypatch, [RARE.entry(64, 1)] * 300)[1] == []
+
+    def test_crowded_sums_take_the_generic_fold(self, monkeypatch):
         # the pairs merge, but they also lie within the tolerance of lo[0]
         # and hi[-1], so the merge makes one run of all four sums
         state = (np.array([0.0, 1.5e-13]), np.array([0.5, 0.5]))
         entry = TwoPoint(10.0, 10.0 + 1.5e-13, 0.5)
-        assert list(fold_both_ways(entry, 1, state)) == [None]
+        states, handed = fold_both_ways(monkeypatch, [entry], state)
+        assert handed == [1]
+        assert states[0][0].tolist() == [10.0]
         assert metrics_module._extend_sum(*state, 0.0, 0.0, entry)[0].tolist() == [10.0]
 
-    def test_off_lattice_entry_takes_the_generic_fold(self):
+    @pytest.mark.parametrize("points", [7, 1 << 15])
+    def test_crowded_step_mid_block_takes_the_generic_fold(self, monkeypatch, points):
+        # the fourth step's sums pair within each entry, not across, so the
+        # band fails there; the steps after it take the band again
+        monkeypatch.setattr(metrics_module, "MIXTURE_BLOCK_POINTS", points)
+        crowded = TwoPoint(10.0, 10.0 + 1.5e-13, 0.5)
+        entries = [Rademacher()] * 4 + [crowded] + [Rademacher()] * 5
+        states, handed = fold_both_ways(monkeypatch, entries)
+        assert handed == [4]
+        assert [values.size for values, _ in states] == [3, 4, 5, 5, 6, 7, 8, 9, 10]
+
+    def test_off_lattice_entry_takes_the_generic_fold(self, monkeypatch):
         state = (np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
         entry = TwoPoint(-1.0, math.sqrt(2.0), 0.5)
-        assert list(fold_both_ways(entry, 1, state)) == [None]
+        states, handed = fold_both_ways(monkeypatch, [entry], state)
+        assert handed == [1]
         folded = metrics_module._extend_sum(*state, 0.0, 0.0, entry)
         generic = metrics_module._merge_fold(*state, *entry.atoms())
         assert folded[0].tobytes() == generic[0].tobytes()
         assert folded[1].tobytes() == generic[1].tobytes()
         assert folded[0].size == 4
+
+    def test_atom_budget_stops_the_stretch_where_the_merge_stops(self, monkeypatch):
+        monkeypatch.setattr(metrics_module, "ATOM_BUDGET", 64)
+        states = []
+        with pytest.raises(ConvolutionError, match="exceeds 64 atoms"):
+            for state in metrics_module._partial_sums([Rademacher()] * 100, range(1, 101)):
+                states.append(state)
+        # a fold may start from 32 atoms and no more
+        assert [values.size for values, *_ in states] == list(range(2, 34))
+
+    @pytest.mark.parametrize("drift", [0.01, 2e-10])
+    def test_masses_that_do_not_sum_to_one_raise(self, monkeypatch, drift):
+        # at 2e-10 per entry the first states pass and a later one in the
+        # same block does not
+        array = make_rare_jump_array()
+        law = array.entry(16, 1)
+        values, probs = law.atoms()
+        monkeypatch.setattr(law, "atoms", lambda: (values, probs * (1.0 + drift)))
+        with pytest.raises(ValueError, match="sum to one"):
+            delta_mixture(array, Geometric(1.0 / 16.0), 16)
+
+    def test_atomic_mixture_counts(self, monkeypatch):
+        # one generic fold, one target CDF call per block of atoms, and no
+        # block larger than MIXTURE_BLOCK_POINTS and one state
+        index = Geometric(1.0 / 64.0)
+        ks = np.arange(1, index.truncation(1e-10) + 1)
+        sizes = [values.size for values, *_ in metrics_module._per_k_sums(RARE, ks, 64, "prefix")]
+        merges, calls = [], []
+        merge = metrics_module._merge_fold
+        monkeypatch.setattr(metrics_module, "_merge_fold", lambda *a: merges.append(1) or merge(*a))
+
+        class CountedNormal(Normal):
+            def cdf(self, x):
+                calls.append(np.size(x))
+                return super().cdf(x)
+
+        assert delta_mixture(RARE, index, 64, reference=CountedNormal(0.0, 1.0)).value == (
+            0.31355904070619345
+        )
+        points = metrics_module.MIXTURE_BLOCK_POINTS
+        assert len(merges) <= 1
+        assert len(calls) <= math.ceil(sum(sizes) / points) + 1
+        assert max(calls) <= points + max(sizes)
 
 
 class TestZeta:
@@ -651,12 +742,19 @@ class TestSemiAdditivity:
     def test_prefix_laws_fold_each_entry_once(self, monkeypatch):
         calls = []
         real = metrics_module._extend_sum
+        real_stretch = metrics_module._fold_stretch
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
+        def counted_stretch(values, probs, steps, *rest):
+            # each step of a two-atom stretch is one fold
+            calls.extend(steps)
+            return real_stretch(values, probs, steps, *rest)
+
         monkeypatch.setattr(metrics_module, "_extend_sum", counted)
+        monkeypatch.setattr(metrics_module, "_fold_stretch", counted_stretch)
         checks = semi_additivity_check(
             [Rademacher()] * 12, [Normal(0.0, 1.0)] * 12, s_values=(1,),
             index=FiniteIndex(list(range(1, 13)), [1.0 / 12.0] * 12),
