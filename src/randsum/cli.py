@@ -579,12 +579,15 @@ def _lindeberg_draws(rng: np.random.Generator, sigmas: np.ndarray, draws: int,
     bits."""
     rows = max(1, _engine.CHUNK_DRAWS // sigmas.size)
     stat = np.empty(draws)
+    # the draws and their magnitudes, in two buffers every block reuses
+    block, magnitude = np.empty((2, min(rows, draws), sigmas.size))
     for lo in range(0, draws, rows):
-        x = rng.standard_normal((min(rows, draws - lo), sigmas.size))
+        x = rng.standard_normal(out=block[:min(rows, draws - lo)])
         x *= sigmas
-        keep = np.abs(x) >= eps
+        below = np.abs(x, out=magnitude[:len(x)]) < eps
         np.square(x, out=x)
-        x *= keep
+        # the terms with |x| < eps are +0.0
+        np.copyto(x, 0.0, where=below)
         np.sum(x, axis=1, out=stat[lo:lo + len(x)])
     return stat
 

@@ -119,23 +119,39 @@ def _iid_row_sums(dist: ScalarDistribution, ks: np.ndarray, rng: np.random.Gener
     return out
 
 
+def _equal_row_sums(sigmas: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` sums of rows of standard normals scaled column by column by
+    ``sigmas``, drawn in blocks of as many rows as CHUNK_DRAWS variates hold
+    (or one row, if longer): the chunks ``_chunk_boundaries`` cuts from
+    equal lengths, each row summed alone by ``np.add.reduceat``."""
+    k = sigmas.size
+    rows = max(1, CHUNK_DRAWS // k)
+    buffer = np.empty((min(rows, count), k))
+    starts = np.arange(0, buffer.size, k)
+    out = np.empty(count)
+    for lo in range(0, count, rows):
+        block = rng.standard_normal(out=buffer[:min(rows, count - lo)])
+        block *= sigmas
+        out[lo:lo + len(block)] = np.add.reduceat(block.ravel(), starts[:len(block)])
+    return out
+
+
 def _normal_row_sums(sigmas: np.ndarray, ks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Sums of the first ks[i] standard normals of draw i, each scaled by its
+    position's sigma; equal lengths take ``_equal_row_sums``, whose chunks
+    and sums are the ones below."""
+    k = int(ks[0])
+    if (ks == k).all():
+        return _equal_row_sums(sigmas[:k], ks.size, rng)
     out = np.empty(ks.size)
     for a, b in _chunk_boundaries(ks, CHUNK_DRAWS):
         part = ks[a:b]
         total = int(np.sum(part))
         starts = np.concatenate([[0], np.cumsum(part[:-1])]).astype(np.int64)
-        k = int(part[0])
-        if np.all(part == k):
-            # equal lengths: the block is rows of k, scaled column by column
-            flat = rng.standard_normal(total)
-            block = flat.reshape(-1, k)
-            block *= sigmas[:k]
-        else:
-            # per-position column index j-1 = global position - own row start
-            pos = np.arange(total, dtype=np.int64) - np.repeat(starts, part)
-            flat = rng.standard_normal(total)
-            flat *= sigmas[pos]
+        # per-position column index j-1 = global position - own row start
+        pos = np.arange(total, dtype=np.int64) - np.repeat(starts, part)
+        flat = rng.standard_normal(total)
+        flat *= sigmas[pos]
         out[a:b] = np.add.reduceat(flat, starts)
     return out
 
@@ -208,11 +224,15 @@ def sample_random_sums(
     if mode == "prefix":
         return _prefix_sums(array, n, ks, rng)
 
-    # rows in ascending k, each at its draws' positions in ascending order
-    order = np.argsort(ks, kind="stable")
-    rows, firsts = np.unique(ks[order], return_index=True)
+    # rows in ascending k, each at its draws' positions in ascending order;
+    # the stable sort of keys that fit 16 bits is a radix sort
+    keys = ks.astype(np.int16)
+    order = np.argsort(keys if np.array_equal(keys, ks) else ks, kind="stable")
+    sorted_ks = ks[order]
+    firsts = np.flatnonzero(sorted_ks[1:] != sorted_ks[:-1]) + 1
+    rows = sorted_ks[np.concatenate(([0], firsts))]
     out = np.empty(size)
-    for row, where in zip(rows.tolist(), np.split(order, firsts[1:])):
+    for row, where in zip(rows.tolist(), np.split(order, firsts)):
         row_ks = np.full(where.size, array.row_length(row), dtype=np.int64)
         out[where] = _prefix_sums(array, row, row_ks, rng)
     return out

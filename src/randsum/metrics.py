@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Dict, Generator, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice, repeat
+from typing import Dict, Generator, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import ndtr
@@ -72,6 +72,8 @@ NDTR_ABS_ERR = 4.0 * UNIT_ROUNDOFF
 # phi(1) = max_z |z| phi(z) = max_z |phi'(z)|, rounded up
 _PHI_AT_1 = math.exp(-0.5) / math.sqrt(2.0 * math.pi) * (1.0 + rounding_gamma(4))
 _LOG_2_SQRT_2PI = math.log(2.0 * math.sqrt(2.0 * math.pi))
+# the exact-normal bound's terms for ndtr and the difference of two CDFs
+_NORMAL_ROUNDING = 2.0 * (NDTR_ABS_ERR + rounding_gamma(4) * _PHI_AT_1) + UNIT_ROUNDOFF
 # base cell count of the zeta integration grid; two doublings follow
 _ZETA_CELLS = 4096
 # test-function centers per width in zeta_lower_bound
@@ -280,10 +282,12 @@ class SumLaw(ScalarDistribution):
 # increasing (``merge_atoms`` leaves runs more than the snap tolerance
 # apart), their masses, and the normal part's mean and variance.
 _FoldState = Tuple[np.ndarray, np.ndarray, float, float]
-# Consecutive fold states with one normal part: row i of the 2-D atoms and
+# Consecutive fold states with one normal mean: row i of the 2-D atoms and
 # masses holds state i in its first sizes[i] columns, with masses 0 past
-# them.  No block is written to once it is handed out.
-_Block = Tuple[np.ndarray, np.ndarray, np.ndarray, float, float]
+# them, and the normal variance is one float for every state or a vector
+# of one per state; a block of the latter kind holds normal laws, each one
+# atom at 0.  No block is written to once it is handed out.
+_Block = Tuple[np.ndarray, np.ndarray, np.ndarray, float, Union[float, np.ndarray]]
 # an entry with two atoms a < b, as (a, b, P(a), P(b))
 _Step = Tuple[float, float, float, float]
 
@@ -374,13 +378,15 @@ def _fold_stretch(
     in blocks, and return the last state.
 
     Each block is a fresh pair of buffers, atoms and masses, of at most
-    MIXTURE_BLOCK_POINTS numbers together.  Row 0 holds the state it starts from and row r the state after its
-    r-th step, with +inf atoms and zero masses past each state.  A step
-    writes the row below from the row above, each sum one array
-    operation: with the padding as a sentinel, atom j is hi[j-1] when
-    hi[j-1] <= lo[j] (the first in stable order, also on a signed-zero
-    tie) and lo[j] otherwise, and its mass p[j] P(a) + p[j-1] P(b).  A
-    zero mass at either end is dropped at once.  After the block,
+    MIXTURE_BLOCK_POINTS numbers together.  Row 0 holds the state it
+    starts from and row r the state after its r-th step, with +inf atoms
+    and zero masses past each state.  A step writes the row below from
+    the row above, each sum one array operation: with the padding as a
+    sentinel, atom j is hi[j-1] when hi[j-1] <= lo[j] (the first in
+    stable order, also on a signed-zero tie) and lo[j] otherwise, and its
+    mass p[j] P(a) + p[j-1] P(b).  A zero mass at either end is dropped
+    at once: the top one by ending the state one atom short, the bottom
+    one by moving the state down one column.  After the block,
     ``_off_band`` and a count of zero masses find the first step at which
     the band could differ from ``_merge_fold``; that step is folded by
     ``_merge_fold`` and the next block starts from it.  So every state is
@@ -429,6 +435,12 @@ def _fold_stretch(
             elif out[0] and out[m - 1]:
                 # only the top mass underflowed: the state ends one atom short
                 atoms[r, m] = np.inf
+            elif out[1] and out[m]:
+                # only the bottom mass underflowed: the state moves down one
+                atoms[r, :m] = atoms[r, 1:k]
+                out[:m] = out[1:]
+                atoms[r, m] = np.inf
+                out[m] = 0.0
             else:
                 m = _drop_zeros(atoms[r, :k], out)
             sizes.append(m)
@@ -522,8 +534,9 @@ def _fold_blocks(
 def _states(blocks: Iterable[_Block]) -> Iterator[_FoldState]:
     """The fold states of ``blocks``, one at a time."""
     for atoms, masses, sizes, mean, var in blocks:
-        for row, mass, size in zip(atoms, masses, sizes.tolist()):
-            yield row[:size], mass[:size], mean, var
+        variances = var if np.ndim(var) else repeat(var)
+        for row, mass, size, v in zip(atoms, masses, sizes.tolist(), variances):
+            yield row[:size], mass[:size], mean, v
 
 
 def _partial_sums(
@@ -534,19 +547,15 @@ def _partial_sums(
     return _states(_fold_blocks(laws, lengths))
 
 
-def _row_blocks(array: TriangularArray, n: int, lengths: Sequence[int]) -> Iterator[_Block]:
-    """Convolution states of the sums of row n up to the strictly
-    increasing ``lengths``, in blocks.
-
-    A row of centered normals up to the last length sums to N(0, prefix
-    variance), the variances added left to right as the running
-    convolution adds them, one state a block; any other row is folded
-    entry by entry (``_fold_blocks``).  Both raise ``ConvolutionError``
-    once the normal part's variance is not finite.
-    """
+def _normal_totals(array: TriangularArray, n: int, lengths: Sequence[int]) -> Optional[np.ndarray]:
+    """The variances of the sums of row n up to the strictly increasing
+    ``lengths`` when the row is centered normals up to the last length,
+    else None: the prefix variances added left to right, as the running
+    convolution adds them.  Raises ``ConvolutionError`` once they are not
+    finite."""
     variances = array.normal_variances(n, int(lengths[-1]))
     if variances is None:
-        return _fold_blocks(expand(array.runs(n)), lengths)
+        return None
     with np.errstate(over="ignore"):
         totals = np.cumsum(variances)
     if not math.isfinite(totals[-1]):
@@ -554,8 +563,28 @@ def _row_blocks(array: TriangularArray, n: int, lengths: Sequence[int]) -> Itera
             f"row {n}'s prefix variance is not finite from position "
             f"{int(np.argmin(np.isfinite(totals))) + 1}"
         )
-    origin = (np.zeros((1, 1)), np.ones((1, 1)), np.ones(1, dtype=int))
-    return ((*origin, 0.0, totals[int(length) - 1]) for length in lengths)
+    return totals[np.asarray(lengths) - 1]
+
+
+def _normal_block(variances: np.ndarray) -> _Block:
+    """The block of the laws N(0, variances[i])."""
+    size = variances.size
+    return np.zeros((size, 1)), np.ones((size, 1)), np.ones(size, dtype=int), 0.0, variances
+
+
+def _row_blocks(array: TriangularArray, n: int, lengths: Sequence[int]) -> Iterator[_Block]:
+    """Convolution states of the sums of row n up to the strictly
+    increasing ``lengths``, in blocks.
+
+    A row of centered normals up to the last length gives one block of
+    the laws N(0, prefix variance) for every length (``_normal_totals``);
+    any other row is folded entry by entry (``_fold_blocks``).  Both raise
+    ``ConvolutionError`` once the normal part's variance is not finite.
+    """
+    totals = _normal_totals(array, n, lengths)
+    if totals is None:
+        return _fold_blocks(expand(array.runs(n)), lengths)
+    return iter((_normal_block(totals),))
 
 
 def sum_of_independent(entries: Sequence[ScalarDistribution]) -> SumLaw:
@@ -621,27 +650,49 @@ def _gaps(f_law: ScalarDistribution, g_law: ScalarDistribution, xs: np.ndarray) 
     return np.maximum(left, right)
 
 
-def _slope_term(delta: float, x: float, mean: float, var: float, sd: float) -> float:
-    """delta^2 / 2 times the largest |density'| of N(mean, var) within delta of x."""
-    if delta == 0.0:
-        return 0.0
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` of each element of ``values`` through libm, one at a time:
+    numpy's SIMD loops need not round a transcendental as libm does."""
+    return np.fromiter(map(fn, values.ravel().tolist()), float, values.size).reshape(values.shape)
+
+
+def _slope_terms(delta, x, mean, var, log_var, sd) -> np.ndarray:
+    """delta^2 / 2 times the largest |density'| of N(mean, var) within delta
+    of x, elementwise; ``log_var`` is log(var)."""
     # standardized distance of [x - delta, x + delta] from the mean, rounded down
-    w = max(abs(x - mean) - delta, 0.0) * (1.0 - rounding_gamma(4)) / sd
-    if w <= 1.0:
-        return 0.5 * delta * delta * _PHI_AT_1 / var
+    w = np.maximum(np.abs(x - mean) - delta, 0.0) * (1.0 - rounding_gamma(4)) / sd
+    near = 0.5 * delta * delta * _PHI_AT_1 / var
+    far = (w > 1.0) & (delta != 0.0)
     # w phi(w) / var in logs, so a far point's vanishing slope meets a large
-    # delta without underflow; the factor 2 covers the exponent's rounding
-    exponent = 2.0 * math.log(delta) + math.log(w) - 0.5 * w * w - math.log(var) - _LOG_2_SQRT_2PI
-    return math.inf if exponent > 700.0 else 2.0 * math.exp(exponent)
+    # delta without underflow; the factor 2 covers the exponent's rounding.
+    # Only far points read it, and the others take the logs of 1
+    exponent = (2.0 * _libm(math.log, np.where(far, delta, 1.0))
+                + _libm(math.log, np.where(far, w, 1.0)) - 0.5 * w * w
+                - log_var - _LOG_2_SQRT_2PI)
+    slope = np.where(exponent > 700.0, math.inf,
+                     2.0 * _libm(math.exp, np.minimum(exponent, 700.0)))
+    return np.where(far, slope, np.where(delta == 0.0, 0.0, near))
 
 
-def _normal_kolmogorov(m1: float, v1: float, m2: float, v2: float) -> Optional[DistanceEstimate]:
-    """sup_x |F(x) - G(x)| for F = N(m1, v1) and G = N(m2, v2), or None.
+def _normal_kolmogorov(
+    m1, v1, m2: float, v2: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sup_x |F_i(x) - G(x)| for each F_i = N(m1[i], v1[i]) against one
+    G = N(m2, v2), with ``m1`` and ``v1`` broadcast together: the values,
+    their bounds and the numbers of crossings evaluated, as arrays.  A
+    value is nan where no crossing is certified; ``kolmogorov`` searches
+    the grid there.
+
+    Each element runs the arithmetic of one solve: +, -, *, /, sqrt and
+    copysign in numpy, which round as Python floats do; log1p, log and exp
+    through libm, one element at a time (``_libm``); and one ``ndtr`` call
+    over every crossing point.  So one call over N laws gives the numbers
+    of N one-law calls, bit for bit.
 
     *Where the supremum is.*  D = F - G vanishes at both infinities, so
     sup |D| is reached where D' = f - g = 0: where the densities cross.
-    Let a be the narrower law (va <= vb) and y = (x - ma) / sa.  Taking
-    logs of f = g, the crossings solve
+    Let a be the narrower law (va <= vb, F on a tie) and y = (x - ma) / sa.
+    Taking logs of f = g, the crossings solve
 
         Q(y) = d y^2 + 2 b y + c = 0,    d = (vb - va) / va >= 0,
         b = (mb - ma) / sa,   rho = vb / va,   L = log1p(d) >= 0,
@@ -663,8 +714,8 @@ def _normal_kolmogorov(m1: float, v1: float, m2: float, v2: float) -> Optional[D
     1 - gamma_8 of the exact one.  Mapping x^ = ma + sa y^ adds gamma_3
     (|x^| + sa |y^|).  The two crossings found must lie farther apart than
     their two error radii delta, so they sit near different roots.  Where
-    that fails, or any number is not finite, this returns None and
-    ``kolmogorov`` searches the grid.
+    that fails, b and d underflow to leave no root, or any number is not
+    finite, the value is nan.
 
     *Value error.*  D' = 0 at a root r, so |D(r) - D(x^)| <= delta^2 / 2
     times max |D''| on [x^ - delta, x^ + delta], and |D''| <= |f'| + |g'|
@@ -681,44 +732,49 @@ def _normal_kolmogorov(m1: float, v1: float, m2: float, v2: float) -> Optional[D
                              + max over points of the delta^2 terms,
 
     which is the bound reported.  Intermediate underflow is not covered.
+    Equal laws give value and bound 0 with no crossing.
     """
-    if m1 == m2 and v1 == v2:
-        return DistanceEstimate(0.0, 0.0, "exact-normal", {"grid": 0.0})
-    (ma, va), (mb, vb) = sorted(((m1, v1), (m2, v2)), key=lambda mv: mv[1])
-    sa = math.sqrt(va)
-    d = (vb - va) / va
-    b = (mb - ma) / sa
-    rho = vb / va
-    log_rho = math.log1p(d)
-    c = -(b * b + rho * log_rho)
-    root = math.sqrt(rho * (b * b + d * log_rho))
-    if root == 0.0:
-        return None  # the laws differ, but b and d underflowed
-    q = -b - math.copysign(root, b)
-    points: List[float] = []
-    deltas: List[float] = []
-    for y in (c / q,) if d == 0.0 else (c / q, q / d):
+    v1 = np.array(v1, dtype=float, ndmin=1)
+    m1 = np.full(v1.shape, m1, dtype=float)
+    same = (m1 == m2) & (v1 == v2)
+    value, bound, grid = np.where(same, 0.0, np.nan), np.where(same, 0.0, np.nan), np.zeros(m1.size)
+    with np.errstate(all="ignore"):
+        swap = v1 > v2
+        ma, va = np.where(swap, m2, m1), np.where(swap, v2, v1)
+        mb, vb = np.where(swap, m1, m2), np.where(swap, v1, v2)
+        sa = np.sqrt(va)
+        d = (vb - va) / va
+        b = (mb - ma) / sa
+        rho = vb / va
+        log_rho = _libm(math.log1p, d)
+        c = -(b * b + rho * log_rho)
+        root = np.sqrt(rho * (b * b + d * log_rho))
+        q = -b - np.copysign(root, b)
+        # row 0 the crossing c / q, row 1 the crossing q / d, which exists
+        # where d > 0
+        y = np.array((c / q, q / d))
         residual = (d * y + 2.0 * b) * y + c
-        size = (d * abs(y) + 2.0 * abs(b)) * abs(y) - c
-        dy = (abs(residual) + rounding_gamma(16) * size) / (root * (1.0 - rounding_gamma(8)))
+        size = (d * np.abs(y) + 2.0 * np.abs(b)) * np.abs(y) - c
+        dy = (np.abs(residual) + rounding_gamma(16) * size) / (root * (1.0 - rounding_gamma(8)))
         x = ma + sa * y
-        points.append(x)
-        deltas.append(sa * dy * (1.0 + rounding_gamma(1))
-                      + rounding_gamma(3) * (abs(x) + sa * abs(y)))
-    if not all(map(math.isfinite, points + deltas)):
-        return None
-    if len(points) == 2 and abs(points[0] - points[1]) <= deltas[0] + deltas[1]:
-        return None
-
-    s1, s2 = math.sqrt(v1), math.sqrt(v2)
-    xs = np.array(points)
-    value = float(np.max(np.abs(ndtr((xs - m1) / s1) - ndtr((xs - m2) / s2))))
-    root_error = max(
-        _slope_term(dx, x, m1, v1, s1) + _slope_term(dx, x, m2, v2, s2)
-        for x, dx in zip(points, deltas)
-    )
-    bound = 2.0 * (NDTR_ABS_ERR + rounding_gamma(4) * _PHI_AT_1) + UNIT_ROUNDOFF + root_error
-    return DistanceEstimate(value, bound, "exact-normal", {"grid": float(len(points))})
+        delta = sa * dy * (1.0 + rounding_gamma(1)) + rounding_gamma(3) * (np.abs(x) + sa * np.abs(y))
+        two = d != 0.0
+        finite = np.isfinite(x) & np.isfinite(delta)
+        apart = finite[1] & ~(np.abs(x[0] - x[1]) <= delta[0] + delta[1])
+        solved = np.flatnonzero(~same & (root != 0.0) & finite[0] & (~two | apart))
+        if not solved.size:
+            return value, bound, grid
+        two, x, delta = two[solved], x[:, solved], delta[:, solved]
+        m1, v1 = m1[solved], v1[solved]
+        s1, s2 = np.sqrt(v1), math.sqrt(v2)
+        cdf = ndtr(np.concatenate(((x - m1) / s1, (x - m2) / s2)))
+        gaps = np.abs(cdf[:2] - cdf[2:])
+        slopes = (_slope_terms(delta, x, m1, v1, _libm(math.log, v1), s1)
+                  + _slope_terms(delta, x, m2, v2, math.log(v2), s2))
+    value[solved] = np.where(two, np.maximum(gaps[0], gaps[1]), gaps[0])
+    bound[solved] = _NORMAL_ROUNDING + np.where(two, np.maximum(slopes[0], slopes[1]), slopes[0])
+    grid[solved] = np.where(two, 2.0, 1.0)
+    return value, bound, grid
 
 
 def _atom_gaps(
@@ -757,8 +813,10 @@ def kolmogorov(f_law: ScalarDistribution, g_law: ScalarDistribution) -> Distance
 
     When both laws are normal (``normal_params()`` is not None for both)
     the supremum is taken where the two densities cross, method
-    ``exact-normal``; the bound covers the rounding (``_normal_kolmogorov``)
-    and ``params["grid"]`` is the number of crossings evaluated, at most 2.
+    ``exact-normal``: the batched solver ``_normal_kolmogorov`` runs on one
+    element, its bound covers the rounding, and ``params["grid"]`` is the
+    number of crossings evaluated, at most 2.  Where it certifies no
+    crossing, the grid below serves.
 
     Otherwise (method ``exact-grid``) the search grid has _KOLMOGOROV_GRID
     points spanning both laws' mean +- 10 standard deviations, refined
@@ -780,9 +838,10 @@ def kolmogorov(f_law: ScalarDistribution, g_law: ScalarDistribution) -> Distance
             return DistanceEstimate(value, 0.0, "exact-atomic", {"grid": float(values.size)})
     f_params, g_params = f_law.normal_params(), g_law.normal_params()
     if f_params is not None and g_params is not None:
-        est = _normal_kolmogorov(*f_params, *g_params)
-        if est is not None:
-            return est
+        value, bound, grid = _normal_kolmogorov(*f_params, *g_params)
+        if not math.isnan(value[0]):
+            return DistanceEstimate(float(value[0]), float(bound[0]), "exact-normal",
+                                    {"grid": float(grid[0])})
 
     spread_f = 10.0 * max(f_law.std, 1e-12)
     spread_g = 10.0 * max(g_law.std, 1e-12)
@@ -862,14 +921,27 @@ def _per_k_blocks(
     over the row for all k, and rows mode takes all of row k.
 
     A row of centered normals is one variance vector, so its laws take a
-    cumulative sum and no fold; other rows run one convolution, which
-    raises ``ConvolutionError`` at an entry it cannot fold in.
+    cumulative sum and no fold: in prefix mode one block holds them all,
+    and in rows mode one block holds the complete-row laws of each run of
+    consecutive such rows.  Other rows run one convolution, which raises
+    ``ConvolutionError`` at an entry it cannot fold in.
     """
     if mode == "prefix":
         yield from _row_blocks(array, n, ks)
-    else:
-        for k in ks.tolist():
-            yield from _row_blocks(array, k, (array.row_length(k),))
+        return
+    totals: List[np.ndarray] = []
+    for k in ks.tolist():
+        length = array.row_length(k)
+        total = _normal_totals(array, k, (length,))
+        if total is not None:
+            totals.append(total)
+            continue
+        if totals:
+            yield _normal_block(np.concatenate(totals))
+            totals = []
+        yield from _fold_blocks(expand(array.runs(k)), (length,))
+    if totals:
+        yield _normal_block(np.concatenate(totals))
 
 
 def _per_k_sums(array: TriangularArray, ks: np.ndarray, n: int, mode: str) -> Iterator[_FoldState]:
@@ -940,22 +1012,42 @@ def _per_k_distances(
     """(P(nu = k), Delta_k, its bound) for each k of positive weight, in k
     order.
 
-    A purely atomic fold state holds strictly increasing atoms, so against
-    a normal target its distance is ``kolmogorov``'s exact-atomic value
-    read off the state itself, with no ``SumLaw``.  Such states come in
-    blocks (``_per_k_blocks``).  A block takes one cumulative sum of its
-    masses along the rows, whose totals are checked to be one as
-    ``SumLaw`` checks them, and its rows of positive weight wait
-    (``_Waiting``).  They are settled once MIXTURE_BLOCK_POINTS atoms
-    wait, and before any other k, so the terms keep their order and no
-    more than a block of atoms and one state wait.  Other laws go through
-    ``kolmogorov``.
+    The fold states come in blocks (``_per_k_blocks``), and against a
+    normal target no ``SumLaw`` is built for the two kinds below.
+
+    A block of normal laws N(mean, v_k) is settled with one exact-normal
+    solve over its distinct variances of positive weight
+    (``_normal_kolmogorov``), each k reading its variance's distance; only
+    a variance the solve leaves uncertified goes through ``kolmogorov``,
+    whose grid then serves it.
+
+    A purely atomic fold state holds strictly increasing atoms, so its
+    distance is ``kolmogorov``'s exact-atomic value read off the state
+    itself.  A block of them takes one cumulative sum of its masses along
+    the rows, whose totals are checked to be one as ``SumLaw`` checks
+    them, and its rows of positive weight wait (``_Waiting``).  They are
+    settled once MIXTURE_BLOCK_POINTS atoms wait, and before any other k,
+    so the terms keep their order and no more than a block of atoms and
+    one state wait.  Other laws go through ``kolmogorov``.
     """
     waiting = _Waiting(target) if isinstance(target, Normal) else None
     start = 0
     for atoms, masses, sizes, mean, var in _per_k_blocks(array, ks, n, mode):
         weights = pmf[start:start + sizes.size]
         start += sizes.size
+        if waiting is not None and np.ndim(var):
+            keep = weights != 0.0
+            if not keep.any():
+                continue
+            if waiting.points:
+                yield from waiting.settle()
+            distinct, inverse = np.unique(var[keep], return_inverse=True)
+            values, bounds, _ = _normal_kolmogorov(mean, distinct, *target.normal_params())
+            for i in np.flatnonzero(np.isnan(values)).tolist():
+                est = kolmogorov(SumLaw([0.0], [1.0], mean, distinct[i]), target)
+                values[i], bounds[i] = est.value, est.bound
+            yield from zip(weights[keep].tolist(), values[inverse].tolist(), bounds[inverse].tolist())
+            continue
         if waiting is None or mean != 0.0 or var != 0.0:
             for w, state in zip(weights, _states([(atoms, masses, sizes, mean, var)])):
                 law = SumLaw(*state)

@@ -1,5 +1,6 @@
 """Sampling engine, study runner, verdicts, and the selfcheck contract."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -262,6 +263,24 @@ class TestChunkBoundaries:
         for cap in (1 << 20, 1000, 7, 1):
             assert np.array_equal(draws(cap), reference), cap
 
+    @pytest.mark.parametrize("cap", [1, 7, 1 << 16])
+    @pytest.mark.parametrize(
+        "array, seed, digest",
+        [
+            (from_series(shiryaev_series()), 5, "c2865729efaaf6f03dfbe14697a07ee5"),
+            (from_series(shiryaev_series()), 6, "9c683c702eed71ee99e53045ffbe56ef"),
+            (SHIRYAEV, 5, "a4c6bf96c3f361a804157438231dfc2e"),
+            (SHIRYAEV, 6, "7379858f8ddc46449d2bb44fc66e31e3"),
+        ],
+        ids=["series-5", "series-6", "shiryaev-5", "shiryaev-6"],
+    )
+    def test_rows_mode_normal_sums_are_frozen(self, monkeypatch, cap, array, seed, digest):
+        # the md5 of the rows-mode sums of normal rows, which no chunk cap moves
+        monkeypatch.setattr(engine_module, "CHUNK_DRAWS", cap)
+        rng = np.random.default_rng(seed)
+        draws = sample_random_sums(array, ShiftedPoisson(12.0), 12, rng, 400, mode="rows")
+        assert hashlib.md5(draws.tobytes()).hexdigest() == digest
+
 
 class RecordingUniform(Uniform):
     """Uniform(-1, 1) that records the size of every draw asked of it."""
@@ -282,9 +301,9 @@ class CountingRng:
         self._rng = np.random.default_rng(seed)
         self.sizes = []
 
-    def standard_normal(self, size=None):
-        self.sizes.append(int(np.prod(size)))
-        return self._rng.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        self.sizes.append(int(np.prod(size if out is None else out.shape)))
+        return self._rng.standard_normal(size, out=out)
 
 
 LONG_ROW = 70_000

@@ -203,6 +203,77 @@ class TestKolmogorovNormalPair:
         assert kolmogorov(Normal(0.0, 1e300), Normal(1e-300, 1e300)).method == "exact-grid"
 
 
+class TestBatchedNormalSolve:
+    @staticmethod
+    def one_by_one(means, variances, m2, v2):
+        """The solver's three arrays, one one-element call per law."""
+        parts = [metrics_module._normal_kolmogorov(m, v, m2, v2) for m, v in zip(means, variances)]
+        return tuple(np.concatenate(column) for column in zip(*parts))
+
+    @staticmethod
+    def laws():
+        """(means, variances) against N(0, 1): powers of two, 1 +- k ulp, the
+        target itself, equal variances with other means, and variances that
+        overflow or underflow the solve."""
+        variances = [2.0 ** e for e in range(-60, 61)]
+        variances += [1.0 + k * 2.0 ** -52 for k in range(1, 9)]
+        variances += [1.0 - k * 2.0 ** -53 for k in range(1, 9)]
+        means = [0.0] * len(variances)
+        # the early return, the d = 0 branch, and overflow and underflow
+        means += [0.0, 1e-9, -0.3, 5.0, 40.0, 0.0, 0.0, 0.2]
+        variances += [1.0, 1.0, 1.0, 1.0, 1.0, 1.7e308, 1e-310, 5e-324]
+        return np.array(means), np.array(variances)
+
+    def test_one_call_equals_one_call_per_law(self):
+        means, variances = self.laws()
+        batched = metrics_module._normal_kolmogorov(means, variances, 0.0, 1.0)
+        assert [a.tobytes() for a in batched] == [
+            a.tobytes() for a in self.one_by_one(means, variances, 0.0, 1.0)
+        ]
+        value, bound, grid = batched
+        assert sorted(set(grid.tolist())) == [0.0, 1.0, 2.0]
+        assert np.isnan(value[-3:]).all() and not np.isnan(value[:-3]).any()
+        # b underflows with equal variances: no root, as kolmogorov's grid case
+        far = metrics_module._normal_kolmogorov(np.array([0.0, 0.0]), np.array([1e300, 2e300]),
+                                                1e-300, 1e300)
+        assert np.isnan(far[0][0]) and not np.isnan(far[0][1])
+        assert [a.tobytes() for a in far] == [
+            a.tobytes() for a in self.one_by_one([0.0, 0.0], [1e300, 2e300], 1e-300, 1e300)
+        ]
+
+    def test_shiryaev_prefix_terms_against_40_digits(self):
+        index = ShiftedPoisson(32.0)
+        ks = np.arange(1, index.truncation(1e-10) + 1)
+        terms = list(metrics_module._per_k_distances(SHIRYAEV, ks, index.pmf(ks), 32, "prefix", PHI))
+        totals = np.cumsum(SHIRYAEV.normal_variances(32, int(ks[-1])))
+        for k in (1, 2, 9, 31, 32, 33, 50, int(ks[-1])):
+            _, value, bound = terms[k - 1]
+            assert abs(value - normal_ks_40_digits(0.0, totals[k - 1], 0.0, 1.0)) <= bound
+
+    def test_uncertified_variances_take_the_grid(self):
+        # shiryaev row 2 read to 1,025 entries: a prefix variance near the
+        # largest float, whose crossing solve overflows
+        est = delta_mixture(SHIRYAEV, FiniteIndex([3, 1025], [0.5, 0.5]), 2)
+        per_k = [kolmogorov(row_sum_law(SHIRYAEV, 2, k), PHI) for k in (3, 1025)]
+        assert [e.method for e in per_k] == ["exact-normal", "exact-grid"]
+        assert est.value == 0.5 * per_k[0].value + 0.5 * per_k[1].value
+
+    @pytest.mark.parametrize("array, mode", [(SHIRYAEV, "prefix"),
+                                             (from_series(shiryaev_series()), "rows")],
+                             ids=["shiryaev-prefix", "series-rows"])
+    def test_normal_rows_build_no_sum_law(self, monkeypatch, array, mode):
+        built, solves = [], []
+        init = SumLaw.__init__
+        monkeypatch.setattr(SumLaw, "__init__", lambda *a, **k: built.append(1) or init(*a, **k))
+        solve = metrics_module._normal_kolmogorov
+        monkeypatch.setattr(metrics_module, "_normal_kolmogorov",
+                            lambda *a: solves.append(a) or solve(*a))
+        delta_mixture(array, ShiftedPoisson(32.0), 32, mode=mode)
+        # every row is centered normals, so the laws form one block
+        assert built == []
+        assert len(solves) == 1
+
+
 def step_cdf(values, probs):
     """P(X <= x) of a finite atomic law, summed directly."""
     values = np.asarray(values, dtype=float)
@@ -442,12 +513,17 @@ class TestBandedFold:
     @pytest.mark.parametrize("p_low", [0.5, 0.6, 0.7, 0.999, 0.001])
     def test_standardized_two_point_bands_bit_for_bit(self, monkeypatch, p_low):
         entry = make_iid_array(TwoPoint(-1.0, 2.0, p_low)).entry(32, 1)
+        dropped = []
+        drop = metrics_module._drop_zeros
+        monkeypatch.setattr(metrics_module, "_drop_zeros", lambda *a: dropped.append(1) or drop(*a))
         states, handed = fold_both_ways(monkeypatch, [entry] * 200)
         assert handed == []
         if p_low in (0.999, 0.001):
             # masses underflow at the top (p_low near 1) or at the bottom
             # and are dropped, so the state stops growing
             assert states[-1][0].size < 150
+        # one end at a time underflows, and each end has its own fast path
+        assert dropped == []
 
     @pytest.mark.parametrize("factor", [1.0, 1e3])
     def test_scaled_rademacher_bands_bit_for_bit(self, monkeypatch, factor):
@@ -813,15 +889,21 @@ class TestMixtureDistances:
         searched = []
         gaps = metrics_module._gaps
         monkeypatch.setattr(metrics_module, "_gaps", lambda *a: searched.append(a) or gaps(*a))
-        per_k = []
-        exact = metrics_module.kolmogorov
-        monkeypatch.setattr(metrics_module, "kolmogorov",
-                            lambda f, g: per_k.append(exact(f, g)) or per_k[-1])
+        solves = []
+        solve = metrics_module._normal_kolmogorov
+        monkeypatch.setattr(metrics_module, "_normal_kolmogorov",
+                            lambda *a: solves.append((a, solve(*a))) or solves[-1][1])
         idx = ShiftedPoisson(8.0)
-        est = delta_mixture(from_series(shiryaev_series()), idx, 8, mode="rows")
-        assert len(per_k) == idx.truncation(1e-10)
+        array = from_series(shiryaev_series())
+        est = delta_mixture(array, idx, 8, mode="rows")
+        ks = np.arange(1, idx.truncation(1e-10) + 1)
+        totals = [np.cumsum(array.normal_variances(k))[-1] for k in ks[idx.pmf(ks) != 0.0]]
+        # one solve covers the distinct complete-row variances, and
+        # certifies each of them
+        assert [args[1].tobytes() for args, _ in solves] == [np.unique(totals).tobytes()]
+        value, bound, grid = solves[0][1]
+        assert not np.isnan(value).any() and (grid <= 2).all()
         assert searched == []
-        assert all(e.method == "exact-normal" and e.params["grid"] <= 2 for e in per_k)
         assert est.value <= 1e-14
         assert est.bound <= 1e-10 + 1e-14
 
